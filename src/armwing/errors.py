@@ -126,11 +126,6 @@ class NoFeasibleStart(FittingError):
     """No multistart point produced a feasible fitted design."""
 
 
-class BudgetExhausted(FittingError):
-    """Iteration budget exhausted before convergence (reported, not raised,
-    by the optimizer; raised only on direct misuse)."""
-
-
 # ---------------------------------------------------------------------------
 # analysis
 

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import Bounds, NonlinearConstraint, least_squares, minimize
 
-from .errors import EmptyResidual, GridMismatch, NoFeasibleStart
+from .errors import EmptyResidual, GridMismatch, NoFeasibleStart, NonPositiveLength
 from .fourbar import FourBar
 from .gait import TargetGait, phase_grid
-from .linkage import GROUND, MechanismGraph, _target_get
+from .linkage import GROUND, MechanismGraph
 from .solver import sweep_series
 
 __all__ = [
@@ -214,7 +214,11 @@ def residuals(
     if stage not in STAGE_CHOICES:
         raise ValueError(f"stage must be one of {STAGE_CHOICES}, got {stage!r}")
     n = _check_grid(targets, samples)
-    series = sweep_series(mech, n, strict=not flagged)
+    return _stage_residuals(sweep_series(mech, n, strict=not flagged), targets, stage)
+
+
+def _stage_residuals(series: dict, targets: TargetGait, stage: str) -> np.ndarray:
+    """The stage's angle errors of a sweep; failed samples get PENALTY_DEG."""
     parts = []
     ok = series["ok"]
     if stage in ("humerus", "all"):
@@ -298,7 +302,7 @@ def _loop_fourbar(mech: MechanismGraph, closure_id: str) -> FourBar | None:
             coupler=lengths[middle],
             rocker=lengths[rocker],
         )
-    except Exception:
+    except NonPositiveLength:
         return None
 
 
@@ -372,10 +376,7 @@ def _constraint_core(
             ineq.append(floor - float(np.min(t)))
         else:
             ineq.append(CONSTRAINT_PENALTY)
-    eq = [
-        float(_target_get(mech.spec, sym.target)) - sym.value
-        for sym in mech.spec.symmetry
-    ]
+    eq = [mech._get(target) - sym.value for sym, target in mech._symmetry]
     return np.asarray(ineq, dtype=float), np.asarray(eq, dtype=float)
 
 
@@ -448,13 +449,7 @@ class _StageProblem:
             return hit
         m = self.mech_at(x)
         series = sweep_series(m, self.samples, strict=False)
-        parts = []
-        ok = series["ok"]
-        if self.stage in ("humerus", "all"):
-            parts.append(_masked(series["theta_s_deg"] - self.targets.shoulder_deg, ok))
-        if self.stage in ("radius", "all"):
-            parts.append(_masked(series["theta_e_deg"] - self.targets.elbow_deg, ok))
-        resid = np.concatenate(parts)
+        resid = _stage_residuals(series, self.targets, self.stage)
         ineq, eq = _constraint_core(
             m, self.samples, self.options.min_transmission_deg, series=series
         )

@@ -138,9 +138,16 @@ def circle_circle(c1, r1, c2, r2, sign):
     return np.stack([px, py], axis=-1), h, d
 
 
-def _assembly_margin(d, r1, r2):
-    """Positive when the two-circle construction cannot close."""
-    return np.maximum(d - (r1 + r2), np.abs(r1 - r2) - d)
+def assembly_margin_and_transmission(d, r1, r2):
+    """(margin, transmission) of circles of radii r1, r2 with centres d apart.
+
+    The margin (mm) is positive when they cannot meet; the transmission
+    angle between the radii at the intersection is folded into [0, pi/2].
+    """
+    margin = np.maximum(d - (r1 + r2), np.abs(r1 - r2) - d)
+    cos_mu = (r1 * r1 + r2 * r2 - d * d) / (2.0 * r1 * r2)
+    mu = np.arccos(np.clip(cos_mu, -1.0, 1.0))
+    return margin, np.minimum(mu, np.pi - mu)
 
 
 def solve_fourbar(fourbar: FourBar, theta_in):
@@ -167,21 +174,18 @@ def solve_fourbar(fourbar: FourBar, theta_in):
         crank_pin, fourbar.coupler, pivot_d, fourbar.rocker, sign
     )
 
+    margin, transmission = assembly_margin_and_transmission(
+        d, fourbar.coupler, fourbar.rocker
+    )
     bad = ~np.isfinite(coupler_pin[..., 0])
     if np.any(bad):
-        margin = _assembly_margin(d, fourbar.coupler, fourbar.rocker)
         phi = float(np.atleast_1d(theta)[np.atleast_1d(bad)][0])
         gap = float(np.atleast_1d(margin)[np.atleast_1d(bad)][0])
         raise NotAssemblable(
             f"coupler/rocker circles do not intersect (gap {gap:.6g} mm)", phi=phi
         )
 
-    # Transmission angle between coupler and rocker at the shared pin.
-    cos_mu = (fourbar.coupler**2 + fourbar.rocker**2 - d * d) / (
-        2.0 * fourbar.coupler * fourbar.rocker
-    )
-    mu = np.arccos(np.clip(cos_mu, -1.0, 1.0))
-    collinear = np.minimum(mu, np.pi - mu) < COLLINEAR_TOL_RAD
+    collinear = transmission < COLLINEAR_TOL_RAD
     if np.any(collinear):
         phi = float(np.atleast_1d(theta)[np.atleast_1d(collinear)][0])
         raise SingularConfiguration(
@@ -210,7 +214,6 @@ def solve_fourbar(fourbar: FourBar, theta_in):
     )
     residual = np.hypot(loop_x, loop_y)
 
-    transmission = np.minimum(mu, np.pi - mu)
     if scalar:
         return FourBarPose(
             theta_in=float(theta),

@@ -10,6 +10,7 @@ exist only in memory.
 from __future__ import annotations
 
 import json
+import math
 from collections import OrderedDict
 from pathlib import Path
 
@@ -88,6 +89,8 @@ def _expect(doc: dict, key: str, kind, where: str, default=_TOP_LEVEL_KEYS):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{where}.{key}" if where else key, "must be a number")
+        if not math.isfinite(value):
+            raise SchemaError(f"{where}.{key}" if where else key, "must be finite")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -148,6 +151,8 @@ def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in xy)
             ):
                 raise SchemaError(f"{where}.points.{pname}", "must be [x, y]")
+            if not all(math.isfinite(v) for v in xy):
+                raise SchemaError(f"{where}.points.{pname}", "must be finite")
             points[pname] = np.array([float(xy[0]), float(xy[1])])
         length = raw.get("length")
         if length is not None:
@@ -211,8 +216,8 @@ def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
         angle_outputs.append(
             AngleOutput(
                 name=name,
-                link=raw.get("link"),
-                joint=raw.get("joint"),
+                link=_expect(raw, "link", str, where, default=None),
+                joint=_expect(raw, "joint", str, where, default=None),
                 sign=_expect(raw, "sign", int, where, default=1),
                 offset_deg=_expect(raw, "offset_deg", float, where, default=0.0),
             )
@@ -231,6 +236,8 @@ def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
     for jid, angle in _expect(doc, "home_pose_deg", dict, "", default={}).items():
         if isinstance(angle, bool) or not isinstance(angle, (int, float)):
             raise SchemaError(f"home_pose_deg.{jid}", "must be a number")
+        if not math.isfinite(angle):
+            raise SchemaError(f"home_pose_deg.{jid}", "must be finite")
         home[jid] = float(angle)
 
     parameters = []

@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .errors import (
     OpenChain,
     OverConstrained,
     SchemaError,
+    UnknownParameter,
     ZeroRatio,
 )
 
@@ -235,17 +236,15 @@ class DyadStep:
 class MechanismGraph:
     """A validated mechanism: spec plus derived solve structure.
 
-    The topology tables are fixed after validation.  The numeric geometry
-    (pivot coordinates, link point coordinates, offsets, gear ratios) may
-    be changed through the parameter map; use ``copy()`` to obtain an
-    independent mechanism before mutating in concurrent or exploratory
-    code.  Solves never mutate the graph.
+    Validation derives the topology once (tree, loops, joint kinds, gear
+    order, dyad plan, parsed parameter and symmetry targets).  Graphs made
+    by ``copy()``, ``with_parameters()`` or ``DesignVector.apply()`` share
+    it, and own private copies of the numeric records: link points, pivots,
+    driver, gear couplings and angle outputs.  Solves never mutate a graph.
     """
 
     def __init__(self, spec: LinkageSpec):
         self.spec = spec
-        self.links: dict[str, Link] = {}
-        self.pivots: dict[str, GroundPivot] = {}
         self.joints: dict[str, Joint] = {}
         self.tree_parent: dict[str, tuple[str, str]] = {}  # link -> (joint, parent)
         self.tree_child: dict[str, str] = {}  # tree joint -> child link
@@ -254,15 +253,23 @@ class MechanismGraph:
         self.loops: dict[str, list[str]] = {}
         self.joint_kind: dict[str, str] = {}  # driver | gear | free | closure
         self.free_joints: list[str] = []
-        self.gear_by_out: dict[str, GearCoupling] = {}
-        self.gear_by_id: dict[str, GearCoupling] = {}
         self.gear_order: list[str] = []
         self.plan: list[DyadStep] | None = None
         self.branch_of: dict[str, str] = {}
         self.home_pose: dict[str, float] = {}
         self.parameters: "OrderedDict[str, ParameterBinding]" = OrderedDict()
-        self._angle_outputs: dict[str, AngleOutput] = {}
+        self._targets: dict[str, tuple] = {}  # parameter name -> parsed target
+        self._symmetry: list[tuple[SymmetryConstraint, tuple]] = []
         _build(self)
+
+    def _bind(self, spec: LinkageSpec) -> None:
+        """Point the geometry lookups at ``spec``'s numeric records."""
+        self.spec = spec
+        self.links: dict[str, Link] = {link.id: link for link in spec.links}
+        self.pivots: dict[str, GroundPivot] = {p.id: p for p in spec.ground_pivots}
+        self.gear_by_id = {c.id: c for c in spec.gear_couplings}
+        self.gear_by_out = {c.joint_out: c for c in spec.gear_couplings}
+        self._angle_outputs = {out.name: out for out in spec.angle_outputs}
 
     # -- parameter map ----------------------------------------------------
 
@@ -273,12 +280,11 @@ class MechanismGraph:
         return OrderedDict((n, self.get_parameter(n)) for n in self.parameters)
 
     def get_parameter(self, name: str) -> float:
-        binding = self._binding(name)
-        return _target_get(self.spec, binding.target)
+        return self._get(self._target(name))
 
     def set_parameter(self, name: str, value: float) -> None:
-        binding = self._binding(name)
-        _target_set(self.spec, binding.target, float(value))
+        container, key = self._slot(self._target(name))
+        container[key] = float(value)
 
     def with_parameters(self, values: dict[str, float]) -> "MechanismGraph":
         out = self.copy()
@@ -286,26 +292,58 @@ class MechanismGraph:
             out.set_parameter(name, value)
         return out
 
-    def _binding(self, name: str) -> ParameterBinding:
+    def _target(self, name: str) -> tuple:
         try:
-            return self.parameters[name]
+            return self._targets[name]
         except KeyError:
-            from .errors import UnknownParameter
-
             raise UnknownParameter(f"no design parameter named {name!r}") from None
 
+    def _slot(self, target: tuple):
+        """(container, key) of a parsed target's scalar in this graph.
+
+        The container is a link point array (key: axis index) or a record's
+        field dict (key: field name).  KeyError when the record is missing.
+        """
+        kind, ref, key = target
+        if kind == "point":
+            return self.links[ref[0]].points[ref[1]], key
+        if kind == "driver":
+            return vars(self.spec.driver), key
+        records = {
+            "pivot": self.pivots,
+            "gear": self.gear_by_id,
+            "output": self._angle_outputs,
+        }[kind]
+        return vars(records[ref]), key
+
+    def _get(self, target: tuple) -> float:
+        container, key = self._slot(target)
+        return float(container[key])
+
     def copy(self) -> "MechanismGraph":
-        return MechanismGraph(copy.deepcopy(self.spec))
+        """An independent graph: shared topology, private geometry."""
+        spec = self.spec
+        out = object.__new__(MechanismGraph)
+        out.__dict__.update(self.__dict__)
+        out._bind(
+            replace(
+                spec,
+                links=[
+                    replace(link, points={k: v.copy() for k, v in link.points.items()})
+                    for link in spec.links
+                ],
+                ground_pivots=[replace(p) for p in spec.ground_pivots],
+                driver=replace(spec.driver),
+                gear_couplings=[replace(c) for c in spec.gear_couplings],
+                angle_outputs=[replace(o) for o in spec.angle_outputs],
+            )
+        )
+        return out
 
     # -- lookups used by the solver ---------------------------------------
 
     def angle_output(self, name: str) -> AngleOutput:
         return self._angle_outputs[name]
-
-    def attachment_local(self, joint: Joint, link_id: str) -> np.ndarray:
-        if link_id == GROUND:
-            return self.pivots[joint.attachment(GROUND)].xy
-        return self.links[link_id].point(joint.attachment(link_id))
 
     def summary(self) -> dict:
         """Counts used by the validate CLI and by tests."""
@@ -329,12 +367,13 @@ class MechanismGraph:
 
 
 def validate_mechanism(spec: LinkageSpec) -> MechanismGraph:
-    """Validate a LinkageSpec and derive its solve structure.
+    """Validate a LinkageSpec and derive its solve structure, once.
 
     Raises SchemaError for malformed references, MissingDriver, OpenChain,
     OverConstrained, NonPositiveLength, DanglingOutput or ZeroRatio as the
     corresponding defect is found.  The argument is not retained; the
-    returned graph owns a deep copy.
+    returned graph owns a deep copy, and graphs derived from it share its
+    topology and never validate again.
     """
     return MechanismGraph(copy.deepcopy(spec))
 
@@ -345,20 +384,19 @@ def validate_mechanism(spec: LinkageSpec) -> MechanismGraph:
 
 def _build(g: MechanismGraph) -> None:
     spec = g.spec
+    for kind in ("links", "ground_pivots", "joints", "gear_couplings"):
+        seen: set[str] = set()
+        for record in getattr(spec, kind):
+            if record.id in seen:
+                raise SchemaError(f"{kind}[{record.id}]", "duplicate id")
+            seen.add(record.id)
     for link in spec.links:
         if link.id == GROUND:
             raise SchemaError(f"links[{link.id}]", "link id 'ground' is reserved")
-        if link.id in g.links:
-            raise SchemaError(f"links[{link.id}]", "duplicate link id")
         link.points = {k: np.asarray(v, dtype=float) for k, v in link.points.items()}
-        g.links[link.id] = link
-    for pivot in spec.ground_pivots:
-        if pivot.id in g.pivots:
-            raise SchemaError(f"ground_pivots[{pivot.id}]", "duplicate pivot id")
-        g.pivots[pivot.id] = pivot
+    g._bind(spec)
+    g.joints = {joint.id: joint for joint in spec.joints}
     for joint in spec.joints:
-        if joint.id in g.joints:
-            raise SchemaError(f"joints[{joint.id}]", "duplicate joint id")
         for end, ref in (("a", joint.a), ("b", joint.b)):
             link_id, point = ref
             if link_id == GROUND:
@@ -379,7 +417,6 @@ def _build(g: MechanismGraph) -> None:
             raise SchemaError(
                 f"joints[{joint.id}]", "both attachments on the same link"
             )
-        g.joints[joint.id] = joint
 
     for link in g.links.values():
         if link.length is not None and not link.length > 0.0:
@@ -396,11 +433,8 @@ def _build(g: MechanismGraph) -> None:
     if spec.driver.sign not in (1, -1):
         raise SchemaError("driver.sign", "sign must be +1 or -1")
 
-    seen_gear_ids: set[str] = set()
+    slaved: set[str] = set()
     for coupling in spec.gear_couplings:
-        if coupling.id in seen_gear_ids:
-            raise SchemaError(f"gear_couplings[{coupling.id}]", "duplicate id")
-        seen_gear_ids.add(coupling.id)
         if coupling.ratio == 0.0:
             raise ZeroRatio(f"gear coupling {coupling.id!r} has zero ratio")
         for fieldname, jid in (
@@ -421,13 +455,12 @@ def _build(g: MechanismGraph) -> None:
                 f"gear_couplings[{coupling.id}].joint_out",
                 "cannot slave the driver joint",
             )
-        if coupling.joint_out in g.gear_by_out:
+        if coupling.joint_out in slaved:
             raise SchemaError(
                 f"gear_couplings[{coupling.id}].joint_out",
                 f"joint {coupling.joint_out!r} slaved twice",
             )
-        g.gear_by_out[coupling.joint_out] = coupling
-        g.gear_by_id[coupling.id] = coupling
+        slaved.add(coupling.joint_out)
 
     _spanning_tree(g)
     _classify_joints(g)
@@ -654,41 +687,44 @@ def _outputs(g: MechanismGraph) -> None:
 
 def _parameter_map(g: MechanismGraph) -> None:
     for binding in g.spec.parameters:
+        where = f"parameters[{binding.name}]"
         if binding.name in g.parameters:
-            raise SchemaError(f"parameters[{binding.name}]", "duplicate name")
+            raise SchemaError(where, "duplicate name")
         if binding.stage not in STAGES:
-            raise SchemaError(
-                f"parameters[{binding.name}].stage", f"stage must be one of {STAGES}"
-            )
-        try:
-            value = _target_get(g.spec, binding.target)
-        except KeyError as exc:
-            raise SchemaError(
-                f"parameters[{binding.name}].target", f"unresolvable: {exc}"
-            ) from None
+            raise SchemaError(f"{where}.stage", f"stage must be one of {STAGES}")
+        target = _resolve_target(g, binding.target, f"{where}.target")
+        value = g._get(target)
         if not binding.min <= value <= binding.max:
             raise SchemaError(
-                f"parameters[{binding.name}]",
+                where,
                 f"value {value!r} outside bounds [{binding.min}, {binding.max}]",
             )
         g.parameters[binding.name] = binding
+        g._targets[binding.name] = target
     seen_sym: set[str] = set()
     for sym in g.spec.symmetry:
         if sym.name in seen_sym:
             raise SchemaError(f"symmetry[{sym.name}]", "duplicate name")
         seen_sym.add(sym.name)
-        try:
-            _target_get(g.spec, sym.target)
-        except KeyError as exc:
-            raise SchemaError(
-                f"symmetry[{sym.name}].target", f"unresolvable: {exc}"
-            ) from None
+        target = _resolve_target(g, sym.target, f"symmetry[{sym.name}].target")
+        g._symmetry.append((sym, target))
 
 
-def _target_parts(target: str):
+def _resolve_target(g: MechanismGraph, target: str, where: str) -> tuple:
+    """Parse a target string and check that its record exists."""
+    try:
+        parsed = _target_parts(target)
+        g._slot(parsed)
+    except KeyError as exc:
+        raise SchemaError(where, f"unresolvable: {exc}") from None
+    return parsed
+
+
+def _target_parts(target: str) -> tuple:
+    """Parse a target into (kind, record ref, key) for MechanismGraph._slot."""
     head, _, rest = target.partition(":")
     if head == "driver.offset_deg" and not rest:
-        return ("driver",)
+        return ("driver", None, "offset_deg")
     if head == "pivot":
         ref, _, axis = rest.rpartition(".")
         if axis not in ("x", "y") or not ref:
@@ -699,7 +735,7 @@ def _target_parts(target: str):
         link, _, point = ref.partition(".")
         if axis not in ("x", "y") or not link or not point:
             raise KeyError(f"bad point target {target!r}")
-        return ("point", link, point, axis)
+        return ("point", (link, point), 0 if axis == "x" else 1)
     if head == "gear":
         ref, _, fieldname = rest.rpartition(".")
         if fieldname == "offset_deg":
@@ -717,52 +753,6 @@ def _target_parts(target: str):
             raise KeyError(f"bad output target {target!r}")
         return ("output", ref, "offset_deg")
     raise KeyError(f"unknown target {target!r}")
-
-
-def _find(seq, key, what):
-    for item in seq:
-        if getattr(item, "id", getattr(item, "name", None)) == key:
-            return item
-    raise KeyError(f"unknown {what} {key!r}")
-
-
-def _target_get(spec: LinkageSpec, target: str) -> float:
-    parts = _target_parts(target)
-    if parts[0] == "driver":
-        if spec.driver is None:
-            raise KeyError("no driver")
-        return float(spec.driver.offset_deg)
-    if parts[0] == "pivot":
-        pivot = _find(spec.ground_pivots, parts[1], "pivot")
-        return float(getattr(pivot, parts[2]))
-    if parts[0] == "point":
-        link = _find(spec.links, parts[1], "link")
-        if parts[2] not in link.points:
-            raise KeyError(f"unknown point {parts[1]}.{parts[2]}")
-        return float(link.points[parts[2]][0 if parts[3] == "x" else 1])
-    if parts[0] == "gear":
-        coupling = _find(spec.gear_couplings, parts[1], "gear coupling")
-        return float(getattr(coupling, parts[2]))
-    out = _find(spec.angle_outputs, parts[1], "angle output")
-    return float(out.offset_deg)
-
-
-def _target_set(spec: LinkageSpec, target: str, value: float) -> None:
-    parts = _target_parts(target)
-    if parts[0] == "driver":
-        spec.driver.offset_deg = value
-    elif parts[0] == "pivot":
-        pivot = _find(spec.ground_pivots, parts[1], "pivot")
-        setattr(pivot, parts[2], value)
-    elif parts[0] == "point":
-        link = _find(spec.links, parts[1], "link")
-        link.points[parts[2]][0 if parts[3] == "x" else 1] = value
-    elif parts[0] == "gear":
-        coupling = _find(spec.gear_couplings, parts[1], "gear coupling")
-        setattr(coupling, parts[2], value)
-    else:
-        out = _find(spec.angle_outputs, parts[1], "angle output")
-        out.offset_deg = value
 
 
 # ---------------------------------------------------------------------------
@@ -801,12 +791,8 @@ def _initially_resolved(g: MechanismGraph) -> set[str]:
     while changed:
         changed = False
         for jid in g.tree_order:
-            joint = g.joints[jid]
-            child = None
-            for link_id in (joint.a[0], joint.b[0]):
-                if link_id != GROUND and g.tree_parent.get(link_id, (None,))[0] == jid:
-                    child = link_id
-            if child is None or child in resolved:
+            child = g.tree_child[jid]
+            if child in resolved:
                 continue
             parent = g.tree_parent[child][1]
             if parent not in resolved:
@@ -914,21 +900,21 @@ def mirror_mechanism(mech: MechanismGraph) -> MechanismGraph:
     }
     spec.home_pose_deg = {jid: -a for jid, a in spec.home_pose_deg.items()}
     for binding in spec.parameters:
-        if _target_negates_under_mirror(binding.target):
+        if _negates_under_mirror(mech._targets[binding.name]):
             binding.min, binding.max = -binding.max, -binding.min
-    for sym in spec.symmetry:
-        if _target_negates_under_mirror(sym.target):
+    for sym, (_, target) in zip(spec.symmetry, mech._symmetry):
+        if _negates_under_mirror(target):
             sym.value = -sym.value
     return MechanismGraph(spec)
 
 
-def _target_negates_under_mirror(target: str) -> bool:
-    parts = _target_parts(target)
+def _negates_under_mirror(target: tuple) -> bool:
+    kind, _, key = target
     return (
-        parts[0] == "driver"
-        or (parts[0] == "pivot" and parts[2] == "x")
-        or (parts[0] == "point" and parts[3] == "x")
-        or (parts[0] == "gear" and parts[2] == "offset_deg")
+        kind == "driver"
+        or (kind == "pivot" and key == "x")
+        or (kind == "point" and key == 0)
+        or (kind == "gear" and key == "offset_deg")
     )
 
 

@@ -17,6 +17,7 @@ when that norm is at or below NEWTON_TOL_MM.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     SingularConfiguration,
     SingularJacobian,
 )
-from .fourbar import COLLINEAR_TOL_RAD, circle_circle
+from .fourbar import COLLINEAR_TOL_RAD, assembly_margin_and_transmission, circle_circle
 from .gait import phase_grid
 from .linkage import GROUND, MechanismGraph
 
@@ -73,6 +74,10 @@ class GaitTrajectory:
     paths are world millimetres with shape (N, 2).  ``wrap_deviation_rad``
     is the largest joint-angle discontinuity, modulo one turn, between the
     continuation past the last sample and the first sample.
+
+    ``configurations`` holds one Configuration per sample, each built when
+    it is read, from the sweep's solution and a private copy of the swept
+    geometry: later changes to the mechanism do not reach it.
     """
 
     phi: np.ndarray
@@ -80,13 +85,28 @@ class GaitTrajectory:
     theta_e_deg: np.ndarray
     elbow_path: np.ndarray
     tip_path: np.ndarray
-    configurations: list[Configuration] = field(repr=False)
+    configurations: Sequence[Configuration] = field(repr=False)
     wrap_deviation_rad: float
     max_step_rad: float
     residual_max: float
 
     def __len__(self) -> int:
         return len(self.phi)
+
+
+class _Configurations(Sequence):
+    """The per-sample Configurations of a grid solution, built on access."""
+
+    def __init__(self, sol: "_Solution"):
+        self._sol = sol
+
+    def __len__(self) -> int:
+        return len(self._sol.phi)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return _configuration(self._sol.graph, self._sol, index=range(len(self))[k])
 
 
 def wrap_pi(angle):
@@ -121,6 +141,15 @@ class _Solution:
         self.transmission: dict[str, np.ndarray] = {}
         self.residual: np.ndarray | None = None
 
+    def head(self, n: int) -> "_Solution":
+        """The first ``n`` samples of a grid solution, as views."""
+        out = _Solution(self.graph, self.phi[:n])
+        for name in ("theta", "origin", "alpha", "margin", "transmission"):
+            setattr(out, name, {k: v[:n] for k, v in getattr(self, name).items()})
+        out.ok = self.ok[:n]
+        out.residual = self.residual[:n]
+        return out
+
     def point_world(self, link_id: str, point: str) -> np.ndarray:
         if link_id == GROUND:
             return self.origin[GROUND] + self.graph.pivots[point].xy
@@ -129,12 +158,11 @@ class _Solution:
         )
 
     def finish(self):
-        """Fill closure angles and the loop-closure residual certificate."""
+        """Fill unset joint angles from link orientations, and the residual."""
         g = self.graph
-        for cid in g.closures:
-            joint = g.joints[cid]
-            if cid not in self.alpha:
-                self.alpha[cid] = self.theta[joint.b[0]] - self.theta[joint.a[0]]
+        for jid, joint in g.joints.items():
+            if jid not in self.alpha:
+                self.alpha[jid] = self.theta[joint.b[0]] - self.theta[joint.a[0]]
         gaps = []
         for cid in g.closures:
             joint = g.joints[cid]
@@ -148,17 +176,32 @@ class _Solution:
         return self
 
 
-def _first_bad_phi(phi, mask) -> float:
-    return float(np.atleast_1d(phi)[np.atleast_1d(mask)][0])
+def _raise_first_failure(sol: _Solution) -> None:
+    """Raise, with its phase, the first failed sample of the first failing dyad."""
+    phi = np.atleast_1d(sol.phi)
+    for step in sol.graph.plan:
+        trans = np.atleast_1d(sol.transmission[step.closure])
+        bad = np.isnan(trans)
+        if np.any(bad):
+            gap = float(np.nanmax(np.where(bad, sol.margin[step.closure], -np.inf)))
+            raise NotAssemblable(
+                f"loop {step.closure!r} cannot close (gap {gap:.6g} mm)",
+                phi=float(phi[bad][0]),
+            )
+        singular = trans < COLLINEAR_TOL_RAD
+        if np.any(singular):
+            raise SingularConfiguration(
+                f"loop {step.closure!r} at a branch-ambiguous (collinear) pose",
+                phi=float(phi[singular][0]),
+            )
 
 
-def _solve_analytic(graph: MechanismGraph, phi, strict: bool = True) -> _Solution:
+def _solve_analytic(graph: MechanismGraph, phi) -> _Solution:
     """Execute the dyad plan; vectorized over ``phi``.
 
-    With ``strict`` the first non-assemblable or branch-ambiguous sample
-    raises, annotated with its phase.  Otherwise failed samples are masked
-    in ``sol.ok`` and NaNs propagate through dependent quantities, while
-    per-loop assembly margins stay finite wherever computable.
+    Failed samples are masked in ``sol.ok`` and NaNs propagate through
+    dependent quantities, while per-loop assembly margins stay finite
+    wherever computable; _raise_first_failure turns them into errors.
     """
     g = graph
     sol = _Solution(g, phi)
@@ -176,13 +219,9 @@ def _solve_analytic(graph: MechanismGraph, phi, strict: bool = True) -> _Solutio
             child = g.tree_child[jid]
             parent = g.tree_parent[child][1]
             joint = g.joints[jid]
-            if child in sol.theta:
-                if parent in sol.theta:
-                    sol.alpha.setdefault(
-                        jid, sol.theta[joint.b[0]] - sol.theta[joint.a[0]]
-                    )
-                    pending_tree.remove(jid)
-                    moved = True
+            if child in sol.theta:  # placed by a dyad; finish() sets its angle
+                pending_tree.remove(jid)
+                moved = True
                 continue
             if jid in sol.alpha and parent in sol.theta:
                 # The joint angle convention is b minus a; flip when the
@@ -231,24 +270,10 @@ def _solve_analytic(graph: MechanismGraph, phi, strict: bool = True) -> _Solutio
             sign = 1.0 if g.branch_of[step.closure] == "open" else -1.0
             with np.errstate(invalid="ignore"):
                 hinge, _h, d = circle_circle(p, r1, q, r2, sign)
-                sol.margin[step.closure] = np.maximum(d - (r1 + r2), np.abs(r1 - r2) - d)
-                bad = ~np.isfinite(hinge[..., 0])
-                cos_mu = (r1 * r1 + r2 * r2 - d * d) / (2.0 * r1 * r2)
-                mu = np.arccos(np.clip(cos_mu, -1.0, 1.0))
-                trans = np.minimum(mu, np.pi - mu)
+                margin, trans = assembly_margin_and_transmission(d, r1, r2)
+            bad = ~np.isfinite(hinge[..., 0])
+            sol.margin[step.closure] = margin
             sol.transmission[step.closure] = np.where(bad, np.nan, trans)
-            if strict and np.any(bad):
-                raise NotAssemblable(
-                    f"loop {step.closure!r} cannot close "
-                    f"(gap {float(np.nanmax(np.where(bad, sol.margin[step.closure], -np.inf))):.6g} mm)",
-                    phi=_first_bad_phi(sol.phi, bad),
-                )
-            singular = ~bad & (trans < COLLINEAR_TOL_RAD)
-            if strict and np.any(singular):
-                raise SingularConfiguration(
-                    f"loop {step.closure!r} at a branch-ambiguous (collinear) pose",
-                    phi=_first_bad_phi(sol.phi, singular),
-                )
             sol.ok &= ~bad
             theta1 = np.arctan2(hinge[..., 1] - p[..., 1], hinge[..., 0] - p[..., 0])
             theta1 = theta1 - math.atan2(v1[1], v1[0])
@@ -305,41 +330,23 @@ def _affine_tables(graph: MechanismGraph):
         theta_cache[link] = out
         return out
 
-    pending = list(g.gear_order)
-    while pending:
-        moved = False
-        for cid in list(pending):
-            coupling = g.gear_by_id[cid]
-            jin = coupling.joint_in
-            if jin in alpha:
-                ac, ap, aw = alpha[jin]
-            else:
-                joint = g.joints[jin]
-                ready = True
-                for end in (joint.a[0], joint.b[0]):
-                    link = end
-                    while link != GROUND:
-                        tj, parent = g.tree_parent[link]
-                        if tj not in alpha:
-                            ready = False
-                            break
-                        link = parent
-                    if not ready:
-                        break
-                if not ready:
-                    continue
-                bc, bp, bw = theta(joint.b[0])
-                acc, acp, acw = theta(joint.a[0])
-                ac, ap, aw = bc - acc, bp - acp, bw - acw
-            alpha[coupling.joint_out] = (
-                coupling.ratio * ac + math.radians(coupling.offset_deg),
-                coupling.ratio * ap,
-                coupling.ratio * aw,
-            )
-            pending.remove(cid)
-            moved = True
-        if not moved:
-            raise RuntimeError("gear coupling resolution stalled")
+    # Validation ordered the couplings so that every input angle is known,
+    # or its two link orientations are, by the time its coupling comes up.
+    for cid in g.gear_order:
+        coupling = g.gear_by_id[cid]
+        jin = coupling.joint_in
+        if jin in alpha:
+            ac, ap, aw = alpha[jin]
+        else:
+            joint = g.joints[jin]
+            bc, bp, bw = theta(joint.b[0])
+            acc, acp, acw = theta(joint.a[0])
+            ac, ap, aw = bc - acc, bp - acp, bw - acw
+        alpha[coupling.joint_out] = (
+            coupling.ratio * ac + math.radians(coupling.offset_deg),
+            coupling.ratio * ap,
+            coupling.ratio * aw,
+        )
 
     for link in g.links:
         theta(link)
@@ -457,7 +464,8 @@ def _guess_vector(graph, guess, phi: float) -> np.ndarray:
         return np.array([angles[jid] for jid in graph.free_joints])
     if graph.plan is not None:
         try:
-            sol = _solve_analytic(graph, phi, strict=True)
+            sol = _solve_analytic(graph, phi)
+            _raise_first_failure(sol)
             return np.array([float(sol.alpha[jid]) for jid in graph.free_joints])
         except (NotAssemblable, SingularConfiguration):
             pass
@@ -510,7 +518,8 @@ def solve_configuration(
         raise ValueError(f"unknown method {method!r}")
     phi = float(phi)
     if method in ("auto", "analytic") and mech.plan is not None:
-        sol = _solve_analytic(mech, phi, strict=True)
+        sol = _solve_analytic(mech, phi)
+        _raise_first_failure(sol)
         if float(sol.residual) > NEWTON_TOL_MM:  # defensive; not expected
             sol = _solve_newton(mech, phi, _free_vector(mech, sol))
         return _configuration(mech, sol)
@@ -541,10 +550,14 @@ def sweep_series(
         raise ValueError("mechanism has no analytic solve plan")
 
     if analytic:
-        sol = _solve_analytic(mech, phi, strict=strict)
-        wrap_sol = _solve_analytic(mech, np.array([TWO_PI]), strict=False)
+        # The wrap sample 2*pi rides along in the grid solve; it never
+        # raises and is cut off every returned array.
+        full = _solve_analytic(mech, np.append(phi, TWO_PI))
+        sol = full.head(samples)
+        if strict:
+            _raise_first_failure(sol)
         free = _free_vector(mech, sol)
-        wrap_free = _free_vector(mech, wrap_sol)[0]
+        wrap_free = _free_vector(mech, full)[samples]
         all_ok = bool(np.all(sol.ok))
     else:
         free = np.empty((samples, len(mech.free_joints)))
@@ -649,14 +662,14 @@ def sweep_gait(
         raise ValueError(f"a gait sweep needs at least 8 samples, got {samples}")
     series = sweep_series(mech, samples, strict=True, method=method)
     sol = series["_solution"]
-    configurations = [_configuration(mech, sol, index=k) for k in range(samples)]
+    sol.graph = mech.copy()
     return GaitTrajectory(
         phi=series["phi"],
         theta_s_deg=series["theta_s_deg"],
         theta_e_deg=series["theta_e_deg"],
         elbow_path=series["elbow"],
         tip_path=series["tip"],
-        configurations=configurations,
+        configurations=_Configurations(sol),
         wrap_deviation_rad=series["wrap_deviation_rad"],
         max_step_rad=series["max_step_rad"],
         residual_max=float(np.max(series["residual"])),
@@ -674,7 +687,7 @@ def assembly_report(mech: MechanismGraph, samples: int = 360) -> dict:
     if mech.plan is None:
         raise ValueError("assembly_report requires an analytic solve plan")
     phi = phase_grid(samples)
-    sol = _solve_analytic(mech, phi, strict=False)
+    sol = _solve_analytic(mech, phi)
     return {
         "phi": phi,
         "ok": sol.ok,

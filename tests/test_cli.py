@@ -279,3 +279,21 @@ def test_bad_range_spec_is_a_usage_error(capsys):
             "--param", "crank_len", "--range", "1.05:0.95:0.01",
         ])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["outputs"]["angles"]["theta_s"].update(link=["humerus"]),
+        lambda doc: doc["links"][0]["points"]["root"].__setitem__(0, float("nan")),
+    ],
+    ids=["list_reference", "nan_point"],
+)
+def test_validate_rejects_malformed_geometry(tmp_path: Path, capsys, edit):
+    doc = json.loads(REFERENCE_PATH.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", bad)
+    assert code == 1
+    assert err.startswith("error: SchemaError:")

@@ -180,3 +180,28 @@ def test_report_file_roundtrip(tmp_path: Path, demo_fourbar):
     assert loaded["final_cost_deg2"] == report.final_cost
     assert loaded["seed"] == 0
     assert len(loaded["starts"]) == 1
+
+
+def _reference_doc() -> dict:
+    return json.loads(REFERENCE_PATH.read_text())
+
+
+def test_angle_output_reference_must_be_a_string():
+    doc = _reference_doc()
+    doc["outputs"]["angles"]["theta_s"]["link"] = ["humerus"]
+    with pytest.raises(SchemaError) as err:
+        parse_mechanism_text(json.dumps(doc))
+    assert err.value.field == "outputs.angles.theta_s.link"
+
+
+def test_non_finite_numbers_name_their_field():
+    doc = _reference_doc()
+    doc["links"][0]["points"]["root"][0] = float("nan")
+    with pytest.raises(SchemaError) as err:
+        parse_mechanism_text(json.dumps(doc))
+    assert err.value.field == "links[0].points.root"
+    doc = _reference_doc()
+    doc["ground_pivots"][1]["y"] = float("inf")
+    with pytest.raises(SchemaError) as err:
+        parse_mechanism_text(json.dumps(doc))
+    assert err.value.field == "ground_pivots[1].y"

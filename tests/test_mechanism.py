@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import copy
 import math
+import types
 
 import numpy as np
 import pytest
 
+import armwing.linkage
 from armwing import (
     AngleOutput,
     DanglingOutput,
+    DesignVector,
     GearCoupling,
     GroundPivot,
     Joint,
@@ -22,12 +25,14 @@ from armwing import (
     SymmetryConstraint,
     UnknownParameter,
     ZeroRatio,
+    evaluate_constraints,
     fourbar_spec,
     gear_couple,
     mirror_mechanism,
     solve_configuration,
     validate_mechanism,
 )
+from armwing.io import mechanism_to_dict
 
 
 def plain_spec():
@@ -301,3 +306,45 @@ def test_gear_ratio_zero_via_spec(reference):
     spec.gear_couplings[0].ratio = 0.0
     with pytest.raises(ZeroRatio):
         validate_mechanism(spec)
+
+
+def test_copy_shares_topology_and_owns_every_geometry_record(reference):
+    before = mechanism_to_dict(reference.spec)
+    twin = reference.copy()
+    for table in ("joints", "tree_order", "loops", "gear_order", "plan", "parameters"):
+        assert getattr(twin, table) is getattr(reference, table)
+    spec = twin.spec
+    spec.links[0].points["tip"][0] += 1.0
+    spec.ground_pivots[0].x += 1.0
+    spec.driver.offset_deg += 1.0
+    spec.gear_couplings[0].ratio *= 2.0
+    spec.gear_couplings[0].offset_deg += 1.0
+    spec.angle_outputs[0].offset_deg += 1.0
+    assert mechanism_to_dict(reference.spec) == before
+    # The copy's lookups follow its own records.
+    assert twin.links[spec.links[0].id] is spec.links[0]
+    assert twin.pivots[spec.ground_pivots[0].id] is spec.ground_pivots[0]
+    assert twin.gear_by_id[spec.gear_couplings[0].id] is spec.gear_couplings[0]
+    assert twin.angle_output(spec.angle_outputs[0].name) is spec.angle_outputs[0]
+    moved = mechanism_to_dict(twin.spec)
+    twin.copy().set_parameter("crank_len", 17.0)
+    assert mechanism_to_dict(twin.spec) == moved
+
+
+def test_derived_graphs_never_revalidate(reference, monkeypatch):
+    def rederive(*args, **kwargs):
+        raise AssertionError("mechanism re-derived after validation")
+
+    monkeypatch.setattr(armwing.linkage, "_build", rederive)
+    monkeypatch.setattr(armwing.linkage, "_target_parts", rederive)
+    no_deepcopy = types.SimpleNamespace(deepcopy=rederive)
+    monkeypatch.setattr(armwing.linkage, "copy", no_deepcopy)
+    moved = reference.with_parameters({"crank_len": 16.0})
+    assert moved.get_parameter("crank_len") == 16.0
+    moved.set_parameter("crank_len", 15.0)
+    assert moved.get_parameter("crank_len") == 15.0
+    assert reference.copy().parameter_values() == reference.parameter_values()
+    design = DesignVector.from_mechanism(reference)
+    assert design.apply(reference).parameter_values() == reference.parameter_values()
+    entries = evaluate_constraints(reference, design, samples=36)
+    assert np.all(np.isfinite(entries))

@@ -1,0 +1,82 @@
+"""Randomized invariants of parameter application on the shipped designs."""
+
+from __future__ import annotations
+
+import functools
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from armwing import (
+    evaluate_constraints,
+    parse_mechanism_file,
+    parse_mechanism_text,
+    sweep_series,
+    validate_mechanism,
+)
+from armwing.io import mechanism_to_dict
+
+from conftest import DEMO_PATH, REFERENCE_PATH
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped(path):
+    return validate_mechanism(parse_mechanism_file(path))
+
+
+def _write_target(doc: dict, target: str, value: float) -> None:
+    """Write one value into a mechanism document by its target string."""
+    head, _, rest = target.partition(":")
+    if head == "driver.offset_deg":
+        doc["driver"]["offset_deg"] = value
+        return
+    ref, field = rest.rsplit(".", 1)
+    if head == "pivot":
+        next(p for p in doc["ground_pivots"] if p["id"] == ref)[field] = value
+    elif head == "point":
+        link, point = ref.split(".", 1)
+        xy = next(item for item in doc["links"] if item["id"] == link)["points"][point]
+        xy["xy".index(field)] = value
+    elif head == "gear":
+        next(g for g in doc["gear_couplings"] if g["id"] == ref)[field] = value
+    else:
+        doc["outputs"]["angles"][ref][field] = value
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("path", [REFERENCE_PATH, DEMO_PATH], ids=lambda p: p.stem)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), samples=st.sampled_from([8, 36]))
+def test_with_parameters_matches_a_fresh_validation(path, data, samples):
+    mech = _shipped(path)
+    before = mechanism_to_dict(mech.spec)
+    values = {}
+    for name, binding in mech.parameters.items():
+        u = data.draw(st.floats(0.0, 1.0), label=name)
+        value = binding.min + u * (binding.max - binding.min)
+        values[name] = min(max(value, binding.min), binding.max)
+
+    applied = mech.with_parameters(values)
+    doc = mechanism_to_dict(mech.spec)
+    for name, value in values.items():
+        _write_target(doc, mech.parameters[name].target, value)
+    fresh = validate_mechanism(parse_mechanism_text(json.dumps(doc)))
+
+    got = sweep_series(applied, samples, strict=False)
+    want = sweep_series(fresh, samples, strict=False)
+    del got["_solution"], want["_solution"]
+    assert _same_bits(got, want)
+    assert _same_bits(
+        evaluate_constraints(applied, samples=samples),
+        evaluate_constraints(fresh, samples=samples),
+    )
+    assert mechanism_to_dict(mech.spec) == before

@@ -79,6 +79,15 @@ def test_coarse_grid_nests_in_the_fine_grid(reference):
     assert np.array_equal(coarse.theta_e_deg, fine.theta_e_deg[::45])
 
 
+def test_configurations_keep_the_swept_geometry(reference):
+    mech = reference.copy()
+    traj = sweep_gait(mech, 36)
+    link, point = mech.spec.point_outputs["wingtip"]
+    mech.links[link].points[point][0] += 5.0
+    for k in (0, 17):
+        assert traj.configurations[k].points["wingtip"] == tuple(traj.tip_path[k])
+
+
 def test_sweep_needs_at_least_eight_samples(reference):
     with pytest.raises(ValueError):
         sweep_gait(reference, 7)
