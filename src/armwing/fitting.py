@@ -37,8 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import Bounds, NonlinearConstraint, least_squares, minimize
 
-from .errors import EmptyResidual, GridMismatch, NoFeasibleStart, NonPositiveLength
-from .fourbar import FourBar
+from .errors import EmptyResidual, GridMismatch, NoFeasibleStart
 from .gait import TargetGait, phase_grid
 from .linkage import GROUND, MechanismGraph
 from .solver import sweep_series
@@ -239,90 +238,21 @@ def _masked(diff: np.ndarray, ok: np.ndarray) -> np.ndarray:
 # constraint vector
 
 
-def _loop_fourbar(mech: MechanismGraph, closure_id: str) -> FourBar | None:
-    """Equivalent four-bar lengths of one loop, when it is a plain four-bar.
-
-    A qualifying loop has four joints, exactly two of them on ground, and
-    three moving links each spanning two of the loop's joints.  The crank
-    is the ground-adjacent link on the loop's input side.  Returns None
-    when the pattern does not match (no Grashof statement is made then).
-    """
-    cycle = mech.loops[closure_id]
-    if len(cycle) != 4:
-        return None
-    joints = [mech.joints[j] for j in cycle]
-    ground_joints = [j for j in joints if GROUND in (j.a[0], j.b[0])]
-    if len(ground_joints) != 2:
-        return None
-    moving = []
-    for j in joints:
-        for link_id in (j.a[0], j.b[0]):
-            if link_id != GROUND and link_id not in moving:
-                moving.append(link_id)
-    if len(moving) != 3:
-        return None
-
-    def link_joints(link_id):
-        return [j for j in joints if link_id in (j.a[0], j.b[0])]
-
-    ground_xy = [mech.pivots[j.attachment(GROUND)].xy for j in ground_joints]
-    ground_len = float(np.hypot(*(ground_xy[0] - ground_xy[1])))
-
-    side = {}  # link -> length, for ground-adjacent links
-    middle = None
-    lengths = {}
-    for link_id in moving:
-        lj = link_joints(link_id)
-        if len(lj) != 2:
-            return None
-        p0 = mech.links[link_id].point(lj[0].attachment(link_id))
-        p1 = mech.links[link_id].point(lj[1].attachment(link_id))
-        lengths[link_id] = float(np.hypot(*(p0 - p1)))
-        if any(j in ground_joints for j in lj):
-            side[link_id] = lengths[link_id]
-        else:
-            middle = link_id
-    if middle is None or len(side) != 2:
-        return None
-
-    # The crank side is the one whose ground joint angle is imposed by the
-    # drive train (driver or gear-slaved); the other side link rocks.
-    crank = None
-    for link_id in side:
-        for j in link_joints(link_id):
-            if j in ground_joints and mech.joint_kind.get(j.id) in ("driver", "gear"):
-                crank = link_id
-    if crank is None:
-        return None
-    rocker = next(l for l in side if l != crank)
-    try:
-        return FourBar(
-            ground=ground_len,
-            crank=lengths[crank],
-            coupler=lengths[middle],
-            rocker=lengths[rocker],
-        )
-    except NonPositiveLength:
-        return None
-
-
-def _driven_loops(mech: MechanismGraph) -> list[str]:
-    """Closures whose loop contains a fully rotating input joint."""
-    out = []
-    for cid in mech.closures:
-        kinds = {mech.joint_kind.get(j) for j in mech.loops[cid]}
-        if "driver" in kinds or "gear" in kinds:
-            out.append(cid)
-    return out
+def _span(mech: MechanismGraph, pair) -> float:
+    """Distance between two attachments of one body (a link, or ground)."""
+    a, b = (
+        mech.pivots[point].xy if link == GROUND else mech.links[link].point(point)
+        for link, point in pair
+    )
+    return float(np.hypot(*(a - b)))
 
 
 def constraint_names(mech: MechanismGraph, samples: int = 360) -> list[str]:
     """Entry names matching evaluate_constraints, in order."""
     names = [f"assembly_margin[{cid}]" for cid in mech.closures]
-    for cid in _driven_loops(mech):
-        if _loop_fourbar(mech, cid) is not None:
-            names.append(f"grashof_margin[{cid}]")
-            names.append(f"crank_shortest[{cid}]")
+    for cid in mech.fourbar_loops:
+        names.append(f"grashof_margin[{cid}]")
+        names.append(f"crank_shortest[{cid}]")
     names.extend(f"transmission_floor[{cid}]" for cid in mech.closures)
     for sym in mech.spec.symmetry:
         names.append(f"symmetry[{sym.name}]+")
@@ -356,15 +286,11 @@ def _constraint_core(
             m = np.asarray(m, dtype=float)
             m = np.where(np.isfinite(m), m, CONSTRAINT_PENALTY)
             ineq.append(float(np.max(m)))
-    for cid in _driven_loops(mech):
-        fb = _loop_fourbar(mech, cid)
-        if fb is None:
-            continue
-        lengths = sorted(fb.lengths())
-        s, l = lengths[0], lengths[-1]
-        p, q = lengths[1], lengths[2]
+    for pairs in mech.fourbar_loops.values():
+        ground, crank, coupler, rocker = (_span(mech, pair) for pair in pairs)
+        s, p, q, l = sorted((ground, crank, coupler, rocker))
         ineq.append(s + l - (p + q))
-        ineq.append(fb.crank - min(fb.ground, fb.coupler, fb.rocker))
+        ineq.append(crank - min(ground, coupler, rocker))
     floor = math.radians(min_transmission_deg)
     for cid in mech.closures:
         t = transmission.get(cid)
@@ -524,21 +450,18 @@ def _polish(problem: _StageProblem, x: np.ndarray) -> np.ndarray | None:
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        try:
-            result = least_squares(
-                problem.residual_vector,
-                x,
-                jac="3-point",
-                bounds=(problem.lower, problem.upper),
-                method="trf",
-                diff_step=problem.options.fd_rel_step,
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=200 * (len(x) + 1),
-            )
-        except Exception:
-            return None
+        result = least_squares(
+            problem.residual_vector,
+            x,
+            jac="3-point",
+            bounds=(problem.lower, problem.upper),
+            method="trf",
+            diff_step=problem.options.fd_rel_step,
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+            max_nfev=200 * (len(x) + 1),
+        )
     x_new = np.clip(result.x, problem.lower, problem.upper)
     if problem.objective(x_new) < before and problem.feasible(x_new):
         return x_new

@@ -78,6 +78,17 @@ _TOP_LEVEL_KEYS = {
 # mechanism documents
 
 
+def _finite(value, where: str) -> float:
+    """``value`` as a float; SchemaError when it has no finite float form."""
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise SchemaError(where, "must be finite")
+    return out
+
+
 def _expect(doc: dict, key: str, kind, where: str, default=_TOP_LEVEL_KEYS):
     """Fetch doc[key] checking its JSON type; ``default`` sentinel = required."""
     required = default is _TOP_LEVEL_KEYS
@@ -89,9 +100,7 @@ def _expect(doc: dict, key: str, kind, where: str, default=_TOP_LEVEL_KEYS):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{where}.{key}" if where else key, "must be a number")
-        if not math.isfinite(value):
-            raise SchemaError(f"{where}.{key}" if where else key, "must be finite")
-        return float(value)
+        return _finite(value, f"{where}.{key}" if where else key)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{where}.{key}" if where else key, "must be an integer")
@@ -151,9 +160,7 @@ def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in xy)
             ):
                 raise SchemaError(f"{where}.points.{pname}", "must be [x, y]")
-            if not all(math.isfinite(v) for v in xy):
-                raise SchemaError(f"{where}.points.{pname}", "must be finite")
-            points[pname] = np.array([float(xy[0]), float(xy[1])])
+            points[pname] = np.array([_finite(v, f"{where}.points.{pname}") for v in xy])
         length = raw.get("length")
         if length is not None:
             length = _expect(raw, "length", float, where)
@@ -236,9 +243,7 @@ def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
     for jid, angle in _expect(doc, "home_pose_deg", dict, "", default={}).items():
         if isinstance(angle, bool) or not isinstance(angle, (int, float)):
             raise SchemaError(f"home_pose_deg.{jid}", "must be a number")
-        if not math.isfinite(angle):
-            raise SchemaError(f"home_pose_deg.{jid}", "must be finite")
-        home[jid] = float(angle)
+        home[jid] = _finite(angle, f"home_pose_deg.{jid}")
 
     parameters = []
     for i, raw in enumerate(_expect(doc, "parameters", list, "", default=[])):

@@ -12,9 +12,13 @@ checks a LinkageSpec and derives the structure the solver needs:
 * a classification of every tree joint angle as driven, gear-slaved or a
   free unknown, with the free-unknown count matching the closure equation
   count (2 per loop),
-* an analytic solve plan (a sequence of two-link dyad constructions) when
-  the topology supports one, used for closed-form sweeps and for assembly
-  margin reporting,
+* the analytic solve order, when the topology supports one: tree
+  placements, gear couplings and two-link dyad constructions in the order
+  the solver executes them (``steps``; its dyads are ``plan``), used for
+  closed-form sweeps and for assembly margin reporting,
+* the four-bar loop table: each loop that is a plain four-bar driven at a
+  ground joint, as its ground, crank, coupler and rocker attachment pairs
+  (``fourbar_loops``; the Grashof constraint entries read it),
 * the design parameter map: named scalars bound to geometry fields.
 
 Angles are radians internally and counterclockwise from the body +x axis;
@@ -237,7 +241,8 @@ class MechanismGraph:
     """A validated mechanism: spec plus derived solve structure.
 
     Validation derives the topology once (tree, loops, joint kinds, gear
-    order, dyad plan, parsed parameter and symmetry targets).  Graphs made
+    order, analytic solve order and its dyad plan, four-bar loop table,
+    parsed parameter and symmetry targets).  Graphs made
     by ``copy()``, ``with_parameters()`` or ``DesignVector.apply()`` share
     it, and own private copies of the numeric records: link points, pivots,
     driver, gear couplings and angle outputs.  Solves never mutate a graph.
@@ -254,7 +259,9 @@ class MechanismGraph:
         self.joint_kind: dict[str, str] = {}  # driver | gear | free | closure
         self.free_joints: list[str] = []
         self.gear_order: list[str] = []
-        self.plan: list[DyadStep] | None = None
+        self.steps: list[tuple] | None = None  # analytic solve order
+        self.plan: list[DyadStep] | None = None  # the dyads of steps
+        self.fourbar_loops: dict[str, tuple] = {}  # closure -> attachment pairs
         self.branch_of: dict[str, str] = {}
         self.home_pose: dict[str, float] = {}
         self.parameters: "OrderedDict[str, ParameterBinding]" = OrderedDict()
@@ -268,7 +275,6 @@ class MechanismGraph:
         self.links: dict[str, Link] = {link.id: link for link in spec.links}
         self.pivots: dict[str, GroundPivot] = {p.id: p for p in spec.ground_pivots}
         self.gear_by_id = {c.id: c for c in spec.gear_couplings}
-        self.gear_by_out = {c.joint_out: c for c in spec.gear_couplings}
         self._angle_outputs = {out.name: out for out in spec.angle_outputs}
 
     # -- parameter map ----------------------------------------------------
@@ -369,6 +375,10 @@ class MechanismGraph:
 def validate_mechanism(spec: LinkageSpec) -> MechanismGraph:
     """Validate a LinkageSpec and derive its solve structure, once.
 
+    The structure is topology only: the tree and loops, joint kinds, the
+    gear order, the analytic solve order (None when some loop needs
+    Newton) and the four-bar loop table.  Geometry changes never alter it.
+
     Raises SchemaError for malformed references, MissingDriver, OpenChain,
     OverConstrained, NonPositiveLength, DanglingOutput or ZeroRatio as the
     corresponding defect is found.  The argument is not retained; the
@@ -468,7 +478,10 @@ def _build(g: MechanismGraph) -> None:
     _branches_and_home(g)
     _outputs(g)
     _parameter_map(g)
-    g.plan = _derive_plan(g)
+    g.steps = _derive_plan(g)
+    if g.steps is not None:
+        g.plan = [step for kind, step in g.steps if kind == "dyad"]
+    _fourbar_loops(g)
 
 
 def _spanning_tree(g: MechanismGraph) -> None:
@@ -551,7 +564,8 @@ def _classify_joints(g: MechanismGraph) -> None:
             "driver.joint", "driver joint closes a loop; drive a tree joint instead"
         )
     tree_set = set(g.tree_order)
-    for coupling in g.gear_by_out.values():
+    slaved = {c.joint_out for c in g.spec.gear_couplings}
+    for coupling in g.spec.gear_couplings:
         if coupling.joint_out not in tree_set:
             raise SchemaError(
                 f"gear_couplings[{coupling.id}].joint_out",
@@ -560,7 +574,7 @@ def _classify_joints(g: MechanismGraph) -> None:
     for jid in g.tree_order:
         if jid == driver_joint:
             g.joint_kind[jid] = "driver"
-        elif jid in g.gear_by_out:
+        elif jid in slaved:
             g.joint_kind[jid] = "gear"
         else:
             g.joint_kind[jid] = "free"
@@ -579,11 +593,7 @@ def _gear_order(g: MechanismGraph) -> None:
     Couplings that cannot be ordered form a dependency cycle.
     """
     pending = {c.id: c for c in g.spec.gear_couplings}
-    alpha_known = {
-        jid
-        for jid in g.tree_order
-        if jid == g.spec.driver.joint or jid not in g.gear_by_out
-    }
+    alpha_known = {jid for jid in g.tree_order if g.joint_kind[jid] != "gear"}
 
     def theta_known(link: str) -> bool:
         while link != GROUND:
@@ -759,54 +769,45 @@ def _target_parts(target: str) -> tuple:
 # analytic plan derivation
 
 
-def _derive_plan(g: MechanismGraph) -> list[DyadStep] | None:
-    """Find a dyad order solving every loop in closed form, if one exists."""
-    resolved = _initially_resolved(g)
-    plan: list[DyadStep] = []
-    remaining = list(g.closures)
-    while remaining:
-        progressed = False
-        for cid in list(remaining):
-            step = _plan_dyad(g, cid, resolved)
-            if step is not None:
-                plan.append(step)
-                resolved.update((step.link1, step.link2))
-                remaining.remove(cid)
-                progressed = True
-        if not progressed:
-            return None
-    return plan
+def _derive_plan(g: MechanismGraph) -> list[tuple] | None:
+    """The analytic solve order, or None when some loop has no closed form.
 
-
-def _initially_resolved(g: MechanismGraph) -> set[str]:
-    """Links whose orientation is fixed by phase alone (no free unknowns).
-
-    Walks the tree outward: a link is phase-resolved when its parent is
-    and its parent joint is the driver or a gear coupling whose input is
-    itself phase-resolved (input joint driver/gear on the resolved set).
+    Walks the placements the analytic solver will execute: a tree step
+    places a link once its parent is placed and its joint angle is known
+    (driven or gear-slaved); a gear step sets its output angle once its
+    input angle is known or both links of its input joint are placed.  A
+    dyad is planned only when no tree or gear step is ready, so a
+    gear-slaved link is never taken as a dyad unknown.  Steps are
+    ("tree", joint id), ("gear", coupling id) and ("dyad", DyadStep).
     """
-    resolved = {GROUND}
-    resolved_angles = {g.spec.driver.joint}
-    changed = True
-    while changed:
-        changed = False
+    placed = {GROUND}
+    known = {g.spec.driver.joint}  # joint angles set by the driver or a gear
+    gears = list(g.gear_order)
+    loops = list(g.closures)
+
+    def next_step() -> tuple | None:
         for jid in g.tree_order:
             child = g.tree_child[jid]
-            if child in resolved:
-                continue
-            parent = g.tree_parent[child][1]
-            if parent not in resolved:
-                continue
-            if jid in resolved_angles:
-                resolved.add(child)
-                changed = True
-            elif g.joint_kind[jid] == "gear":
-                coupling = g.gear_by_out[jid]
-                if coupling.joint_in in resolved_angles:
-                    resolved_angles.add(jid)
-                    resolved.add(child)
-                    changed = True
-    return resolved
+            if child not in placed and jid in known and g.tree_parent[child][1] in placed:
+                placed.add(child)
+                return ("tree", jid)
+        for cid in gears:
+            coupling = g.gear_by_id[cid]
+            joint = g.joints[coupling.joint_in]
+            if coupling.joint_in in known or {joint.a[0], joint.b[0]} <= placed:
+                gears.remove(cid)
+                known.add(coupling.joint_out)
+                return ("gear", cid)
+        for cid in loops:
+            step = _plan_dyad(g, cid, placed)
+            if step is not None:
+                loops.remove(cid)
+                placed.update((step.link1, step.link2))
+                return ("dyad", step)
+        return None
+
+    steps = list(iter(next_step, None))
+    return steps if placed.issuperset(g.links) else None
 
 
 def _plan_dyad(g: MechanismGraph, cid: str, resolved: set[str]) -> DyadStep | None:
@@ -860,6 +861,35 @@ def _plan_dyad(g: MechanismGraph, cid: str, resolved: set[str]) -> DyadStep | No
         m2=hinge_joint.attachment(l2),
         b2=g.joints[o2[0]].attachment(l2),
     )
+
+
+def _fourbar_loops(g: MechanismGraph) -> None:
+    """Tabulate the loops that are plain four-bars driven at a ground joint.
+
+    A qualifying loop has four joints, exactly two of them on ground, and
+    three moving links each spanning two of the loop's joints.  Its crank
+    is the side link whose ground joint is driven or gear-slaved.  Each
+    entry maps the closure id to the ground, crank, coupler and rocker
+    attachment pairs; their distances are the equivalent four-bar lengths.
+    """
+    for cid in g.closures:
+        ends: dict[str, list[Joint]] = {}  # body -> its joints in the loop
+        for jid in g.loops[cid]:
+            joint = g.joints[jid]
+            for body in (joint.a[0], joint.b[0]):
+                ends.setdefault(body, []).append(joint)
+        if len(ends) != 4 or GROUND not in ends or any(len(j) != 2 for j in ends.values()):
+            continue
+        driven = [j for j in ends[GROUND] if g.joint_kind[j.id] in ("driver", "gear")]
+        if not driven:
+            continue
+        crank = driven[-1].other(GROUND)
+        rocker = next(j.other(GROUND) for j in ends[GROUND] if j is not driven[-1])
+        coupler = next(body for body in ends if body not in (GROUND, crank, rocker))
+        g.fourbar_loops[cid] = tuple(
+            tuple((body, joint.attachment(body)) for joint in ends[body])
+            for body in (GROUND, crank, coupler, rocker)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ boundary and report exactly where a perturbed design stops closing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -52,25 +53,22 @@ class SensitivityResult:
     deviations: dict[float, float]
 
 
-def _tip_series(mech: MechanismGraph, name: str, value: float, samples: int):
-    """Non-raising wingtip path for one parameter value: (ok mask, tip)."""
-    perturbed = mech.with_parameters({name: value})
+def _tip_series(mech: MechanismGraph, name: str, scale: float, samples: int):
+    """Non-raising wingtip path for one parameter scale: (ok mask, tip)."""
+    perturbed = mech.with_parameters({name: mech.get_parameter(name) * scale})
     series = sweep_series(perturbed, samples, strict=False)
     return series["ok"], series["tip"]
 
 
-def _pair_score(
-    mech: MechanismGraph, name: str, lo_scale: float, hi_scale: float, samples: int
-) -> float:
+def _pair_score(tips, lo_scale: float, hi_scale: float) -> float:
     """Max wingtip displacement between two scales, per 1% of parameter.
 
+    ``tips(scale)`` gives the (ok mask, tip path) of the sweep at a scale.
     Displacement is taken over phases where both perturbed sweeps
     assembled; if they share none, the parameter is scored infinitely
     sensitive (the perturbation destroys assembly outright).
     """
-    nominal = mech.get_parameter(name)
-    ok_lo, tip_lo = _tip_series(mech, name, nominal * lo_scale, samples)
-    ok_hi, tip_hi = _tip_series(mech, name, nominal * hi_scale, samples)
+    (ok_lo, tip_lo), (ok_hi, tip_hi) = tips(lo_scale), tips(hi_scale)
     both = ok_lo & ok_hi
     if not np.any(both):
         return float("inf")
@@ -116,16 +114,15 @@ def sensitivity_sweep(
             gap = np.linalg.norm(traj.tip_path - base.tip_path, axis=-1)
             deviations[scale] = float(np.max(gap))
 
-    below = [s for s in scales if s < 1.0]
-    above = [s for s in scales if s > 1.0]
-    if below and above:
-        score = _pair_score(mech, param, max(below), min(above), samples)
-    elif above:
-        score = _pair_score(mech, param, 1.0, min(above), samples)
-    elif below:
-        score = _pair_score(mech, param, max(below), 1.0, samples)
-    else:
-        score = 0.0
+    def tips(scale):
+        traj = trajectories.get(scale)
+        if traj is None:  # failed strictly; score the samples that assemble
+            return _tip_series(mech, param, scale, samples)
+        return np.ones(samples, dtype=bool), traj.tip_path
+
+    lo = max((s for s in scales if s < 1.0), default=1.0)
+    hi = min((s for s in scales if s > 1.0), default=1.0)
+    score = 0.0 if lo == hi else _pair_score(tips, lo, hi)
 
     return SensitivityResult(
         parameter=param,
@@ -154,8 +151,9 @@ def sensitivity_rank(
     if not 0.0 < delta <= 0.1:
         raise ValueError(f"delta must be in (0, 0.1], got {delta!r}")
     names = list(parameters) if parameters is not None else mech.parameter_names()
+    lo, hi = 1.0 - delta, 1.0 + delta
     scored = [
-        (name, _pair_score(mech, name, 1.0 - delta, 1.0 + delta, samples))
+        (name, _pair_score(partial(_tip_series, mech, name, samples=samples), lo, hi))
         for name in names
     ]
     scored.sort(key=lambda item: (-item[1], item[0]))

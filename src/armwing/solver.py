@@ -2,8 +2,9 @@
 
 Two solve routes share the same mechanism graph:
 
-* an analytic route that executes the validated dyad plan with the
-  circle-intersection construction, vectorized over a whole phase grid
+* an analytic route that executes the step order fixed at validation
+  (tree placements, gear couplings, and dyads built with the
+  circle-intersection construction), vectorized over a whole phase grid
   (exact to machine precision, branch chosen by the per-loop flags), and
 * a Newton route iterating the stacked loop-closure residuals with an
   analytic Jacobian, used when no plan exists, when a caller forces it,
@@ -197,7 +198,7 @@ def _raise_first_failure(sol: _Solution) -> None:
 
 
 def _solve_analytic(graph: MechanismGraph, phi) -> _Solution:
-    """Execute the dyad plan; vectorized over ``phi``.
+    """Execute the validated step order; vectorized over ``phi``.
 
     Failed samples are masked in ``sol.ok`` and NaNs propagate through
     dependent quantities, while per-loop assembly margins stay finite
@@ -207,89 +208,64 @@ def _solve_analytic(graph: MechanismGraph, phi) -> _Solution:
     sol = _Solution(g, phi)
     drv = g.spec.driver
     sol.alpha[drv.joint] = drv.sign * sol.phi + math.radians(drv.offset_deg)
-
-    pending_tree = list(g.tree_order)
-    pending_gears = list(g.gear_order)
-    pending_dyads = list(g.plan or ())
-
-    while pending_tree or pending_gears or pending_dyads:
-        moved = False
-
-        for jid in list(pending_tree):
-            child = g.tree_child[jid]
+    for kind, ref in g.steps:
+        if kind == "tree":
+            child = g.tree_child[ref]
             parent = g.tree_parent[child][1]
-            joint = g.joints[jid]
-            if child in sol.theta:  # placed by a dyad; finish() sets its angle
-                pending_tree.remove(jid)
-                moved = True
-                continue
-            if jid in sol.alpha and parent in sol.theta:
-                # The joint angle convention is b minus a; flip when the
-                # tree child happens to sit on the a side.
-                sign = 1.0 if joint.b[0] == child else -1.0
-                theta_child = sol.theta[parent] + sign * sol.alpha[jid]
-                anchor = sol.point_world(parent, joint.attachment(parent))
-                local = g.links[child].point(joint.attachment(child))
-                sol.theta[child] = theta_child
-                sol.origin[child] = anchor - _rotate(theta_child, local)
-                pending_tree.remove(jid)
-                moved = True
-
-        for cid in list(pending_gears):
-            coupling = g.gear_by_id[cid]
+            joint = g.joints[ref]
+            # The joint angle convention is b minus a; flip when the tree
+            # child happens to sit on the a side.
+            sign = 1.0 if joint.b[0] == child else -1.0
+            theta_child = sol.theta[parent] + sign * sol.alpha[ref]
+            anchor = sol.point_world(parent, joint.attachment(parent))
+            local = g.links[child].point(joint.attachment(child))
+            sol.theta[child] = theta_child
+            sol.origin[child] = anchor - _rotate(theta_child, local)
+        elif kind == "gear":
+            coupling = g.gear_by_id[ref]
             jin = coupling.joint_in
-            value = None
             if jin in sol.alpha:
                 value = sol.alpha[jin]
             else:
                 joint = g.joints[jin]
-                if joint.a[0] in sol.theta and joint.b[0] in sol.theta:
-                    value = sol.theta[joint.b[0]] - sol.theta[joint.a[0]]
-            if value is not None:
-                sol.alpha[coupling.joint_out] = coupling.ratio * value + math.radians(
-                    coupling.offset_deg
-                )
-                pending_gears.remove(cid)
-                moved = True
-
-        for step in list(pending_dyads):
-            if step.p_ref[0] not in sol.theta or step.q_ref[0] not in sol.theta:
-                continue
-            link1 = g.links[step.link1]
-            link2 = g.links[step.link2]
-            v1 = link1.point(step.m1) - link1.point(step.a1)
-            v2 = link2.point(step.m2) - link2.point(step.b2)
-            r1 = float(np.hypot(*v1))
-            r2 = float(np.hypot(*v2))
-            if r1 <= 0.0 or r2 <= 0.0:
-                raise NonPositiveLength(
-                    f"dyad leg through joint {step.hinge!r} has zero length"
-                )
-            p = sol.point_world(*step.p_ref)
-            q = sol.point_world(*step.q_ref)
-            sign = 1.0 if g.branch_of[step.closure] == "open" else -1.0
-            with np.errstate(invalid="ignore"):
-                hinge, _h, d = circle_circle(p, r1, q, r2, sign)
-                margin, trans = assembly_margin_and_transmission(d, r1, r2)
-            bad = ~np.isfinite(hinge[..., 0])
-            sol.margin[step.closure] = margin
-            sol.transmission[step.closure] = np.where(bad, np.nan, trans)
-            sol.ok &= ~bad
-            theta1 = np.arctan2(hinge[..., 1] - p[..., 1], hinge[..., 0] - p[..., 0])
-            theta1 = theta1 - math.atan2(v1[1], v1[0])
-            theta2 = np.arctan2(hinge[..., 1] - q[..., 1], hinge[..., 0] - q[..., 0])
-            theta2 = theta2 - math.atan2(v2[1], v2[0])
-            sol.theta[step.link1] = theta1
-            sol.theta[step.link2] = theta2
-            sol.origin[step.link1] = p - _rotate(theta1, link1.point(step.a1))
-            sol.origin[step.link2] = q - _rotate(theta2, link2.point(step.b2))
-            pending_dyads.remove(step)
-            moved = True
-
-        if not moved:
-            raise RuntimeError("analytic solve plan stalled; graph inconsistent")
-
+                value = sol.theta[joint.b[0]] - sol.theta[joint.a[0]]
+            sol.alpha[coupling.joint_out] = coupling.ratio * value + math.radians(
+                coupling.offset_deg
+            )
+        else:
+            _place_dyad(sol, ref)
     return sol.finish()
+
+
+def _place_dyad(sol: _Solution, step) -> None:
+    """Place a dyad's two links by intersecting circles about its anchors."""
+    g = sol.graph
+    link1 = g.links[step.link1]
+    link2 = g.links[step.link2]
+    v1 = link1.point(step.m1) - link1.point(step.a1)
+    v2 = link2.point(step.m2) - link2.point(step.b2)
+    r1 = float(np.hypot(*v1))
+    r2 = float(np.hypot(*v2))
+    if r1 <= 0.0 or r2 <= 0.0:
+        raise NonPositiveLength(f"dyad leg through joint {step.hinge!r} has zero length")
+    p = sol.point_world(*step.p_ref)
+    q = sol.point_world(*step.q_ref)
+    sign = 1.0 if g.branch_of[step.closure] == "open" else -1.0
+    with np.errstate(invalid="ignore"):
+        hinge, _h, d = circle_circle(p, r1, q, r2, sign)
+        margin, trans = assembly_margin_and_transmission(d, r1, r2)
+    bad = ~np.isfinite(hinge[..., 0])
+    sol.margin[step.closure] = margin
+    sol.transmission[step.closure] = np.where(bad, np.nan, trans)
+    sol.ok &= ~bad
+    theta1 = np.arctan2(hinge[..., 1] - p[..., 1], hinge[..., 0] - p[..., 0])
+    theta1 = theta1 - math.atan2(v1[1], v1[0])
+    theta2 = np.arctan2(hinge[..., 1] - q[..., 1], hinge[..., 0] - q[..., 0])
+    theta2 = theta2 - math.atan2(v2[1], v2[0])
+    sol.theta[step.link1] = theta1
+    sol.theta[step.link2] = theta2
+    sol.origin[step.link1] = p - _rotate(theta1, link1.point(step.a1))
+    sol.origin[step.link2] = q - _rotate(theta2, link2.point(step.b2))
 
 
 # ---------------------------------------------------------------------------

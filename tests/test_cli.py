@@ -297,3 +297,15 @@ def test_validate_rejects_malformed_geometry(tmp_path: Path, capsys, edit):
     code, _, err = run(capsys, "validate", bad)
     assert code == 1
     assert err.startswith("error: SchemaError:")
+
+
+def test_validate_rejects_a_huge_integer_in_one_line(tmp_path: Path, capsys):
+    doc = json.loads(REFERENCE_PATH.read_text())
+    doc["ground_pivots"][0]["x"] = 10**400
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", bad)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: SchemaError: ground_pivots[0].x")
+    assert err.count("\n") == 1

@@ -205,3 +205,28 @@ def test_non_finite_numbers_name_their_field():
     with pytest.raises(SchemaError) as err:
         parse_mechanism_text(json.dumps(doc))
     assert err.value.field == "ground_pivots[1].y"
+
+
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc["ground_pivots"][1].update(x=HUGE), "ground_pivots[1].x"),
+        (
+            lambda doc: doc["links"][0]["points"]["tip"].__setitem__(1, -HUGE),
+            "links[0].points.tip",
+        ),
+        (lambda doc: doc["home_pose_deg"].update(j2_shoulder=HUGE), "home_pose_deg.j2_shoulder"),
+        (lambda doc: doc["parameters"][0].update(min=HUGE), "parameters[0].min"),
+    ],
+    ids=["pivot", "link_point", "home_pose", "parameter_min"],
+)
+def test_huge_integers_are_schema_errors(edit, field):
+    doc = _reference_doc()
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        parse_mechanism_text(json.dumps(doc))
+    assert err.value.field == field
+    assert "must be finite" in str(err.value)

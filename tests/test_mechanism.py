@@ -311,7 +311,9 @@ def test_gear_ratio_zero_via_spec(reference):
 def test_copy_shares_topology_and_owns_every_geometry_record(reference):
     before = mechanism_to_dict(reference.spec)
     twin = reference.copy()
-    for table in ("joints", "tree_order", "loops", "gear_order", "plan", "parameters"):
+    tables = ("joints", "tree_order", "loops", "gear_order", "steps", "plan",
+              "fourbar_loops", "parameters")
+    for table in tables:
         assert getattr(twin, table) is getattr(reference, table)
     spec = twin.spec
     spec.links[0].points["tip"][0] += 1.0
@@ -348,3 +350,21 @@ def test_derived_graphs_never_revalidate(reference, monkeypatch):
     assert design.apply(reference).parameter_values() == reference.parameter_values()
     entries = evaluate_constraints(reference, design, samples=36)
     assert np.all(np.isfinite(entries))
+
+
+def test_reference_solve_order(reference):
+    order = [
+        (kind, ref.closure if kind == "dyad" else ref) for kind, ref in reference.steps
+    ]
+    assert order == [
+        ("tree", "j1_drive"),
+        ("gear", "gear_rc"),
+        ("tree", "j0_rcrank"),
+        ("dyad", "j4_wrist"),
+        ("dyad", "j7_ctrl"),
+        ("gear", "gear_dg"),
+        ("tree", "j8_digit"),
+    ]
+    assert reference.plan == [ref for kind, ref in reference.steps if kind == "dyad"]
+    # Only the humerus loop is a plain four-bar; the radius loop has five joints.
+    assert list(reference.fourbar_loops) == ["j4_wrist"]

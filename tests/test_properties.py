@@ -1,4 +1,5 @@
-"""Randomized invariants of parameter application on the shipped designs."""
+"""Randomized invariants: parameter application on the shipped designs, and
+the solve routes and mirror symmetry of random Grashof four-bars."""
 
 from __future__ import annotations
 
@@ -7,17 +8,21 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from armwing import (
+    constraint_names,
     evaluate_constraints,
+    fourbar_spec,
+    mirror_mechanism,
     parse_mechanism_file,
     parse_mechanism_text,
     sweep_series,
     validate_mechanism,
 )
 from armwing.io import mechanism_to_dict
+from armwing.solver import wrap_pi
 
 from conftest import DEMO_PATH, REFERENCE_PATH
 
@@ -80,3 +85,33 @@ def test_with_parameters_matches_a_fresh_validation(path, data, samples):
         evaluate_constraints(fresh, samples=samples),
     )
     assert mechanism_to_dict(mech.spec) == before
+
+
+@st.composite
+def crank_rockers(draw):
+    """Ground, crank, coupler, rocker of a crank-rocker with Grashof slack.
+
+    The crank is the shortest link and s + l stays at least 10% of p + q
+    below p + q, which keeps the transmission angle off the toggle poses.
+    """
+    crank = draw(st.floats(5.0, 20.0), label="crank")
+    others = [draw(st.floats(25.0, 80.0), label=name) for name in ("g", "c", "r")]
+    longest = max(others)
+    rest = sum(others) - longest
+    assume(crank + longest <= 0.9 * rest)
+    return (others[0], crank, others[1], others[2])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(lengths=crank_rockers(), branch=st.sampled_from(["open", "crossed"]))
+def test_random_grashof_fourbars(lengths, branch):
+    spec = fourbar_spec(*lengths, branch=branch)
+    mech = validate_mechanism(spec)
+    assert mech.plan is not None
+    assert "grashof_margin[j_wrist]" in constraint_names(mech, 72)
+    analytic = sweep_series(mech, 72)
+    newton = sweep_series(mech, 72, method="newton")
+    gap = np.abs(wrap_pi(analytic["free"] - newton["free"]))
+    assert float(np.max(gap)) <= 1e-9
+    twice = mirror_mechanism(mirror_mechanism(mech))
+    assert mechanism_to_dict(twice.spec) == mechanism_to_dict(mech.spec)

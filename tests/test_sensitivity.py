@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import armwing.sensitivity
 from armwing import (
+    MechanismGraph,
     UnknownParameter,
     sensitivity_rank,
     sensitivity_sweep,
@@ -145,3 +147,24 @@ def test_one_sided_families_still_score(reference):
     assert below.score_mm_per_pct > 0.0
     assert above.score_mm_per_pct > 0.0
     assert trivial.score_mm_per_pct == 0.0
+
+
+def test_family_sweeps_each_scale_once(reference, monkeypatch):
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(MechanismGraph, "with_parameters")
+    count(armwing.sensitivity, "sweep_gait")
+    count(armwing.sensitivity, "sweep_series")
+    result = sensitivity_sweep(reference, "crank_len", (0.98, 1.0, 1.02), samples=90)
+    assert not result.failures
+    assert calls.count("with_parameters") == 3
+    assert calls.count("sweep_gait") + calls.count("sweep_series") == 3

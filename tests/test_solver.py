@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from armwing import (
+    AngleOutput,
+    Driver,
     FourBar,
+    GroundPivot,
+    Joint,
+    Link,
+    LinkageSpec,
     NotAssemblable,
     assembly_report,
+    evaluate_constraints,
     fourbar_spec,
     mirror_mechanism,
     solve_configuration,
@@ -158,3 +165,66 @@ def test_driver_sign_and_offset_set_the_crank_angle(reference):
     root = config.points["crank:root"]
     angle = math.atan2(tip[1] - root[1], tip[0] - root[0])
     assert angle == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+
+def _triad_sixbar() -> LinkageSpec:
+    """A crank driving a ternary link held by two grounded rockers.
+
+    The ternary link with its two rockers forms a triad: no loop can be
+    closed by a single two-link construction, so only Newton solves it.
+    Each link's local frame is the world frame at the drawn pose.
+    """
+    xy = {
+        "A": (0.0, 0.0),
+        "P": (5.0, 0.0),
+        "Q": (30.0, 9.5),
+        "R": (43.0, -7.4),
+        "S": (48.9, 25.3),
+        "G3": (42.4, -31.9),
+        "G2": (39.6, 59.5),
+    }
+    bodies = {
+        "crank": ("A", "P"),
+        "l5": ("P", "Q"),
+        "tri": ("Q", "R", "S"),
+        "l3": ("R", "G3"),
+        "l2": ("S", "G2"),
+    }
+    links = [
+        Link(lid, {name: np.array(xy[name]) for name in names})
+        for lid, names in bodies.items()
+    ]
+    pins = [  # (point, a-side body, b-side body)
+        ("A", "ground", "crank"),
+        ("P", "crank", "l5"),
+        ("Q", "l5", "tri"),
+        ("R", "tri", "l3"),
+        ("G3", "ground", "l3"),
+        ("S", "tri", "l2"),
+        ("G2", "ground", "l2"),
+    ]
+    return LinkageSpec(
+        name="triad six-bar",
+        links=links,
+        ground_pivots=[GroundPivot(name, *xy[name]) for name in ("A", "G3", "G2")],
+        joints=[Joint(f"j_{name}", (a, name), (b, name)) for name, a, b in pins],
+        driver=Driver("j_A"),
+        angle_outputs=[AngleOutput("theta_s", link="l3"), AngleOutput("theta_e", link="tri")],
+        point_outputs={"elbow": ("l5", "Q"), "wingtip": ("tri", "S")},
+    )
+
+
+def test_newton_only_topology_sweeps_and_constrains():
+    mech = validate_mechanism(_triad_sixbar())
+    assert mech.summary()["analytic_plan"] is False
+    assert mech.plan is None and mech.steps is None
+    series = sweep_series(mech, 72)  # strict: every sample must assemble
+    assert bool(np.all(series["ok"]))
+    assert float(np.max(series["residual"])) <= 1e-9
+    assert series["max_step_rad"] < 0.5
+    with pytest.raises(ValueError):
+        sweep_series(mech, 72, method="analytic")
+    with pytest.raises(ValueError):
+        solve_configuration(mech, 0.0, method="analytic")
+    entries = evaluate_constraints(mech, samples=36)
+    assert entries.shape == (4,) and np.all(np.isfinite(entries))
