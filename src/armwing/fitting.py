@@ -7,15 +7,16 @@ constraint vector f_c (feasible iff every entry is <= 0):
 * per-loop assemblability margin over the whole phase grid,
 * a Grashof full-rotation margin for each loop driven by a fully
   rotating input (the crank must be able to complete its turn),
-* a minimum transmission angle floor (default 10 degrees),
+* a minimum transmission angle floor of MIN_TRANSMISSION_DEG (10 degrees),
 * the mechanism's declared symmetry equalities, published as paired
   inequalities (h <= 0 and -h <= 0).
 
 Optimization runs a bounded, inequality-constrained local descent
-(scipy's trust-constr) with 3-point finite-difference gradients at
-relative step 1e-6 from several starting points: the nominal design plus
-seeded uniform draws inside the box.  Starts are independent, each on a
-private mechanism copy, and merge deterministically by (cost, index).
+(scipy's trust-constr) with 3-point finite-difference gradients at the
+fixed relative step FD_REL_STEP (1e-6) from several starting points: the
+nominal design plus seeded uniform draws inside the box.  Starts are
+independent, each on a private mechanism copy, and merge deterministically
+by (cost, index).
 Failed solves during the search contribute a fixed penalty per sample
 instead of aborting, so the search can skirt the assemblability boundary
 while the margin entries push it back.
@@ -59,6 +60,8 @@ STAGE_CHOICES = ("humerus", "radius", "all")
 PENALTY_DEG = 1e3
 CONSTRAINT_PENALTY = 1e6
 FEASIBILITY_TOL = 1e-6
+FD_REL_STEP = 1e-6
+MIN_TRANSMISSION_DEG = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +135,7 @@ class FitOptions:
     seed: int = 0
     multistarts: int = 10
     maxiter: int = 150
-    fd_rel_step: float = 1e-6
-    min_transmission_deg: float = 10.0
     polish: bool = True
-    feasibility_tol: float = FEASIBILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,6 @@ def constraint_names(mech: MechanismGraph, samples: int = 360) -> list[str]:
 def _constraint_core(
     mech: MechanismGraph,
     samples: int,
-    min_transmission_deg: float,
     series: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(inequality entries, symmetry equality values h).
@@ -291,7 +290,7 @@ def _constraint_core(
         s, p, q, l = sorted((ground, crank, coupler, rocker))
         ineq.append(s + l - (p + q))
         ineq.append(crank - min(ground, coupler, rocker))
-    floor = math.radians(min_transmission_deg)
+    floor = math.radians(MIN_TRANSMISSION_DEG)
     for cid in mech.closures:
         t = transmission.get(cid)
         if t is None:
@@ -310,7 +309,6 @@ def evaluate_constraints(
     mech: MechanismGraph,
     q: DesignVector | None = None,
     samples: int = 360,
-    min_transmission_deg: float = 10.0,
 ) -> np.ndarray:
     """The constraint vector f_c; the design is feasible iff all <= 0.
 
@@ -320,7 +318,7 @@ def evaluate_constraints(
     """
     if q is not None:
         mech = q.apply(mech)
-    ineq, eq = _constraint_core(mech, samples, min_transmission_deg)
+    ineq, eq = _constraint_core(mech, samples)
     paired = np.empty(2 * len(eq))
     paired[0::2] = eq
     paired[1::2] = -eq
@@ -356,7 +354,7 @@ class _StageProblem:
             OrderedDict()
         )
         self._cache_cap = 16 * len(self.move) + 64
-        ineq0, eq0 = _constraint_core(mech, self.samples, options.min_transmission_deg)
+        ineq0, eq0 = _constraint_core(mech, self.samples)
         self.con_lb = np.concatenate(
             [np.full(ineq0.shape, -np.inf), np.zeros(eq0.shape)]
         )
@@ -376,9 +374,7 @@ class _StageProblem:
         m = self.mech_at(x)
         series = sweep_series(m, self.samples, strict=False)
         resid = _stage_residuals(series, self.targets, self.stage)
-        ineq, eq = _constraint_core(
-            m, self.samples, self.options.min_transmission_deg, series=series
-        )
+        ineq, eq = _constraint_core(m, self.samples, series=series)
         out = (cost(resid), resid, np.concatenate([ineq, eq]))
         self._cache[key] = out
         if len(self._cache) > self._cache_cap:
@@ -401,7 +397,7 @@ class _StageProblem:
         return float(np.max(np.concatenate([over, under]), initial=0.0))
 
     def feasible(self, x) -> bool:
-        return self.violation(x) <= self.options.feasibility_tol
+        return self.violation(x) <= FEASIBILITY_TOL
 
 
 def _run_start(problem: _StageProblem, x0: np.ndarray):
@@ -412,7 +408,7 @@ def _run_start(problem: _StageProblem, x0: np.ndarray):
         problem.con_lb,
         problem.con_ub,
         jac="3-point",
-        finite_diff_rel_step=opts.fd_rel_step,
+        finite_diff_rel_step=FD_REL_STEP,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy chatters near bound-active points
@@ -427,7 +423,7 @@ def _run_start(problem: _StageProblem, x0: np.ndarray):
                 "maxiter": opts.maxiter,
                 "gtol": 1e-10,
                 "xtol": 1e-12,
-                "finite_diff_rel_step": opts.fd_rel_step,
+                "finite_diff_rel_step": FD_REL_STEP,
             },
         )
     x = np.clip(result.x, problem.lower, problem.upper)
@@ -456,7 +452,7 @@ def _polish(problem: _StageProblem, x: np.ndarray) -> np.ndarray | None:
             jac="3-point",
             bounds=(problem.lower, problem.upper),
             method="trf",
-            diff_step=problem.options.fd_rel_step,
+            diff_step=FD_REL_STEP,
             xtol=1e-15,
             ftol=1e-15,
             gtol=1e-15,

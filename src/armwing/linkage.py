@@ -16,6 +16,9 @@ checks a LinkageSpec and derives the structure the solver needs:
   placements, gear couplings and two-link dyad constructions in the order
   the solver executes them (``steps``; its dyads are ``plan``), used for
   closed-form sweeps and for assembly margin reporting,
+* the Newton step order: the same walk with the free joint angles given,
+  so only tree placements and gear couplings (``newton_steps``); it places
+  every link from a guess of the free angles,
 * the four-bar loop table: each loop that is a plain four-bar driven at a
   ground joint, as its ground, crank, coupler and rocker attachment pairs
   (``fourbar_loops``; the Grashof constraint entries read it),
@@ -241,8 +244,8 @@ class MechanismGraph:
     """A validated mechanism: spec plus derived solve structure.
 
     Validation derives the topology once (tree, loops, joint kinds, gear
-    order, analytic solve order and its dyad plan, four-bar loop table,
-    parsed parameter and symmetry targets).  Graphs made
+    order, analytic solve order and its dyad plan, Newton step order,
+    four-bar loop table, parsed parameter and symmetry targets).  Graphs made
     by ``copy()``, ``with_parameters()`` or ``DesignVector.apply()`` share
     it, and own private copies of the numeric records: link points, pivots,
     driver, gear couplings and angle outputs.  Solves never mutate a graph.
@@ -261,6 +264,7 @@ class MechanismGraph:
         self.gear_order: list[str] = []
         self.steps: list[tuple] | None = None  # analytic solve order
         self.plan: list[DyadStep] | None = None  # the dyads of steps
+        self.newton_steps: list[tuple] = []  # tree and gear steps, free angles given
         self.fourbar_loops: dict[str, tuple] = {}  # closure -> attachment pairs
         self.branch_of: dict[str, str] = {}
         self.home_pose: dict[str, float] = {}
@@ -377,7 +381,8 @@ def validate_mechanism(spec: LinkageSpec) -> MechanismGraph:
 
     The structure is topology only: the tree and loops, joint kinds, the
     gear order, the analytic solve order (None when some loop needs
-    Newton) and the four-bar loop table.  Geometry changes never alter it.
+    Newton), the Newton step order and the four-bar loop table.  Geometry
+    changes never alter it.
 
     Raises SchemaError for malformed references, MissingDriver, OpenChain,
     OverConstrained, NonPositiveLength, DanglingOutput or ZeroRatio as the
@@ -478,9 +483,10 @@ def _build(g: MechanismGraph) -> None:
     _branches_and_home(g)
     _outputs(g)
     _parameter_map(g)
-    g.steps = _derive_plan(g)
+    g.steps = _derive_plan(g, {g.spec.driver.joint})
     if g.steps is not None:
         g.plan = [step for kind, step in g.steps if kind == "dyad"]
+    g.newton_steps = _derive_plan(g, {g.spec.driver.joint, *g.free_joints})
     _fourbar_loops(g)
 
 
@@ -769,19 +775,22 @@ def _target_parts(target: str) -> tuple:
 # analytic plan derivation
 
 
-def _derive_plan(g: MechanismGraph) -> list[tuple] | None:
-    """The analytic solve order, or None when some loop has no closed form.
+def _derive_plan(g: MechanismGraph, known: set[str]) -> list[tuple] | None:
+    """The solve order from the joint angles ``known``, or None when some
+    loop has no closed form.
 
-    Walks the placements the analytic solver will execute: a tree step
-    places a link once its parent is placed and its joint angle is known
-    (driven or gear-slaved); a gear step sets its output angle once its
-    input angle is known or both links of its input joint are placed.  A
-    dyad is planned only when no tree or gear step is ready, so a
-    gear-slaved link is never taken as a dyad unknown.  Steps are
-    ("tree", joint id), ("gear", coupling id) and ("dyad", DyadStep).
+    Walks the placements the solver will execute: a tree step places a
+    link once its parent is placed and its joint angle is known (given, or
+    gear-slaved); a gear step sets its output angle once its input angle
+    is known or both links of its input joint are placed.  A dyad is
+    planned only when no tree or gear step is ready, so a gear-slaved link
+    is never taken as a dyad unknown.  Steps are ("tree", joint id),
+    ("gear", coupling id) and ("dyad", DyadStep).  Given the driver angle
+    alone this is the analytic order; given the free angles too, the gear
+    order guarantees that tree and gear steps place every link.
     """
     placed = {GROUND}
-    known = {g.spec.driver.joint}  # joint angles set by the driver or a gear
+    known = set(known)
     gears = list(g.gear_order)
     loops = list(g.closures)
 

@@ -1,14 +1,23 @@
 """Kinematic solving: single configurations, sweeps, assembly margins.
 
-Two solve routes share the same mechanism graph:
+Two solve routes share the same mechanism graph and one step executor,
+``_run_steps``, which places links by the tree, gear and dyad steps fixed
+at validation, vectorized over a whole phase grid:
 
-* an analytic route that executes the step order fixed at validation
-  (tree placements, gear couplings, and dyads built with the
-  circle-intersection construction), vectorized over a whole phase grid
-  (exact to machine precision, branch chosen by the per-loop flags), and
-* a Newton route iterating the stacked loop-closure residuals with an
-  analytic Jacobian, used when no plan exists, when a caller forces it,
-  or to polish a guess.
+* the analytic route runs ``steps`` from the driven angle (dyads built
+  with the circle-intersection construction; exact to machine precision,
+  branch chosen by the per-loop flags), and
+* the Newton route sets the free joint angles from its iterate q and runs
+  ``newton_steps`` (tree and gear steps only).  The stacked loop-closure
+  gaps of that pose are its residual.  Its Jacobian comes from the same
+  pose: a world point P on a link moves as
+
+      dP/dq = sum over links l on P's root path of perp(P - A_l) w_l^T,
+
+  where A_l is the world position of link l's parent joint, perp rotates
+  by +90 degrees, and w_l = d(theta_l - theta_parent)/dq (``_angle_weights``).
+  Newton runs when no plan exists, when a caller forces it, or to polish
+  a guess.
 
 Every returned Configuration carries a residual certificate re-evaluated
 from the closure equations; a configuration is only reported as solved
@@ -107,7 +116,7 @@ class _Configurations(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
-        return _configuration(self._sol.graph, self._sol, index=range(len(self))[k])
+        return _configuration(self._sol.graph, self._sol[range(len(self))[k]])
 
 
 def wrap_pi(angle):
@@ -140,15 +149,16 @@ class _Solution:
         self.ok = np.ones(shape, dtype=bool)
         self.margin: dict[str, np.ndarray] = {}
         self.transmission: dict[str, np.ndarray] = {}
+        self.gap: np.ndarray | None = None  # stacked closure gaps, (..., 2*loops)
         self.residual: np.ndarray | None = None
 
-    def head(self, n: int) -> "_Solution":
-        """The first ``n`` samples of a grid solution, as views."""
-        out = _Solution(self.graph, self.phi[:n])
+    def __getitem__(self, index) -> "_Solution":
+        """One sample (int) or a range of samples (slice) of a grid solution."""
+        out = _Solution(self.graph, self.phi[index])
         for name in ("theta", "origin", "alpha", "margin", "transmission"):
-            setattr(out, name, {k: v[:n] for k, v in getattr(self, name).items()})
-        out.ok = self.ok[:n]
-        out.residual = self.residual[:n]
+            setattr(out, name, {k: v[index] for k, v in getattr(self, name).items()})
+        for name in ("ok", "gap", "residual"):
+            setattr(out, name, getattr(self, name)[index])
         return out
 
     def point_world(self, link_id: str, point: str) -> np.ndarray:
@@ -159,21 +169,19 @@ class _Solution:
         )
 
     def finish(self):
-        """Fill unset joint angles from link orientations, and the residual."""
+        """Fill unset joint angles from link orientations, the closure gaps
+        and their norm, the residual."""
         g = self.graph
         for jid, joint in g.joints.items():
             if jid not in self.alpha:
                 self.alpha[jid] = self.theta[joint.b[0]] - self.theta[joint.a[0]]
-        gaps = []
-        for cid in g.closures:
+        self.gap = np.empty(self.phi.shape + (2 * len(g.closures),))
+        for i, cid in enumerate(g.closures):
             joint = g.joints[cid]
-            delta = self.point_world(*joint.a) - self.point_world(*joint.b)
-            gaps.append(delta)
-        if gaps:
-            stacked = np.concatenate(gaps, axis=-1)
-            self.residual = np.sqrt(np.sum(stacked * stacked, axis=-1))
-        else:
-            self.residual = np.zeros(self.phi.shape)
+            self.gap[..., 2 * i : 2 * i + 2] = (
+                self.point_world(*joint.a) - self.point_world(*joint.b)
+            )
+        self.residual = np.sqrt(np.sum(self.gap * self.gap, axis=-1))
         return self
 
 
@@ -204,11 +212,27 @@ def _solve_analytic(graph: MechanismGraph, phi) -> _Solution:
     dependent quantities, while per-loop assembly margins stay finite
     wherever computable; _raise_first_failure turns them into errors.
     """
-    g = graph
-    sol = _Solution(g, phi)
+    return _run_steps(_Solution(graph, phi), graph.steps)
+
+
+def _forward(graph: MechanismGraph, phi, q) -> _Solution:
+    """The pose with free joint angles ``q`` (shape (..., nq)) at ``phi``.
+
+    Loops need not close: ``sol.gap`` is the Newton residual.
+    """
+    sol = _Solution(graph, phi)
+    for k, jid in enumerate(graph.free_joints):
+        sol.alpha[jid] = q[..., k]
+    return _run_steps(sol, graph.newton_steps)
+
+
+def _run_steps(sol: _Solution, steps) -> _Solution:
+    """Set the driven angle and place every link by executing ``steps``;
+    the one forward pass of both solve routes."""
+    g = sol.graph
     drv = g.spec.driver
     sol.alpha[drv.joint] = drv.sign * sol.phi + math.radians(drv.offset_deg)
-    for kind, ref in g.steps:
+    for kind, ref in steps:
         if kind == "tree":
             child = g.tree_child[ref]
             parent = g.tree_parent[child][1]
@@ -272,121 +296,62 @@ def _place_dyad(sol: _Solution, step) -> None:
 # Newton route
 
 
-def _affine_tables(graph: MechanismGraph):
-    """Joint angles and link orientations as affine forms c + p*phi + w.q.
+def _angle_weights(graph: MechanismGraph) -> dict[str, np.ndarray]:
+    """Per link, d(theta_link)/dq, constant for a geometry: one walk over
+    newton_steps.
 
-    Driven and gear-slaved angles enter through their current numeric
-    offsets and ratios, so the tables must be rebuilt after any parameter
-    change; they are cheap.
+    Driven angles do not move with q; gear ratios scale their inputs.
     """
     g = graph
     nq = len(g.free_joints)
-    zeros = np.zeros(nq)
-    alpha: dict[str, tuple[float, float, np.ndarray]] = {}
-    drv = g.spec.driver
-    alpha[drv.joint] = (math.radians(drv.offset_deg), float(drv.sign), zeros)
-    for k, jid in enumerate(g.free_joints):
-        w = np.zeros(nq)
-        w[k] = 1.0
-        alpha[jid] = (0.0, 0.0, w)
-
-    theta_cache: dict[str, tuple[float, float, np.ndarray]] = {
-        GROUND: (0.0, 0.0, zeros)
-    }
-
-    def theta(link: str):
-        if link in theta_cache:
-            return theta_cache[link]
-        jid, parent = g.tree_parent[link]
-        pc, pp, pw = theta(parent)
-        joint = g.joints[jid]
-        sign = 1.0 if joint.b[0] == link else -1.0
-        ac, ap, aw = alpha[jid]
-        out = (pc + sign * ac, pp + sign * ap, pw + sign * aw)
-        theta_cache[link] = out
-        return out
-
-    # Validation ordered the couplings so that every input angle is known,
-    # or its two link orientations are, by the time its coupling comes up.
-    for cid in g.gear_order:
-        coupling = g.gear_by_id[cid]
-        jin = coupling.joint_in
-        if jin in alpha:
-            ac, ap, aw = alpha[jin]
+    dalpha = dict(zip(g.free_joints, np.eye(nq)))
+    dalpha[g.spec.driver.joint] = np.zeros(nq)
+    dtheta = {GROUND: np.zeros(nq)}
+    for kind, ref in g.newton_steps:
+        if kind == "tree":
+            child = g.tree_child[ref]
+            sign = 1.0 if g.joints[ref].b[0] == child else -1.0
+            dtheta[child] = dtheta[g.tree_parent[child][1]] + sign * dalpha[ref]
         else:
-            joint = g.joints[jin]
-            bc, bp, bw = theta(joint.b[0])
-            acc, acp, acw = theta(joint.a[0])
-            ac, ap, aw = bc - acc, bp - acp, bw - acw
-        alpha[coupling.joint_out] = (
-            coupling.ratio * ac + math.radians(coupling.offset_deg),
-            coupling.ratio * ap,
-            coupling.ratio * aw,
-        )
-
-    for link in g.links:
-        theta(link)
-    return alpha, theta_cache
+            coupling = g.gear_by_id[ref]
+            jin = coupling.joint_in
+            if jin in dalpha:
+                value = dalpha[jin]
+            else:
+                joint = g.joints[jin]
+                value = dtheta[joint.b[0]] - dtheta[joint.a[0]]
+            dalpha[coupling.joint_out] = coupling.ratio * value
+    return dtheta
 
 
-def _newton_eval(graph, theta_aff, phi: float, q: np.ndarray, with_jac: bool):
-    """Residual (and Jacobian) of the stacked loop equations at (phi, q)."""
-    g = graph
-    nq = len(q)
-    theta = {}
-    for link, (c, p, w) in theta_aff.items():
-        theta[link] = c + p * phi + float(w @ q)
-    origin = {GROUND: np.zeros(2)}
-    dorigin = {GROUND: np.zeros((nq, 2))} if with_jac else None
-
-    def point_world(link, point):
-        if link == GROUND:
-            return g.pivots[point].xy.astype(float)
-        return origin[link] + _rotate(theta[link], g.links[link].point(point))
-
-    def dpoint(link, point):
-        if link == GROUND:
-            return np.zeros((nq, 2))
-        w = theta_aff[link][2]
-        arm = _rotate(theta[link], g.links[link].point(point))
-        return dorigin[link] + np.outer(w, _perp(arm))
-
-    for jid in g.tree_order:
-        child = g.tree_child[jid]
-        joint = g.joints[jid]
-        parent = g.tree_parent[child][1]
-        attach_p = joint.attachment(parent)
-        attach_c = joint.attachment(child)
-        anchor = point_world(parent, attach_p)
-        arm_c = _rotate(theta[child], g.links[child].point(attach_c))
-        origin[child] = anchor - arm_c
-        if with_jac:
-            danchor = dpoint(parent, attach_p)
-            w_c = theta_aff[child][2]
-            dorigin[child] = danchor - np.outer(w_c, _perp(arm_c))
-
-    residual = np.empty(2 * len(g.closures))
-    jac = np.empty((2 * len(g.closures), nq)) if with_jac else None
+def _jacobian(sol: _Solution, dtheta: dict[str, np.ndarray]) -> np.ndarray:
+    """d(sol.gap)/dq at a single-sample pose, shape (2*loops, nq)."""
+    g = sol.graph
+    jac = np.zeros((2 * len(g.closures), len(g.free_joints)))
     for i, cid in enumerate(g.closures):
         joint = g.joints[cid]
-        residual[2 * i : 2 * i + 2] = point_world(*joint.a) - point_world(*joint.b)
-        if with_jac:
-            jac[2 * i : 2 * i + 2, :] = (dpoint(*joint.a) - dpoint(*joint.b)).T
-    return residual, jac, theta
+        for side, (link, point) in ((1.0, joint.a), (-1.0, joint.b)):
+            p = sol.point_world(link, point)
+            while link != GROUND:
+                jid, parent = g.tree_parent[link]
+                anchor = sol.point_world(parent, g.joints[jid].attachment(parent))
+                rate = dtheta[link] - dtheta[parent]
+                jac[2 * i : 2 * i + 2] += side * np.outer(_perp(p - anchor), rate)
+                link = parent
+    return jac
 
 
-def _solve_newton(graph: MechanismGraph, phi: float, q0: np.ndarray):
+def _solve_newton(graph: MechanismGraph, phi: float, q0: np.ndarray) -> _Solution:
     """Damped Newton on the loop equations from guess ``q0``."""
-    alpha_aff, theta_aff = _affine_tables(graph)
+    dtheta = _angle_weights(graph)
     q = np.asarray(q0, dtype=float).copy()
-    residual, _, _ = _newton_eval(graph, theta_aff, phi, q, with_jac=False)
-    norm = float(np.linalg.norm(residual))
+    sol = _forward(graph, phi, q)
+    norm = float(np.linalg.norm(sol.gap))
     for _ in range(NEWTON_MAX_ITER):
         if norm <= NEWTON_TOL_MM:
             break
-        _, jac, _ = _newton_eval(graph, theta_aff, phi, q, with_jac=True)
         try:
-            step = np.linalg.solve(jac, -residual)
+            step = np.linalg.solve(_jacobian(sol, dtheta), -sol.gap)
         except np.linalg.LinAlgError:
             raise SingularJacobian(
                 "loop-closure Jacobian is singular", phi=float(phi)
@@ -394,10 +359,10 @@ def _solve_newton(graph: MechanismGraph, phi: float, q0: np.ndarray):
         scale = 1.0
         for _halving in range(30):
             q_try = q + scale * step
-            res_try, _, _ = _newton_eval(graph, theta_aff, phi, q_try, with_jac=False)
-            norm_try = float(np.linalg.norm(res_try))
+            trial = _forward(graph, phi, q_try)
+            norm_try = float(np.linalg.norm(trial.gap))
             if norm_try < norm:
-                q, residual, norm = q_try, res_try, norm_try
+                q, sol, norm = q_try, trial, norm_try
                 break
             scale *= 0.5
         else:
@@ -409,21 +374,7 @@ def _solve_newton(graph: MechanismGraph, phi: float, q0: np.ndarray):
             f"residual {norm:.3e} mm after {NEWTON_MAX_ITER} iterations",
             phi=float(phi),
         )
-
-    sol = _Solution(graph, float(phi))
-    for link, (c, p, w) in theta_aff.items():
-        sol.theta[link] = np.asarray(c + p * phi + float(w @ q))
-    for jid, (c, p, w) in alpha_aff.items():
-        sol.alpha[jid] = np.asarray(c + p * phi + float(w @ q))
-    g = graph
-    for jid in g.tree_order:
-        child = g.tree_child[jid]
-        joint = g.joints[jid]
-        parent = g.tree_parent[child][1]
-        anchor = sol.point_world(parent, joint.attachment(parent))
-        arm = _rotate(sol.theta[child], g.links[child].point(joint.attachment(child)))
-        sol.origin[child] = anchor - arm
-    return sol.finish()
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +401,9 @@ def _guess_vector(graph, guess, phi: float) -> np.ndarray:
     )
 
 
-def _configuration(graph, sol: _Solution, index=None) -> Configuration:
-    def pick(arr):
-        return float(arr if index is None else arr[index])
-
-    joint_angles = {jid: pick(sol.alpha[jid]) for jid in graph.joints}
+def _configuration(graph, sol: _Solution) -> Configuration:
+    """The Configuration of a single-sample solution."""
+    joint_angles = {jid: float(sol.alpha[jid]) for jid in graph.joints}
     points: dict[str, tuple[float, float]] = {}
     for pid in graph.pivots:
         xy = graph.pivots[pid].xy
@@ -462,16 +411,15 @@ def _configuration(graph, sol: _Solution, index=None) -> Configuration:
     for link_id, link in graph.links.items():
         for pname in link.points:
             w = sol.point_world(link_id, pname)
-            if index is not None:
-                w = w[index]
             points[f"{link_id}:{pname}"] = (float(w[0]), float(w[1]))
     for name, ref in graph.spec.point_outputs.items():
         key = f"{ref[0]}:{ref[1]}"
         points[name] = points[key]
-    phase = float(sol.phi if index is None else sol.phi[index])
-    residual = pick(sol.residual)
     return Configuration(
-        phase=phase, joint_angles=joint_angles, points=points, residual_norm=residual
+        phase=float(sol.phi),
+        joint_angles=joint_angles,
+        points=points,
+        residual_norm=float(sol.residual),
     )
 
 
@@ -529,37 +477,32 @@ def sweep_series(
         # The wrap sample 2*pi rides along in the grid solve; it never
         # raises and is cut off every returned array.
         full = _solve_analytic(mech, np.append(phi, TWO_PI))
-        sol = full.head(samples)
+        sol = full[:samples]
         if strict:
             _raise_first_failure(sol)
         free = _free_vector(mech, sol)
         wrap_free = _free_vector(mech, full)[samples]
         all_ok = bool(np.all(sol.ok))
     else:
-        free = np.empty((samples, len(mech.free_joints)))
-        sols = []
+        # Sequential continuation keeps only the free angles; one forward
+        # pass over them then fills the grid solution.
+        free = np.full((samples, len(mech.free_joints)), np.nan)
         ok = np.ones(samples, dtype=bool)
         q = _guess_vector(mech, None, float(phi[0]))
         for k in range(samples):
             try:
-                sk = _solve_newton(mech, float(phi[k]), q)
+                q = free[k] = _free_vector(mech, _solve_newton(mech, float(phi[k]), q))
             except (NoConvergence, SingularJacobian, NotAssemblable):
                 if strict:
                     raise
                 ok[k] = False
-                sols.append(None)
-                free[k] = np.nan
-                continue
-            sols.append(sk)
-            free[k] = _free_vector(mech, sk)
-            q = free[k]
         all_ok = bool(np.all(ok))
         try:
-            wrap_sol = _solve_newton(mech, TWO_PI, q)
-            wrap_free = _free_vector(mech, wrap_sol)
+            wrap_free = _free_vector(mech, _solve_newton(mech, TWO_PI, q))
         except (NoConvergence, SingularJacobian, NotAssemblable):
             wrap_free = np.full(len(mech.free_joints), np.nan)
-        sol = _merge_newton_sweep(mech, phi, sols, ok)
+        sol = _forward(mech, phi, free)
+        sol.ok = ok
 
     out = {
         "phi": phi,
@@ -595,35 +538,6 @@ def sweep_series(
     out["tip"] = sol.point_world(*tip_ref)
     out["_solution"] = sol
     return out
-
-
-def _merge_newton_sweep(mech, phi, sols, ok) -> _Solution:
-    merged = _Solution(mech, phi)
-    merged.ok = ok
-    n = len(phi)
-
-    def collect(getter, keys, store):
-        for key in keys:
-            arr = np.full(n, np.nan)
-            for k, sk in enumerate(sols):
-                if sk is not None:
-                    arr[k] = float(getter(sk, key))
-            store[key] = arr
-
-    collect(lambda s, k: s.theta[k], list(mech.links) + [GROUND], merged.theta)
-    collect(lambda s, k: s.alpha[k], list(mech.joints), merged.alpha)
-    for link in list(mech.links) + [GROUND]:
-        arr = np.full((n, 2), np.nan)
-        for k, sk in enumerate(sols):
-            if sk is not None:
-                arr[k] = sk.origin[link]
-        merged.origin[link] = arr
-    arr = np.full(n, np.nan)
-    for k, sk in enumerate(sols):
-        if sk is not None:
-            arr[k] = float(sk.residual)
-    merged.residual = arr
-    return merged
 
 
 def sweep_gait(

@@ -312,7 +312,7 @@ def test_copy_shares_topology_and_owns_every_geometry_record(reference):
     before = mechanism_to_dict(reference.spec)
     twin = reference.copy()
     tables = ("joints", "tree_order", "loops", "gear_order", "steps", "plan",
-              "fourbar_loops", "parameters")
+              "newton_steps", "fourbar_loops", "parameters")
     for table in tables:
         assert getattr(twin, table) is getattr(reference, table)
     spec = twin.spec
@@ -366,5 +366,17 @@ def test_reference_solve_order(reference):
         ("tree", "j8_digit"),
     ]
     assert reference.plan == [ref for kind, ref in reference.steps if kind == "dyad"]
+    # With the free angles given, tree and gear steps place every link.
+    assert reference.newton_steps == [
+        ("tree", "j1_drive"),
+        ("tree", "j2_shoulder"),
+        ("tree", "j3_crankpin"),
+        ("tree", "j5_elbow"),
+        ("gear", "gear_dg"),
+        ("tree", "j8_digit"),
+        ("gear", "gear_rc"),
+        ("tree", "j0_rcrank"),
+        ("tree", "j6_rcrankpin"),
+    ]
     # Only the humerus loop is a plain four-bar; the radius loop has five joints.
     assert list(reference.fourbar_loops) == ["j4_wrist"]

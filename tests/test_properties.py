@@ -1,5 +1,6 @@
-"""Randomized invariants: parameter application on the shipped designs, and
-the solve routes and mirror symmetry of random Grashof four-bars."""
+"""Randomized invariants: parameter application on the shipped designs, the
+solve routes and mirror symmetry of random Grashof four-bars, and the Newton
+Jacobian against central differences of the forward pass."""
 
 from __future__ import annotations
 
@@ -22,9 +23,10 @@ from armwing import (
     validate_mechanism,
 )
 from armwing.io import mechanism_to_dict
-from armwing.solver import wrap_pi
+from armwing.solver import _angle_weights, _forward, _jacobian, wrap_pi
 
 from conftest import DEMO_PATH, REFERENCE_PATH
+from test_solver import _geared_fivebar, _triad_sixbar
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,3 +117,35 @@ def test_random_grashof_fourbars(lengths, branch):
     assert float(np.max(gap)) <= 1e-9
     twice = mirror_mechanism(mirror_mechanism(mech))
     assert mechanism_to_dict(twice.spec) == mechanism_to_dict(mech.spec)
+
+
+def _newton_mechanism(name, data):
+    if name == "crank-rocker":
+        lengths = data.draw(crank_rockers(), label="lengths")
+        return validate_mechanism(fourbar_spec(*lengths))
+    if name == "triad":
+        return validate_mechanism(_triad_sixbar())
+    if name == "geared-fivebar":
+        return validate_mechanism(_geared_fivebar())
+    reference = _shipped(REFERENCE_PATH)
+    return mirror_mechanism(reference) if name == "mirror" else reference
+
+
+@pytest.mark.parametrize(
+    "name", ["reference", "mirror", "triad", "geared-fivebar", "crank-rocker"]
+)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), phi=st.floats(0.0, 2.0 * np.pi))
+def test_newton_jacobian_matches_central_differences(name, data, phi):
+    mech = _newton_mechanism(name, data)
+    nq = len(mech.free_joints)
+    angle = st.floats(-np.pi, np.pi)
+    q = np.array([data.draw(angle, label=jid) for jid in mech.free_joints])
+    jac = _jacobian(_forward(mech, phi, q), _angle_weights(mech))
+    h = 1e-6
+    fd = np.empty((2 * len(mech.closures), nq))
+    for k, step in enumerate(h * np.eye(nq)):
+        plus = _forward(mech, phi, q + step).gap
+        minus = _forward(mech, phi, q - step).gap
+        fd[:, k] = (plus - minus) / (2.0 * h)
+    assert float(np.max(np.abs(jac - fd))) <= 1e-7 * float(np.max(np.abs(jac)))

@@ -9,6 +9,7 @@ from armwing import (
     AngleOutput,
     Driver,
     FourBar,
+    GearCoupling,
     GroundPivot,
     Joint,
     Link,
@@ -18,6 +19,7 @@ from armwing import (
     evaluate_constraints,
     fourbar_spec,
     mirror_mechanism,
+    parse_mechanism_file,
     solve_configuration,
     solve_fourbar,
     sweep_gait,
@@ -26,6 +28,8 @@ from armwing import (
 )
 from armwing.gait import phase_grid
 from armwing.solver import wrap_pi
+
+from conftest import REFERENCE_PATH
 
 
 def test_general_solver_reduces_to_fourbar(demo_fourbar):
@@ -211,6 +215,63 @@ def _triad_sixbar() -> LinkageSpec:
         driver=Driver("j_A"),
         angle_outputs=[AngleOutput("theta_s", link="l3"), AngleOutput("theta_e", link="tri")],
         point_outputs={"elbow": ("l5", "Q"), "wingtip": ("tri", "S")},
+    )
+
+
+def _geared_fivebar() -> LinkageSpec:
+    """A five-bar whose grounded rocker is geared to the crank-coupler joint.
+
+    The gear slaves a loop joint to a free angle, so the loop-closure
+    Jacobian depends on the gear ratio; no dyad closes the loop.
+    """
+    xy = {"A": (0.0, 0.0), "B": (10.0, 5.0), "C": (30.0, 25.0), "D": (45.0, 10.0),
+          "E": (40.0, 0.0)}
+    bodies = {
+        "crank": ("A", "B"),
+        "c1": ("B", "C"),
+        "c2": ("C", "D"),
+        "rocker": ("E", "D"),
+    }
+    links = [
+        Link(lid, {name: np.array(xy[name]) for name in names})
+        for lid, names in bodies.items()
+    ]
+    pins = [  # (joint, point, a-side body, b-side body)
+        ("j_drive", "A", "ground", "crank"),
+        ("j_knee", "B", "crank", "c1"),
+        ("j_mid", "C", "c1", "c2"),
+        ("j_rock", "E", "ground", "rocker"),
+        ("j_tip", "D", "c2", "rocker"),
+    ]
+    return LinkageSpec(
+        name="geared five-bar",
+        links=links,
+        ground_pivots=[GroundPivot(name, *xy[name]) for name in ("A", "E")],
+        joints=[Joint(jid, (a, name), (b, name)) for jid, name, a, b in pins],
+        driver=Driver("j_drive"),
+        gear_couplings=[GearCoupling("g_rock", "j_knee", "j_rock", ratio=-1.5)],
+        angle_outputs=[
+            AngleOutput("theta_s", link="rocker"),
+            AngleOutput("theta_e", link="c2"),
+        ],
+        point_outputs={"elbow": ("c1", "C"), "wingtip": ("c2", "D")},
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    lambda: parse_mechanism_file(REFERENCE_PATH),
+    lambda: fourbar_spec(50.0, 20.0, 60.0, 40.0),
+    _triad_sixbar,
+    _geared_fivebar,
+], ids=["reference", "fourbar", "triad", "geared-fivebar"])
+def test_newton_steps_place_every_link_by_tree_and_gear_steps(spec):
+    mech = validate_mechanism(spec())
+    kinds = [kind for kind, _ref in mech.newton_steps]
+    assert set(kinds) <= {"tree", "gear"}
+    placed = [mech.tree_child[ref] for kind, ref in mech.newton_steps if kind == "tree"]
+    assert sorted(placed) == sorted(mech.links)
+    assert sorted(ref for kind, ref in mech.newton_steps if kind == "gear") == sorted(
+        mech.gear_by_id
     )
 
 
