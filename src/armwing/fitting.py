@@ -40,7 +40,7 @@ from scipy.optimize import Bounds, NonlinearConstraint, least_squares, minimize
 
 from .errors import EmptyResidual, GridMismatch, NoFeasibleStart
 from .gait import TargetGait, phase_grid
-from .linkage import GROUND, MechanismGraph
+from .linkage import MechanismGraph
 from .solver import sweep_series
 
 __all__ = [
@@ -240,11 +240,8 @@ def _masked(diff: np.ndarray, ok: np.ndarray) -> np.ndarray:
 
 def _span(mech: MechanismGraph, pair) -> float:
     """Distance between two attachments of one body (a link, or ground)."""
-    a, b = (
-        mech.pivots[point].xy if link == GROUND else mech.links[link].point(point)
-        for link, point in pair
-    )
-    return float(np.hypot(*(a - b)))
+    i, j = (mech._xy[link, point] for link, point in pair)
+    return float(np.hypot(*(mech.geom[i : i + 2] - mech.geom[j : j + 2])))
 
 
 def constraint_names(mech: MechanismGraph, samples: int = 360) -> list[str]:
@@ -254,7 +251,7 @@ def constraint_names(mech: MechanismGraph, samples: int = 360) -> list[str]:
         names.append(f"grashof_margin[{cid}]")
         names.append(f"crank_shortest[{cid}]")
     names.extend(f"transmission_floor[{cid}]" for cid in mech.closures)
-    for sym in mech.spec.symmetry:
+    for sym, _ in mech._symmetry:
         names.append(f"symmetry[{sym.name}]+")
         names.append(f"symmetry[{sym.name}]-")
     return names
@@ -301,7 +298,7 @@ def _constraint_core(
             ineq.append(floor - float(np.min(t)))
         else:
             ineq.append(CONSTRAINT_PENALTY)
-    eq = [mech._get(target) - sym.value for sym, target in mech._symmetry]
+    eq = [mech.geom[slot] - sym.value for sym, slot in mech._symmetry]
     return np.asarray(ineq, dtype=float), np.asarray(eq, dtype=float)
 
 

@@ -136,7 +136,7 @@ def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
     if not isinstance(doc, dict):
         raise SchemaError("", "top level must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:  # True == 1
         raise VersionError(
             f"{source}: unsupported format_version {version!r} "
             f"(expected {FORMAT_VERSION})"

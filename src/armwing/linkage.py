@@ -22,7 +22,10 @@ checks a LinkageSpec and derives the structure the solver needs:
 * the four-bar loop table: each loop that is a plain four-bar driven at a
   ground joint, as its ground, crank, coupler and rocker attachment pairs
   (``fourbar_loops``; the Grashof constraint entries read it),
-* the design parameter map: named scalars bound to geometry fields.
+* the geometry array ``geom``: one slot per link-point and pivot
+  coordinate, driver offset, gear ratio and offset and angle-output offset,
+  shape (P,) for one design or (B, P) for a batch of B designs,
+* the design parameter map: named scalars bound to geometry slots.
 
 Angles are radians internally and counterclockwise from the body +x axis;
 the JSON document format keeps offsets in degrees (see io.py).  Lengths
@@ -91,9 +94,6 @@ class Link:
     points: dict[str, np.ndarray]
     length: float | None = None
 
-    def point(self, name: str) -> np.ndarray:
-        return self.points[name]
-
     def principal_length(self) -> float:
         """Largest pairwise distance between the link's points."""
         names = list(self.points)
@@ -110,10 +110,6 @@ class GroundPivot:
     id: str
     x: float
     y: float
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass
@@ -241,18 +237,23 @@ class DyadStep:
 
 
 class MechanismGraph:
-    """A validated mechanism: spec plus derived solve structure.
+    """A validated mechanism: its topology and its geometry array.
 
     Validation derives the topology once (tree, loops, joint kinds, gear
     order, analytic solve order and its dyad plan, Newton step order,
-    four-bar loop table, parsed parameter and symmetry targets).  Graphs made
-    by ``copy()``, ``with_parameters()`` or ``DesignVector.apply()`` share
-    it, and own private copies of the numeric records: link points, pivots,
-    driver, gear couplings and angle outputs.  Solves never mutate a graph.
+    four-bar loop table, parameter and symmetry targets resolved to slots
+    of ``geom``).  ``geom`` is the one store of the numbers: the validated
+    records keep NaN in their numeric fields.  Graphs made by ``copy()``,
+    ``with_parameters()`` or ``DesignVector.apply()`` share the topology and
+    own a private ``geom``.  Solves never mutate a graph.  The constructor
+    takes ownership of ``spec``.
     """
 
     def __init__(self, spec: LinkageSpec):
-        self.spec = spec
+        self._spec = spec
+        self.geom: np.ndarray = np.empty(0)
+        self._slots: dict[str, int] = {}  # target string -> geom column
+        self._xy: dict[tuple, int] = {}  # (link or ground, point) -> column of x; y follows
         self.joints: dict[str, Joint] = {}
         self.tree_parent: dict[str, tuple[str, str]] = {}  # link -> (joint, parent)
         self.tree_child: dict[str, str] = {}  # tree joint -> child link
@@ -269,17 +270,25 @@ class MechanismGraph:
         self.branch_of: dict[str, str] = {}
         self.home_pose: dict[str, float] = {}
         self.parameters: "OrderedDict[str, ParameterBinding]" = OrderedDict()
-        self._targets: dict[str, tuple] = {}  # parameter name -> parsed target
-        self._symmetry: list[tuple[SymmetryConstraint, tuple]] = []
+        self._targets: dict[str, int] = {}  # parameter name -> geom column
+        self._symmetry: list[tuple[SymmetryConstraint, int]] = []
         _build(self)
 
-    def _bind(self, spec: LinkageSpec) -> None:
-        """Point the geometry lookups at ``spec``'s numeric records."""
-        self.spec = spec
-        self.links: dict[str, Link] = {link.id: link for link in spec.links}
-        self.pivots: dict[str, GroundPivot] = {p.id: p for p in spec.ground_pivots}
-        self.gear_by_id = {c.id: c for c in spec.gear_couplings}
-        self._angle_outputs = {out.name: out for out in spec.angle_outputs}
+    @property
+    def spec(self) -> LinkageSpec:
+        """This design as a LinkageSpec: its geometry records are built from
+        ``geom`` on every read, its other records are the graph's own."""
+        if self.geom.ndim != 1:
+            raise ValueError("a batch of designs has no single spec")
+        spec = self._spec
+        records = ("links", "ground_pivots", "gear_couplings", "angle_outputs")
+        out = replace(spec, driver=replace(spec.driver),
+                      **{kind: [replace(r) for r in getattr(spec, kind)] for kind in records})
+        for link in out.links:
+            link.points = {name: np.empty(2) for name in link.points}
+        for (_, container, key, _), value in zip(_fields(out), self.geom.tolist()):
+            container[key] = value
+        return out
 
     # -- parameter map ----------------------------------------------------
 
@@ -290,70 +299,40 @@ class MechanismGraph:
         return OrderedDict((n, self.get_parameter(n)) for n in self.parameters)
 
     def get_parameter(self, name: str) -> float:
-        return self._get(self._target(name))
+        """The named parameter's value in a one-design graph."""
+        return float(self.geom[..., self._target(name)])
 
-    def set_parameter(self, name: str, value: float) -> None:
-        container, key = self._slot(self._target(name))
-        container[key] = float(value)
+    def set_parameter(self, name: str, value) -> None:
+        self.geom[..., self._target(name)] = value
 
-    def with_parameters(self, values: dict[str, float]) -> "MechanismGraph":
+    def with_parameters(self, values: dict) -> "MechanismGraph":
+        """A copy with the named parameters set, in one indexed write.
+
+        The values are floats, or (B,) arrays of one length B: those put B
+        designs on the copy's leading batch axis, design b taking entry b of
+        every array, and the source's geometry broadcasts along that axis.
+        """
+        slots = [self._target(name) for name in values]
+        columns = np.array(list(values.values()), dtype=float)  # (names,) + batch
+        batch = np.broadcast_shapes(self.geom.shape[:-1], columns.shape[1:])
         out = self.copy()
-        for name, value in values.items():
-            out.set_parameter(name, value)
+        out.geom = np.array(np.broadcast_to(self.geom, batch + self.geom.shape[-1:]))
+        out.geom[..., slots] = np.moveaxis(columns, 0, -1)
         return out
 
-    def _target(self, name: str) -> tuple:
+    def _target(self, name: str) -> int:
+        """The geom column the named parameter is bound to."""
         try:
             return self._targets[name]
         except KeyError:
             raise UnknownParameter(f"no design parameter named {name!r}") from None
 
-    def _slot(self, target: tuple):
-        """(container, key) of a parsed target's scalar in this graph.
-
-        The container is a link point array (key: axis index) or a record's
-        field dict (key: field name).  KeyError when the record is missing.
-        """
-        kind, ref, key = target
-        if kind == "point":
-            return self.links[ref[0]].points[ref[1]], key
-        if kind == "driver":
-            return vars(self.spec.driver), key
-        records = {
-            "pivot": self.pivots,
-            "gear": self.gear_by_id,
-            "output": self._angle_outputs,
-        }[kind]
-        return vars(records[ref]), key
-
-    def _get(self, target: tuple) -> float:
-        container, key = self._slot(target)
-        return float(container[key])
-
     def copy(self) -> "MechanismGraph":
         """An independent graph: shared topology, private geometry."""
-        spec = self.spec
         out = object.__new__(MechanismGraph)
         out.__dict__.update(self.__dict__)
-        out._bind(
-            replace(
-                spec,
-                links=[
-                    replace(link, points={k: v.copy() for k, v in link.points.items()})
-                    for link in spec.links
-                ],
-                ground_pivots=[replace(p) for p in spec.ground_pivots],
-                driver=replace(spec.driver),
-                gear_couplings=[replace(c) for c in spec.gear_couplings],
-                angle_outputs=[replace(o) for o in spec.angle_outputs],
-            )
-        )
+        out.geom = self.geom.copy()
         return out
-
-    # -- lookups used by the solver ---------------------------------------
-
-    def angle_output(self, name: str) -> AngleOutput:
-        return self._angle_outputs[name]
 
     def summary(self) -> dict:
         """Counts used by the validate CLI and by tests."""
@@ -361,7 +340,7 @@ class MechanismGraph:
         for b in self.parameters.values():
             stages[b.stage] += 1
         return {
-            "name": self.spec.name,
+            "name": self._spec.name,
             "links": len(self.links),
             "ground_pivots": len(self.pivots),
             "joints": len(self.joints),
@@ -398,7 +377,7 @@ def validate_mechanism(spec: LinkageSpec) -> MechanismGraph:
 
 
 def _build(g: MechanismGraph) -> None:
-    spec = g.spec
+    spec = g._spec
     for kind in ("links", "ground_pivots", "joints", "gear_couplings"):
         seen: set[str] = set()
         for record in getattr(spec, kind):
@@ -409,25 +388,26 @@ def _build(g: MechanismGraph) -> None:
         if link.id == GROUND:
             raise SchemaError(f"links[{link.id}]", "link id 'ground' is reserved")
         link.points = {k: np.asarray(v, dtype=float) for k, v in link.points.items()}
-    g._bind(spec)
+    g.links: dict[str, Link] = {link.id: link for link in spec.links}
+    g.pivots: dict[str, GroundPivot] = {p.id: p for p in spec.ground_pivots}
+    g.gear_by_id = {c.id: c for c in spec.gear_couplings}
+    g._angle_outputs = {}
+    if spec.driver is None:
+        raise MissingDriver("mechanism declares no driver joint")
+    fields = list(_fields(spec))
+    g._slots = {target: i for i, (target, *_) in enumerate(fields)}
+    if len(g._slots) != len(fields):
+        raise SchemaError("links", "two geometry fields share one target name")
+    g.geom = np.array([container[key] for _, container, key, _ in fields], dtype=float)
+    for link in spec.links:
+        g._xy.update({(link.id, p): g._slots[f"point:{link.id}.{p}.x"] for p in link.points})
+    g._xy.update({(GROUND, p.id): g._slots[f"pivot:{p.id}.x"] for p in spec.ground_pivots})
     g.joints = {joint.id: joint for joint in spec.joints}
     for joint in spec.joints:
-        for end, ref in (("a", joint.a), ("b", joint.b)):
-            link_id, point = ref
-            if link_id == GROUND:
-                if point not in g.pivots:
-                    raise SchemaError(
-                        f"joints[{joint.id}].{end}", f"unknown ground pivot {point!r}"
-                    )
-            elif link_id not in g.links:
-                raise SchemaError(
-                    f"joints[{joint.id}].{end}", f"unknown link {link_id!r}"
-                )
-            elif point not in g.links[link_id].points:
-                raise SchemaError(
-                    f"joints[{joint.id}].{end}",
-                    f"link {link_id!r} has no point {point!r}",
-                )
+        for end, (link_id, point) in (("a", joint.a), ("b", joint.b)):
+            if (link_id, point) not in g._xy:
+                where = f"joints[{joint.id}].{end}"
+                raise SchemaError(where, f"unknown point {link_id}:{point}")
         if joint.a[0] == joint.b[0]:
             raise SchemaError(
                 f"joints[{joint.id}]", "both attachments on the same link"
@@ -441,8 +421,6 @@ def _build(g: MechanismGraph) -> None:
                 f"link {link.id!r} has zero extent (all points coincide)"
             )
 
-    if spec.driver is None:
-        raise MissingDriver("mechanism declares no driver joint")
     if spec.driver.joint not in g.joints:
         raise SchemaError("driver.joint", f"unknown joint {spec.driver.joint!r}")
     if spec.driver.sign not in (1, -1):
@@ -483,11 +461,32 @@ def _build(g: MechanismGraph) -> None:
     _branches_and_home(g)
     _outputs(g)
     _parameter_map(g)
-    g.steps = _derive_plan(g, {g.spec.driver.joint})
+    g.steps = _derive_plan(g, {spec.driver.joint})
     if g.steps is not None:
         g.plan = [step for kind, step in g.steps if kind == "dyad"]
-    g.newton_steps = _derive_plan(g, {g.spec.driver.joint, *g.free_joints})
+    g.newton_steps = _derive_plan(g, {spec.driver.joint, *g.free_joints})
     _fourbar_loops(g)
+    for _, container, key, _ in fields:  # geom is the one store from here on
+        container[key] = math.nan
+
+
+def _fields(spec: LinkageSpec):
+    """Every geometry scalar of ``spec`` in slot order, as (target string,
+    container, key, negated by mirroring); a point's x and y take adjacent
+    slots.  The target strings are the grammar of ParameterBinding."""
+    for link in spec.links:
+        for name, xy in link.points.items():
+            yield f"point:{link.id}.{name}.x", xy, 0, True
+            yield f"point:{link.id}.{name}.y", xy, 1, False
+    for pivot in spec.ground_pivots:
+        yield f"pivot:{pivot.id}.x", vars(pivot), "x", True
+        yield f"pivot:{pivot.id}.y", vars(pivot), "y", False
+    yield "driver.offset_deg", vars(spec.driver), "offset_deg", True
+    for coupling in spec.gear_couplings:
+        yield f"gear:{coupling.id}.ratio", vars(coupling), "ratio", False
+        yield f"gear:{coupling.id}.offset_deg", vars(coupling), "offset_deg", True
+    for out in spec.angle_outputs:
+        yield f"output:{out.name}.offset_deg", vars(out), "offset_deg", False
 
 
 def _spanning_tree(g: MechanismGraph) -> None:
@@ -497,7 +496,7 @@ def _spanning_tree(g: MechanismGraph) -> None:
         adjacency[joint.a[0]].append(joint.id)
         adjacency[joint.b[0]].append(joint.id)
 
-    driver_joint = g.spec.driver.joint
+    driver_joint = g._spec.driver.joint
     in_tree = {GROUND}
     frontier: set[str] = set(adjacency[GROUND])
     used: set[str] = set()
@@ -564,14 +563,14 @@ def _loop_cycle(g: MechanismGraph, closure_id: str) -> list[str]:
 
 
 def _classify_joints(g: MechanismGraph) -> None:
-    driver_joint = g.spec.driver.joint
+    driver_joint = g._spec.driver.joint
     if driver_joint in g.closures:
         raise SchemaError(
             "driver.joint", "driver joint closes a loop; drive a tree joint instead"
         )
     tree_set = set(g.tree_order)
-    slaved = {c.joint_out for c in g.spec.gear_couplings}
-    for coupling in g.spec.gear_couplings:
+    slaved = {c.joint_out for c in g._spec.gear_couplings}
+    for coupling in g._spec.gear_couplings:
         if coupling.joint_out not in tree_set:
             raise SchemaError(
                 f"gear_couplings[{coupling.id}].joint_out",
@@ -598,7 +597,7 @@ def _gear_order(g: MechanismGraph) -> None:
     both expressible (every tree joint on their root paths resolved).
     Couplings that cannot be ordered form a dependency cycle.
     """
-    pending = {c.id: c for c in g.spec.gear_couplings}
+    pending = {c.id: c for c in g._spec.gear_couplings}
     alpha_known = {jid for jid in g.tree_order if g.joint_kind[jid] != "gear"}
 
     def theta_known(link: str) -> bool:
@@ -647,7 +646,7 @@ def _check_balance(g: MechanismGraph) -> None:
 
 
 def _branches_and_home(g: MechanismGraph) -> None:
-    for jid, flag in g.spec.branches.items():
+    for jid, flag in g._spec.branches.items():
         if jid not in g.joints:
             raise SchemaError(f"branches[{jid}]", "unknown joint")
         if jid not in g.closures:
@@ -657,15 +656,15 @@ def _branches_and_home(g: MechanismGraph) -> None:
         if flag not in BRANCHES:
             raise SchemaError(f"branches[{jid}]", f"branch must be one of {BRANCHES}")
     # Loops without an explicit flag assemble on the open branch.
-    g.branch_of = {cid: g.spec.branches.get(cid, "open") for cid in g.closures}
-    for jid, angle in g.spec.home_pose_deg.items():
+    g.branch_of = {cid: g._spec.branches.get(cid, "open") for cid in g.closures}
+    for jid, angle in g._spec.home_pose_deg.items():
         if jid not in g.joints:
             raise SchemaError(f"home_pose_deg[{jid}]", "unknown joint")
         g.home_pose[jid] = math.radians(float(angle))
 
 
 def _outputs(g: MechanismGraph) -> None:
-    for out in g.spec.angle_outputs:
+    for out in g._spec.angle_outputs:
         if (out.link is None) == (out.joint is None):
             raise SchemaError(
                 f"outputs.angles.{out.name}",
@@ -685,40 +684,34 @@ def _outputs(g: MechanismGraph) -> None:
     for required in ("theta_s", "theta_e"):
         if required not in g._angle_outputs:
             raise SchemaError(f"outputs.angles.{required}", "angle output missing")
-    for name, (link_id, point) in g.spec.point_outputs.items():
-        if link_id == GROUND:
-            if point not in g.pivots:
-                raise DanglingOutput(
-                    f"point output {name!r} references missing pivot {point!r}"
-                )
-        elif link_id not in g.links or point not in g.links[link_id].points:
+    for name, (link_id, point) in g._spec.point_outputs.items():
+        if (link_id, point) not in g._xy:
             raise DanglingOutput(
-                f"point output {name!r} references missing point "
-                f"{link_id}:{point}"
+                f"point output {name!r} references missing point {link_id}:{point}"
             )
     for required in ("elbow", "wingtip"):
-        if required not in g.spec.point_outputs:
+        if required not in g._spec.point_outputs:
             raise SchemaError(f"outputs.points.{required}", "point output missing")
 
 
 def _parameter_map(g: MechanismGraph) -> None:
-    for binding in g.spec.parameters:
+    for binding in g._spec.parameters:
         where = f"parameters[{binding.name}]"
         if binding.name in g.parameters:
             raise SchemaError(where, "duplicate name")
         if binding.stage not in STAGES:
             raise SchemaError(f"{where}.stage", f"stage must be one of {STAGES}")
-        target = _resolve_target(g, binding.target, f"{where}.target")
-        value = g._get(target)
+        slot = _resolve_target(g, binding.target, f"{where}.target")
+        value = float(g.geom[slot])
         if not binding.min <= value <= binding.max:
             raise SchemaError(
                 where,
                 f"value {value!r} outside bounds [{binding.min}, {binding.max}]",
             )
         g.parameters[binding.name] = binding
-        g._targets[binding.name] = target
+        g._targets[binding.name] = slot
     seen_sym: set[str] = set()
-    for sym in g.spec.symmetry:
+    for sym in g._spec.symmetry:
         if sym.name in seen_sym:
             raise SchemaError(f"symmetry[{sym.name}]", "duplicate name")
         seen_sym.add(sym.name)
@@ -726,49 +719,12 @@ def _parameter_map(g: MechanismGraph) -> None:
         g._symmetry.append((sym, target))
 
 
-def _resolve_target(g: MechanismGraph, target: str, where: str) -> tuple:
-    """Parse a target string and check that its record exists."""
+def _resolve_target(g: MechanismGraph, target: str, where: str) -> int:
+    """The geom column of a target string; SchemaError when it names none."""
     try:
-        parsed = _target_parts(target)
-        g._slot(parsed)
-    except KeyError as exc:
-        raise SchemaError(where, f"unresolvable: {exc}") from None
-    return parsed
-
-
-def _target_parts(target: str) -> tuple:
-    """Parse a target into (kind, record ref, key) for MechanismGraph._slot."""
-    head, _, rest = target.partition(":")
-    if head == "driver.offset_deg" and not rest:
-        return ("driver", None, "offset_deg")
-    if head == "pivot":
-        ref, _, axis = rest.rpartition(".")
-        if axis not in ("x", "y") or not ref:
-            raise KeyError(f"bad pivot target {target!r}")
-        return ("pivot", ref, axis)
-    if head == "point":
-        ref, _, axis = rest.rpartition(".")
-        link, _, point = ref.partition(".")
-        if axis not in ("x", "y") or not link or not point:
-            raise KeyError(f"bad point target {target!r}")
-        return ("point", (link, point), 0 if axis == "x" else 1)
-    if head == "gear":
-        ref, _, fieldname = rest.rpartition(".")
-        if fieldname == "offset_deg":
-            ref2, fieldname = ref, "offset_deg"
-        elif rest.endswith(".ratio"):
-            ref2, fieldname = rest[: -len(".ratio")], "ratio"
-        else:
-            raise KeyError(f"bad gear target {target!r}")
-        if not ref2:
-            raise KeyError(f"bad gear target {target!r}")
-        return ("gear", ref2, fieldname)
-    if head == "output":
-        ref, _, fieldname = rest.rpartition(".")
-        if fieldname != "offset_deg" or not ref:
-            raise KeyError(f"bad output target {target!r}")
-        return ("output", ref, "offset_deg")
-    raise KeyError(f"unknown target {target!r}")
+        return g._slots[target]
+    except KeyError:
+        raise SchemaError(where, f"unresolvable target {target!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -922,15 +878,12 @@ def mirror_mechanism(mech: MechanismGraph) -> MechanismGraph:
         spec.name = spec.name[: -len(marker)]
     else:
         spec.name = spec.name + marker
-    for pivot in spec.ground_pivots:
-        pivot.x = -pivot.x
-    for link in spec.links:
-        for point in link.points.values():
-            point[0] = -point[0]
+    negated = set()
+    for target, container, key, negates in _fields(spec):
+        if negates:
+            container[key] = -container[key]
+            negated.add(target)
     spec.driver.sign = -spec.driver.sign
-    spec.driver.offset_deg = -spec.driver.offset_deg
-    for coupling in spec.gear_couplings:
-        coupling.offset_deg = -coupling.offset_deg
     for out in spec.angle_outputs:
         out.sign = -out.sign
     spec.branches = {
@@ -939,22 +892,12 @@ def mirror_mechanism(mech: MechanismGraph) -> MechanismGraph:
     }
     spec.home_pose_deg = {jid: -a for jid, a in spec.home_pose_deg.items()}
     for binding in spec.parameters:
-        if _negates_under_mirror(mech._targets[binding.name]):
+        if binding.target in negated:
             binding.min, binding.max = -binding.max, -binding.min
-    for sym, (_, target) in zip(spec.symmetry, mech._symmetry):
-        if _negates_under_mirror(target):
+    for sym in spec.symmetry:
+        if sym.target in negated:
             sym.value = -sym.value
     return MechanismGraph(spec)
-
-
-def _negates_under_mirror(target: tuple) -> bool:
-    kind, _, key = target
-    return (
-        kind == "driver"
-        or (kind == "pivot" and key == "x")
-        or (kind == "point" and key == 0)
-        or (kind == "gear" and key == "offset_deg")
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Two solve routes share the same mechanism graph and one step executor,
 ``_run_steps``, which places links by the tree, gear and dyad steps fixed
-at validation, vectorized over a whole phase grid:
+at validation, vectorized over a phase grid and a batch of designs:
 
 * the analytic route runs ``steps`` from the driven angle (dyads built
   with the circle-intersection construction; exact to machine precision,
@@ -36,6 +36,7 @@ from .errors import (
     NoConvergence,
     NonPositiveLength,
     NotAssemblable,
+    SchemaError,
     SingularConfiguration,
     SingularJacobian,
 )
@@ -137,12 +138,18 @@ def _perp(w):
 
 
 class _Solution:
-    """Dense solved state over a scalar phase or a phase grid."""
+    """Dense solved state of a graph's designs over a scalar phase or a phase
+    grid: arrays of shape batch + phase shape (+ (2,) for world points)."""
 
     def __init__(self, graph: MechanismGraph, phi):
         self.graph = graph
         self.phi = np.asarray(phi, dtype=float)
-        shape = self.phi.shape
+        batch = graph.geom.shape[:-1]
+        # Geometry slot-major: cols[i] is slot i per design, shaped to
+        # broadcast over the phase axes (a plain scalar for one design).
+        pad = (1,) * self.phi.ndim if batch else ()
+        self.cols = graph.geom.T.reshape(graph.geom.shape[-1:] + batch + pad)
+        shape = batch + self.phi.shape
         self.theta = {GROUND: np.zeros(shape)}
         self.origin = {GROUND: np.zeros(shape + (2,))}
         self.alpha: dict[str, np.ndarray] = {}
@@ -154,19 +161,28 @@ class _Solution:
 
     def __getitem__(self, index) -> "_Solution":
         """One sample (int) or a range of samples (slice) of a grid solution."""
+        at = (slice(None),) * (self.graph.geom.ndim - 1) + (index,)  # phase axis
         out = _Solution(self.graph, self.phi[index])
         for name in ("theta", "origin", "alpha", "margin", "transmission"):
-            setattr(out, name, {k: v[index] for k, v in getattr(self, name).items()})
+            setattr(out, name, {k: v[at] for k, v in getattr(self, name).items()})
         for name in ("ok", "gap", "residual"):
-            setattr(out, name, getattr(self, name)[index])
+            setattr(out, name, getattr(self, name)[at])
         return out
 
+    def value(self, target: str):
+        """A geometry scalar per design, shaped to broadcast over phases."""
+        return self.cols[self.graph._slots[target]]
+
+    def local(self, link_id: str, point: str) -> np.ndarray:
+        """A point's x and y, stacked first, in its link's (or ground's) frame."""
+        i = self.graph._xy[link_id, point]
+        return self.cols[i : i + 2]
+
     def point_world(self, link_id: str, point: str) -> np.ndarray:
-        if link_id == GROUND:
-            return self.origin[GROUND] + self.graph.pivots[point].xy
-        return self.origin[link_id] + _rotate(
-            self.theta[link_id], self.graph.links[link_id].point(point)
-        )
+        local = self.local(link_id, point)
+        if link_id == GROUND:  # x, y onto the last axis
+            return self.origin[GROUND] + local.transpose((*range(1, local.ndim), 0))
+        return self.origin[link_id] + _rotate(self.theta[link_id], local)
 
     def finish(self):
         """Fill unset joint angles from link orientations, the closure gaps
@@ -175,7 +191,7 @@ class _Solution:
         for jid, joint in g.joints.items():
             if jid not in self.alpha:
                 self.alpha[jid] = self.theta[joint.b[0]] - self.theta[joint.a[0]]
-        self.gap = np.empty(self.phi.shape + (2 * len(g.closures),))
+        self.gap = np.empty(self.ok.shape + (2 * len(g.closures),))
         for i, cid in enumerate(g.closures):
             joint = g.joints[cid]
             self.gap[..., 2 * i : 2 * i + 2] = (
@@ -187,7 +203,7 @@ class _Solution:
 
 def _raise_first_failure(sol: _Solution) -> None:
     """Raise, with its phase, the first failed sample of the first failing dyad."""
-    phi = np.atleast_1d(sol.phi)
+    phi = np.atleast_1d(np.broadcast_to(sol.phi, sol.ok.shape))
     for step in sol.graph.plan:
         trans = np.atleast_1d(sol.transmission[step.closure])
         bad = np.isnan(trans)
@@ -230,8 +246,8 @@ def _run_steps(sol: _Solution, steps) -> _Solution:
     """Set the driven angle and place every link by executing ``steps``;
     the one forward pass of both solve routes."""
     g = sol.graph
-    drv = g.spec.driver
-    sol.alpha[drv.joint] = drv.sign * sol.phi + math.radians(drv.offset_deg)
+    drv = g._spec.driver
+    sol.alpha[drv.joint] = drv.sign * sol.phi + np.radians(sol.value("driver.offset_deg"))
     for kind, ref in steps:
         if kind == "tree":
             child = g.tree_child[ref]
@@ -242,7 +258,7 @@ def _run_steps(sol: _Solution, steps) -> _Solution:
             sign = 1.0 if joint.b[0] == child else -1.0
             theta_child = sol.theta[parent] + sign * sol.alpha[ref]
             anchor = sol.point_world(parent, joint.attachment(parent))
-            local = g.links[child].point(joint.attachment(child))
+            local = sol.local(child, joint.attachment(child))
             sol.theta[child] = theta_child
             sol.origin[child] = anchor - _rotate(theta_child, local)
         elif kind == "gear":
@@ -253,9 +269,9 @@ def _run_steps(sol: _Solution, steps) -> _Solution:
             else:
                 joint = g.joints[jin]
                 value = sol.theta[joint.b[0]] - sol.theta[joint.a[0]]
-            sol.alpha[coupling.joint_out] = coupling.ratio * value + math.radians(
-                coupling.offset_deg
-            )
+            ratio = sol.value(f"gear:{ref}.ratio")
+            offset = np.radians(sol.value(f"gear:{ref}.offset_deg"))
+            sol.alpha[coupling.joint_out] = ratio * value + offset
         else:
             _place_dyad(sol, ref)
     return sol.finish()
@@ -264,13 +280,13 @@ def _run_steps(sol: _Solution, steps) -> _Solution:
 def _place_dyad(sol: _Solution, step) -> None:
     """Place a dyad's two links by intersecting circles about its anchors."""
     g = sol.graph
-    link1 = g.links[step.link1]
-    link2 = g.links[step.link2]
-    v1 = link1.point(step.m1) - link1.point(step.a1)
-    v2 = link2.point(step.m2) - link2.point(step.b2)
-    r1 = float(np.hypot(*v1))
-    r2 = float(np.hypot(*v2))
-    if r1 <= 0.0 or r2 <= 0.0:
+    a1 = sol.local(step.link1, step.a1)
+    b2 = sol.local(step.link2, step.b2)
+    v1 = sol.local(step.link1, step.m1) - a1
+    v2 = sol.local(step.link2, step.m2) - b2
+    r1 = np.hypot(v1[0], v1[1])
+    r2 = np.hypot(v2[0], v2[1])
+    if ((r1 <= 0.0) | (r2 <= 0.0)).any():
         raise NonPositiveLength(f"dyad leg through joint {step.hinge!r} has zero length")
     p = sol.point_world(*step.p_ref)
     q = sol.point_world(*step.q_ref)
@@ -283,13 +299,22 @@ def _place_dyad(sol: _Solution, step) -> None:
     sol.transmission[step.closure] = np.where(bad, np.nan, trans)
     sol.ok &= ~bad
     theta1 = np.arctan2(hinge[..., 1] - p[..., 1], hinge[..., 0] - p[..., 0])
-    theta1 = theta1 - math.atan2(v1[1], v1[0])
+    theta1 = theta1 - _leg_angle(v1)
     theta2 = np.arctan2(hinge[..., 1] - q[..., 1], hinge[..., 0] - q[..., 0])
-    theta2 = theta2 - math.atan2(v2[1], v2[0])
+    theta2 = theta2 - _leg_angle(v2)
     sol.theta[step.link1] = theta1
     sol.theta[step.link2] = theta2
-    sol.origin[step.link1] = p - _rotate(theta1, link1.point(step.a1))
-    sol.origin[step.link2] = q - _rotate(theta2, link2.point(step.b2))
+    sol.origin[step.link1] = p - _rotate(theta1, a1)
+    sol.origin[step.link2] = q - _rotate(theta2, b2)
+
+
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _leg_angle(v) -> np.ndarray:
+    """A link-local leg's direction per design, by math.atan2: numpy's
+    vector arctan2 loop can differ from libm in the last bit."""
+    return np.asarray(_atan2(v[1], v[0]), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +330,7 @@ def _angle_weights(graph: MechanismGraph) -> dict[str, np.ndarray]:
     g = graph
     nq = len(g.free_joints)
     dalpha = dict(zip(g.free_joints, np.eye(nq)))
-    dalpha[g.spec.driver.joint] = np.zeros(nq)
+    dalpha[g._spec.driver.joint] = np.zeros(nq)
     dtheta = {GROUND: np.zeros(nq)}
     for kind, ref in g.newton_steps:
         if kind == "tree":
@@ -320,7 +345,7 @@ def _angle_weights(graph: MechanismGraph) -> dict[str, np.ndarray]:
             else:
                 joint = g.joints[jin]
                 value = dtheta[joint.b[0]] - dtheta[joint.a[0]]
-            dalpha[coupling.joint_out] = coupling.ratio * value
+            dalpha[coupling.joint_out] = g.geom[g._slots[f"gear:{ref}.ratio"]] * value
     return dtheta
 
 
@@ -382,12 +407,22 @@ def _solve_newton(graph: MechanismGraph, phi: float, q0: np.ndarray) -> _Solutio
 
 
 def _free_vector(graph, sol: _Solution) -> np.ndarray:
-    return np.stack([sol.alpha[jid] for jid in graph.free_joints], axis=-1)
+    """The free joint angles, shape (..., nq); nq may be 0."""
+    angles = [sol.alpha[jid] for jid in graph.free_joints]
+    return np.stack(angles, axis=-1) if angles else np.empty(sol.ok.shape + (0,))
+
+
+def _one_design(graph: MechanismGraph, what: str) -> None:
+    if graph.geom.ndim != 1:
+        raise ValueError(f"{what} takes a graph of one design, not a batch")
 
 
 def _guess_vector(graph, guess, phi: float) -> np.ndarray:
     if guess is not None:
         angles = guess.joint_angles if isinstance(guess, Configuration) else guess
+        missing = [jid for jid in graph.free_joints if jid not in angles]
+        if missing:
+            raise SchemaError(f"guess[{missing[0]}]", "a guess must name every free joint")
         return np.array([angles[jid] for jid in graph.free_joints])
     if graph.plan is not None:
         try:
@@ -403,16 +438,13 @@ def _guess_vector(graph, guess, phi: float) -> np.ndarray:
 
 def _configuration(graph, sol: _Solution) -> Configuration:
     """The Configuration of a single-sample solution."""
+    _one_design(graph, "a Configuration")
     joint_angles = {jid: float(sol.alpha[jid]) for jid in graph.joints}
     points: dict[str, tuple[float, float]] = {}
-    for pid in graph.pivots:
-        xy = graph.pivots[pid].xy
-        points[f"ground:{pid}"] = (float(xy[0]), float(xy[1]))
-    for link_id, link in graph.links.items():
-        for pname in link.points:
-            w = sol.point_world(link_id, pname)
-            points[f"{link_id}:{pname}"] = (float(w[0]), float(w[1]))
-    for name, ref in graph.spec.point_outputs.items():
+    for link_id, pname in graph._xy:
+        w = sol.local(GROUND, pname) if link_id == GROUND else sol.point_world(link_id, pname)
+        points[f"{link_id}:{pname}"] = (float(w[0]), float(w[1]))
+    for name, ref in graph._spec.point_outputs.items():
         key = f"{ref[0]}:{ref[1]}"
         points[name] = points[key]
     return Configuration(
@@ -435,11 +467,12 @@ def solve_configuration(
     one, falling back to Newton; 'analytic' requires the plan; 'newton'
     forces the iterative route (seeded by ``guess``, else the analytic
     solution, else the stored home pose).  ``guess`` may be a previous
-    Configuration or a mapping of free-joint angles in radians, such as
-    ``mech.home_pose``.
+    Configuration or a mapping of every free joint's angle in radians
+    (SchemaError when one is missing), such as ``mech.home_pose``.
     """
     if method not in ("auto", "analytic", "newton"):
         raise ValueError(f"unknown method {method!r}")
+    _one_design(mech, "solve_configuration")
     phi = float(phi)
     if method in ("auto", "analytic") and mech.plan is not None:
         sol = _solve_analytic(mech, phi)
@@ -463,10 +496,16 @@ def sweep_series(
     """Sweep one wingbeat and return dense arrays (no Configuration objects).
 
     Returns a dict with phi, ok, theta_s_deg, theta_e_deg, elbow, tip,
-    residual, margin, transmission, free (free joint angle matrix) and
-    wrap_deviation_rad.  With ``strict`` the first failing sample raises,
-    annotated with its phase; otherwise failures are masked in ``ok`` and
-    angle series are principal-valued where the sweep is interrupted.
+    residual, margin, transmission, free (free joint angle matrix),
+    max_step_rad and wrap_deviation_rad.  With ``strict`` the first failing
+    sample raises, annotated with its phase; otherwise failures are masked
+    in ``ok``, and a design whose sweep is interrupted gets principal-valued
+    angle series and NaN continuity figures.
+
+    A batch of B designs (``geom`` of shape (B, P)) sweeps in one pass: every
+    array but phi gains a leading axis of B (ok (B, N), tip (B, N, 2), free
+    (B, N, nq), max_step_rad (B,), ...), and row b equals the sweep of design
+    b alone, bit for bit.  The Newton route sweeps one design at a time.
     """
     phi = phase_grid(samples)
     analytic = method in ("auto", "analytic") and mech.plan is not None
@@ -481,9 +520,9 @@ def sweep_series(
         if strict:
             _raise_first_failure(sol)
         free = _free_vector(mech, sol)
-        wrap_free = _free_vector(mech, full)[samples]
-        all_ok = bool(np.all(sol.ok))
+        wrap_free = _free_vector(mech, full)[..., samples, :]
     else:
+        _one_design(mech, "the Newton route")
         # Sequential continuation keeps only the free angles; one forward
         # pass over them then fills the grid solution.
         free = np.full((samples, len(mech.free_joints)), np.nan)
@@ -496,7 +535,6 @@ def sweep_series(
                 if strict:
                     raise
                 ok[k] = False
-        all_ok = bool(np.all(ok))
         try:
             wrap_free = _free_vector(mech, _solve_newton(mech, TWO_PI, q))
         except (NoConvergence, SingularJacobian, NotAssemblable):
@@ -504,6 +542,7 @@ def sweep_series(
         sol = _forward(mech, phi, free)
         sol.ok = ok
 
+    all_ok = np.all(sol.ok, axis=-1)  # per design
     out = {
         "phi": phi,
         "ok": sol.ok.copy(),
@@ -512,30 +551,31 @@ def sweep_series(
         "transmission": dict(sol.transmission),
         "free": free,
     }
-    if all_ok and len(phi) > 1:
-        steps = np.abs(wrap_pi(np.diff(free, axis=0)))
-        wrap_step = np.abs(wrap_pi(wrap_free - free[-1]))
-        out["max_step_rad"] = float(max(steps.max(), wrap_step.max()))
-        out["wrap_deviation_rad"] = float(np.max(np.abs(wrap_pi(wrap_free - free[0]))))
-    else:
-        out["max_step_rad"] = math.nan
-        out["wrap_deviation_rad"] = math.nan
+    # Steps run between consecutive samples, the last onto the wrap sample;
+    # maxima over no free angles are 0.  A design that failed somewhere gets
+    # NaN and principal-valued angles (NaN samples only slow the arithmetic).
+    valid = all_ok & (len(phi) > 1)
+    steps = deviation = math.nan
+    if np.any(valid):
+        cycle = np.concatenate([free, wrap_free[..., None, :]], axis=-2)
+        steps = np.abs(wrap_pi(np.diff(cycle, axis=-2))).max(axis=(-2, -1), initial=0.0)
+        deviation = np.abs(wrap_pi(wrap_free - free[..., 0, :])).max(axis=-1, initial=0.0)
+    out["max_step_rad"] = np.where(valid, steps, math.nan)[()]
+    out["wrap_deviation_rad"] = np.where(valid, deviation, math.nan)[()]
 
-    unwrap = all_ok
     for name in ("theta_s", "theta_e"):
-        spec_out = mech.angle_output(name)
+        spec_out = mech._angle_outputs[name]
         if spec_out.link is not None:
             raw = sol.theta[spec_out.link]
         else:
             raw = sol.alpha[spec_out.joint]
-        raw = np.asarray(raw, dtype=float)
-        if unwrap:
-            raw = np.unwrap(raw)
-        out[f"{name}_deg"] = spec_out.sign * np.degrees(raw) + spec_out.offset_deg
-    elbow_ref = mech.spec.point_outputs["elbow"]
-    tip_ref = mech.spec.point_outputs["wingtip"]
-    out["elbow"] = sol.point_world(*elbow_ref)
-    out["tip"] = sol.point_world(*tip_ref)
+        if np.any(all_ok):
+            raw = np.where(all_ok[..., None], np.unwrap(raw, axis=-1), raw)
+        offset = sol.value(f"output:{name}.offset_deg")
+        out[f"{name}_deg"] = spec_out.sign * np.degrees(raw) + offset
+    point_outputs = mech._spec.point_outputs
+    out["elbow"] = sol.point_world(*point_outputs["elbow"])
+    out["tip"] = sol.point_world(*point_outputs["wingtip"])
     out["_solution"] = sol
     return out
 
@@ -547,6 +587,7 @@ def sweep_gait(
 
     The sweep is strict: any sample that cannot be assembled raises with
     the failing phase in the message.  At least 8 samples are required.
+    A batch of designs gives batched arrays and no configurations.
     """
     if samples < 8:
         raise ValueError(f"a gait sweep needs at least 8 samples, got {samples}")
@@ -562,7 +603,7 @@ def sweep_gait(
         configurations=_Configurations(sol),
         wrap_deviation_rad=series["wrap_deviation_rad"],
         max_step_rad=series["max_step_rad"],
-        residual_max=float(np.max(series["residual"])),
+        residual_max=np.max(series["residual"], axis=-1)[()],
     )
 
 

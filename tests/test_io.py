@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from armwing import (
+    ArmwingError,
     FitOptions,
     GridMismatch,
     MechanismSyntaxError,
@@ -19,6 +20,7 @@ from armwing import (
     read_trajectory_csv,
     sample_targets,
     sweep_gait,
+    sweep_series,
     targets_from_trajectory,
     validate_mechanism,
     write_mechanism_file,
@@ -230,3 +232,63 @@ def test_huge_integers_are_schema_errors(edit, field):
         parse_mechanism_text(json.dumps(doc))
     assert err.value.field == field
     assert "must be finite" in str(err.value)
+
+
+_DELETE = object()
+
+
+def _nodes(node, path=()):
+    """(path, value) of every key and element below ``node``, depth first."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in children:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+def _single_field_mutations(doc: dict):
+    """(path, new value, must fail) for every one-field edit of ``doc``.
+
+    A number set to a non-number, a boolean or an integer beyond the float
+    range must be rejected.  Deletions and edits of strings and containers
+    may leave a valid document, so those need only fail cleanly.
+    """
+    for path, value in _nodes(doc):
+        yield path, _DELETE, False
+        if isinstance(value, (int, float)):
+            for bad in ("1.0", None, [1.0], {"x": 1.0}, True, 10**400):
+                yield path, bad, True
+        elif isinstance(value, str):
+            for bad in (1.0, "", "nolink:nopoint", None):
+                yield path, bad, False
+        else:
+            for bad in ([], {}, "x", None):
+                yield path, bad, False
+
+
+def test_every_single_field_mutation_ends_in_an_armwing_error():
+    text = REFERENCE_PATH.read_text()
+    escapes = []
+    count = 0
+    for path, value, must_fail in _single_field_mutations(json.loads(text)):
+        count += 1
+        doc = json.loads(text)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        try:
+            mech = validate_mechanism(parse_mechanism_text(json.dumps(doc)))
+            sweep_series(mech, 8, strict=False)
+        except ArmwingError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - any other class is the finding
+            escapes.append((path, value, repr(exc)))
+            continue
+        if must_fail:
+            escapes.append((path, value, "accepted"))
+    assert count > 2000
+    assert escapes == []

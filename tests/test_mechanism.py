@@ -315,6 +315,8 @@ def test_copy_shares_topology_and_owns_every_geometry_record(reference):
               "newton_steps", "fourbar_loops", "parameters")
     for table in tables:
         assert getattr(twin, table) is getattr(reference, table)
+    assert not np.shares_memory(twin.geom, reference.geom)
+    # spec is built from geom on every read: editing it changes no graph.
     spec = twin.spec
     spec.links[0].points["tip"][0] += 1.0
     spec.ground_pivots[0].x += 1.0
@@ -322,12 +324,12 @@ def test_copy_shares_topology_and_owns_every_geometry_record(reference):
     spec.gear_couplings[0].ratio *= 2.0
     spec.gear_couplings[0].offset_deg += 1.0
     spec.angle_outputs[0].offset_deg += 1.0
+    assert mechanism_to_dict(twin.spec) == before
+    # Every geometry record of spec reads the copy's own geom, and nothing else.
+    twin.geom[:] = np.arange(twin.geom.size) + 0.5
     assert mechanism_to_dict(reference.spec) == before
-    # The copy's lookups follow its own records.
-    assert twin.links[spec.links[0].id] is spec.links[0]
-    assert twin.pivots[spec.ground_pivots[0].id] is spec.ground_pivots[0]
-    assert twin.gear_by_id[spec.gear_couplings[0].id] is spec.gear_couplings[0]
-    assert twin.angle_output(spec.angle_outputs[0].name) is spec.angle_outputs[0]
+    fields = armwing.linkage._fields(twin.spec)
+    assert [container[key] for _, container, key, _ in fields] == twin.geom.tolist()
     moved = mechanism_to_dict(twin.spec)
     twin.copy().set_parameter("crank_len", 17.0)
     assert mechanism_to_dict(twin.spec) == moved
@@ -338,7 +340,6 @@ def test_derived_graphs_never_revalidate(reference, monkeypatch):
         raise AssertionError("mechanism re-derived after validation")
 
     monkeypatch.setattr(armwing.linkage, "_build", rederive)
-    monkeypatch.setattr(armwing.linkage, "_target_parts", rederive)
     no_deepcopy = types.SimpleNamespace(deepcopy=rederive)
     monkeypatch.setattr(armwing.linkage, "copy", no_deepcopy)
     moved = reference.with_parameters({"crank_len": 16.0})

@@ -1,6 +1,8 @@
-"""Randomized invariants: parameter application on the shipped designs, the
-solve routes and mirror symmetry of random Grashof four-bars, and the Newton
-Jacobian against central differences of the forward pass."""
+"""Randomized invariants: parameter application on the shipped designs, one
+design at a time and in batches, batched sensitivity ranking against a
+one-design-at-a-time scorer, the solve routes and mirror symmetry of random
+Grashof four-bars, and the Newton Jacobian against central differences of
+the forward pass."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from armwing import (
     mirror_mechanism,
     parse_mechanism_file,
     parse_mechanism_text,
+    sensitivity_rank,
     sweep_series,
     validate_mechanism,
 )
@@ -60,33 +63,107 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _row(series: dict, b: int) -> dict:
+    """Design b's sweep out of a batched sweep_series result."""
+    return {
+        key: value if key == "phi" else _row(value, b) if isinstance(value, dict) else value[b]
+        for key, value in series.items()
+        if key != "_solution"
+    }
+
+
 @pytest.mark.parametrize("path", [REFERENCE_PATH, DEMO_PATH], ids=lambda p: p.stem)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), samples=st.sampled_from([8, 36]))
-def test_with_parameters_matches_a_fresh_validation(path, data, samples):
+@given(data=st.data(), samples=st.sampled_from([8, 36]), batch=st.sampled_from([1, 2, 5]))
+def test_with_parameters_matches_a_fresh_validation(path, data, samples, batch):
     mech = _shipped(path)
     before = mechanism_to_dict(mech.spec)
+    designs = []
+    for _ in range(batch):
+        values = {}
+        for name, binding in mech.parameters.items():
+            u = data.draw(st.floats(0.0, 1.0), label=name)
+            value = binding.min + u * (binding.max - binding.min)
+            values[name] = min(max(value, binding.min), binding.max)
+        designs.append(values)
+    # All designs applied as one batch and swept in one pass.
+    columns = {name: np.array([values[name] for values in designs]) for name in mech.parameters}
+    batched = sweep_series(mech.with_parameters(columns), samples, strict=False)
+
+    for b, values in enumerate(designs):
+        applied = mech.with_parameters(values)
+        doc = mechanism_to_dict(mech.spec)
+        for name, value in values.items():
+            _write_target(doc, mech.parameters[name].target, value)
+        fresh = validate_mechanism(parse_mechanism_text(json.dumps(doc)))
+
+        got = sweep_series(applied, samples, strict=False)
+        want = sweep_series(fresh, samples, strict=False)
+        del got["_solution"], want["_solution"]
+        assert _same_bits(got, want)
+        assert _same_bits(_row(batched, b), got)
+        assert _same_bits(
+            evaluate_constraints(applied, samples=samples),
+            evaluate_constraints(fresh, samples=samples),
+        )
+    assert mechanism_to_dict(mech.spec) == before
+
+
+@st.composite
+def perturbed_designs(draw, path=REFERENCE_PATH):
+    """A shipped design with each free parameter that no symmetry entry pins
+    scaled by a factor in [0.98, 1.02] and clipped to its bounds, as the
+    benchmark's design generator draws them (without its feasibility
+    filter)."""
+    mech = _shipped(path)
+    pinned = {sym.target for sym in mech.spec.symmetry}
     values = {}
     for name, binding in mech.parameters.items():
-        u = data.draw(st.floats(0.0, 1.0), label=name)
-        value = binding.min + u * (binding.max - binding.min)
-        values[name] = min(max(value, binding.min), binding.max)
+        if binding.stage in ("humerus", "radius") and binding.target not in pinned:
+            factor = draw(st.floats(0.98, 1.02), label=name)
+            value = mech.get_parameter(name) * factor
+            values[name] = min(max(value, binding.min), binding.max)
+    return mech.with_parameters(values)
 
-    applied = mech.with_parameters(values)
-    doc = mechanism_to_dict(mech.spec)
-    for name, value in values.items():
-        _write_target(doc, mech.parameters[name].target, value)
-    fresh = validate_mechanism(parse_mechanism_text(json.dumps(doc)))
 
-    got = sweep_series(applied, samples, strict=False)
-    want = sweep_series(fresh, samples, strict=False)
-    del got["_solution"], want["_solution"]
-    assert _same_bits(got, want)
-    assert _same_bits(
-        evaluate_constraints(applied, samples=samples),
-        evaluate_constraints(fresh, samples=samples),
-    )
-    assert mechanism_to_dict(mech.spec) == before
+def _rank_one_design_at_a_time(mech, delta: float, samples: int) -> list:
+    """sensitivity_rank's result from one apply and one sweep per scaled design."""
+    lo, hi = 1.0 - delta, 1.0 + delta
+    scored = []
+    for name in mech.parameter_names():
+        (ok_lo, tip_lo), (ok_hi, tip_hi) = (
+            (series["ok"], series["tip"])
+            for series in (
+                sweep_series(
+                    mech.with_parameters({name: mech.get_parameter(name) * scale}),
+                    samples,
+                    strict=False,
+                )
+                for scale in (lo, hi)
+            )
+        )
+        both = ok_lo & ok_hi
+        if not np.any(both):
+            scored.append((name, float("inf")))
+            continue
+        gap = np.linalg.norm(tip_hi[both] - tip_lo[both], axis=-1)
+        scored.append((name, float(np.max(gap) / (100.0 * (hi - lo)))))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored
+
+
+@pytest.mark.parametrize("path", [REFERENCE_PATH, DEMO_PATH], ids=lambda p: p.stem)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    samples=st.sampled_from([360, 1000]),
+    delta=st.sampled_from([0.025, 0.1]),
+)
+def test_sensitivity_rank_matches_one_design_at_a_time(path, data, samples, delta):
+    mech = data.draw(perturbed_designs(path), label="design")
+    got = sensitivity_rank(mech, delta=delta, samples=samples)
+    want = _rank_one_design_at_a_time(mech, delta, samples)
+    assert [(n, float(s).hex()) for n, s in got] == [(n, float(s).hex()) for n, s in want]
 
 
 @st.composite

@@ -149,22 +149,38 @@ def test_one_sided_families_still_score(reference):
     assert trivial.score_mm_per_pct == 0.0
 
 
-def test_family_sweeps_each_scale_once(reference, monkeypatch):
+def _count_calls(monkeypatch, *names) -> list[str]:
+    """Record every call of the named functions, by name, in the returned list."""
+    owners = {
+        "with_parameters": MechanismGraph,
+        "sweep_gait": armwing.sensitivity,
+        "sweep_series": armwing.sensitivity,
+    }
     calls = []
+    for name in names:
+        original = getattr(owners[name], name)
 
-    def count(owner, name):
-        original = getattr(owner, name)
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
+        monkeypatch.setattr(owners[name], name, wrapper)
+    return calls
 
-        monkeypatch.setattr(owner, name, wrapper)
 
-    count(MechanismGraph, "with_parameters")
-    count(armwing.sensitivity, "sweep_gait")
-    count(armwing.sensitivity, "sweep_series")
+def test_family_sweeps_each_scale_once(reference, monkeypatch):
+    calls = _count_calls(monkeypatch, "with_parameters", "sweep_gait", "sweep_series")
     result = sensitivity_sweep(reference, "crank_len", (0.98, 1.0, 1.02), samples=90)
     assert not result.failures
     assert calls.count("with_parameters") == 3
     assert calls.count("sweep_gait") + calls.count("sweep_series") == 3
+
+
+def test_rank_applies_and_sweeps_once_per_pass(reference, monkeypatch):
+    calls = _count_calls(monkeypatch, "with_parameters", "sweep_series")
+    samples = 360
+    per_pass = armwing.sensitivity.PASS_SAMPLES // (samples + 1)
+    passes = math.ceil(2 * len(reference.parameters) / per_pass)
+    assert 1 < passes < 2 * len(reference.parameters)
+    sensitivity_rank(reference, samples=samples)
+    assert calls.count("with_parameters") == calls.count("sweep_series") == passes

@@ -15,6 +15,8 @@ from armwing import (
     Link,
     LinkageSpec,
     NotAssemblable,
+    ParameterBinding,
+    SchemaError,
     assembly_report,
     evaluate_constraints,
     fourbar_spec,
@@ -29,7 +31,7 @@ from armwing import (
 from armwing.gait import phase_grid
 from armwing.solver import wrap_pi
 
-from conftest import REFERENCE_PATH
+from conftest import DEMO_PATH, REFERENCE_PATH
 
 
 def test_general_solver_reduces_to_fourbar(demo_fourbar):
@@ -93,8 +95,7 @@ def test_coarse_grid_nests_in_the_fine_grid(reference):
 def test_configurations_keep_the_swept_geometry(reference):
     mech = reference.copy()
     traj = sweep_gait(mech, 36)
-    link, point = mech.spec.point_outputs["wingtip"]
-    mech.links[link].points[point][0] += 5.0
+    mech.geom += 5.0
     for k in (0, 17):
         assert traj.configurations[k].points["wingtip"] == tuple(traj.tip_path[k])
 
@@ -289,3 +290,54 @@ def test_newton_only_topology_sweeps_and_constrains():
         solve_configuration(mech, 0.0, method="analytic")
     entries = evaluate_constraints(mech, samples=36)
     assert entries.shape == (4,) and np.all(np.isfinite(entries))
+
+
+@pytest.mark.parametrize("spec", [
+    lambda: parse_mechanism_file(DEMO_PATH),
+    _triad_sixbar,
+], ids=["demo-fourbar", "triad"])
+def test_a_guess_must_name_every_free_joint(spec):
+    mech = validate_mechanism(spec())
+    missing = next(jid for jid in mech.free_joints if jid not in mech.home_pose)
+    with pytest.raises(SchemaError) as err:
+        solve_configuration(mech, 1.0, guess=mech.home_pose, method="newton")
+    assert err.value.field == f"guess[{missing}]"
+
+
+def _crank() -> LinkageSpec:
+    """One driven link and no loop: nothing is left for a solver to find."""
+    return LinkageSpec(
+        name="crank",
+        links=[Link("crank", {"root": np.zeros(2), "tip": np.array([10.0, 0.0])})],
+        ground_pivots=[GroundPivot("A", 0.0, 0.0)],
+        joints=[Joint("j_drive", ("ground", "A"), ("crank", "root"))],
+        driver=Driver("j_drive"),
+        angle_outputs=[
+            AngleOutput("theta_s", link="crank"),
+            AngleOutput("theta_e", joint="j_drive"),
+        ],
+        point_outputs={"elbow": ("crank", "tip"), "wingtip": ("crank", "tip")},
+        parameters=[ParameterBinding("crank_len", "point:crank.tip.x", 5.0, 20.0, "humerus")],
+    )
+
+
+def test_a_loop_free_mechanism_sweeps_alone_and_in_a_batch():
+    mech = validate_mechanism(_crank())
+    assert mech.free_joints == [] and mech.plan == []
+    traj = sweep_gait(mech, 36)
+    assert traj.max_step_rad == 0.0 and traj.wrap_deviation_rad == 0.0
+    assert np.allclose(np.hypot(*traj.tip_path.T), 10.0, rtol=0.0, atol=1e-12)
+    lengths = np.array([8.0, 10.0, 12.0])
+    batch = sweep_gait(mech.with_parameters({"crank_len": lengths}), 36)
+    assert batch.tip_path.shape == (3, 36, 2)
+    for b, length in enumerate(lengths):
+        alone = sweep_gait(mech.with_parameters({"crank_len": length}), 36)
+        for name in ("theta_s_deg", "theta_e_deg", "elbow_path", "tip_path"):
+            assert getattr(batch, name)[b].tobytes() == getattr(alone, name).tobytes()
+        for name in ("max_step_rad", "wrap_deviation_rad", "residual_max"):
+            assert getattr(batch, name)[b] == getattr(alone, name) == 0.0
+    # Newton and configurations solve one design at a time.
+    with pytest.raises(ValueError):
+        sweep_series(mech.with_parameters({"crank_len": lengths}), 36, method="newton")
+    with pytest.raises(ValueError):
+        batch.configurations[0]
