@@ -12,9 +12,12 @@ constraint vector f_c (feasible iff every entry is <= 0):
   inequalities (h <= 0 and -h <= 0).
 
 Optimization runs a bounded, inequality-constrained local descent
-(scipy's trust-constr) with 3-point finite-difference gradients at the
-fixed relative step FD_REL_STEP (1e-6) from several starting points: the
-nominal design plus seeded uniform draws inside the box.  Starts are
+(scipy's trust-constr) from several starting points: the nominal design
+plus seeded uniform draws inside the box.  Its gradient 2 J^T r / N, the
+constraint Jacobian and the polish's residual Jacobian J are exact: one
+tangent pass of the solver (solver.sweep_tangents) differentiates the
+sweep along the moved parameters.  A max or min entry takes the derivative
+at its active sample; penalty entries get zero rows.  Starts are
 independent, each on a private mechanism copy, and merge deterministically
 by (cost, index).
 Failed solves during the search contribute a fixed penalty per sample
@@ -41,7 +44,7 @@ from scipy.optimize import Bounds, NonlinearConstraint, least_squares, minimize
 from .errors import EmptyResidual, GridMismatch, NoFeasibleStart
 from .gait import TargetGait, phase_grid
 from .linkage import MechanismGraph
-from .solver import sweep_series
+from .solver import _one_design, sweep_series, sweep_tangents
 
 __all__ = [
     "DesignVector",
@@ -60,7 +63,6 @@ STAGE_CHOICES = ("humerus", "radius", "all")
 PENALTY_DEG = 1e3
 CONSTRAINT_PENALTY = 1e6
 FEASIBILITY_TOL = 1e-6
-FD_REL_STEP = 1e-6
 MIN_TRANSMISSION_DEG = 10.0
 
 
@@ -102,6 +104,7 @@ class DesignVector:
 
     @classmethod
     def from_mechanism(cls, mech: MechanismGraph) -> "DesignVector":
+        _one_design(mech, "a DesignVector")
         bindings = list(mech.parameters.values())
         return cls(
             names=tuple(b.name for b in bindings),
@@ -216,22 +219,37 @@ def residuals(
     return _stage_residuals(sweep_series(mech, n, strict=not flagged), targets, stage)
 
 
+def _stage_parts(series: dict, targets: TargetGait, stage: str):
+    """(series key, angle errors, penalized samples) of each fitted series."""
+    fitted = (
+        ("theta_s_deg", targets.shoulder_deg, ("humerus", "all")),
+        ("theta_e_deg", targets.elbow_deg, ("radius", "all")),
+    )
+    for key, target, stages in fitted:
+        if stage in stages:
+            diff = series[key] - target
+            yield key, diff, ~series["ok"] | ~np.isfinite(diff)
+
+
 def _stage_residuals(series: dict, targets: TargetGait, stage: str) -> np.ndarray:
     """The stage's angle errors of a sweep; failed samples get PENALTY_DEG."""
+    return np.concatenate([
+        np.where(bad, PENALTY_DEG, diff) if np.any(bad) else diff
+        for _, diff, bad in _stage_parts(series, targets, stage)
+    ])
+
+
+def _stage_jacobian(series: dict, tangents: dict, targets: TargetGait, stage: str):
+    """d(_stage_residuals) along the tangents' directions, (residuals, n).
+
+    PENALTY_DEG entries are constants: their rows, and any non-finite
+    tangent, are zero.
+    """
     parts = []
-    ok = series["ok"]
-    if stage in ("humerus", "all"):
-        parts.append(_masked(series["theta_s_deg"] - targets.shoulder_deg, ok))
-    if stage in ("radius", "all"):
-        parts.append(_masked(series["theta_e_deg"] - targets.elbow_deg, ok))
+    for key, _, bad in _stage_parts(series, targets, stage):
+        d = tangents[key].T
+        parts.append(np.where(np.isfinite(d) & ~bad[:, None], d, 0.0))
     return np.concatenate(parts)
-
-
-def _masked(diff: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    bad = ~ok | ~np.isfinite(diff)
-    if np.any(bad):
-        diff = np.where(bad, PENALTY_DEG, diff)
-    return diff
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +260,13 @@ def _span(mech: MechanismGraph, pair) -> float:
     """Distance between two attachments of one body (a link, or ground)."""
     i, j = (mech._xy[link, point] for link, point in pair)
     return float(np.hypot(*(mech.geom[i : i + 2] - mech.geom[j : j + 2])))
+
+
+def _span_tangent(mech: MechanismGraph, pair, dgeom: np.ndarray) -> np.ndarray:
+    """The derivative of _span along each row of ``dgeom`` (n, P)."""
+    i, j = (mech._xy[link, point] for link, point in pair)
+    delta = mech.geom[i : i + 2] - mech.geom[j : j + 2]
+    return (dgeom[:, i : i + 2] - dgeom[:, j : j + 2]) @ delta / np.hypot(*delta)
 
 
 def constraint_names(mech: MechanismGraph, samples: int = 360) -> list[str]:
@@ -261,45 +286,80 @@ def _constraint_core(
     mech: MechanismGraph,
     samples: int,
     series: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    tangents: dict | None = None,
+    dgeom: np.ndarray | None = None,
+):
     """(inequality entries, symmetry equality values h).
 
     Inequality entries are feasible at <= 0; equalities are feasible at
     h = 0.  All entries are finite: quantities undefined because a loop
     never assembled are replaced by CONSTRAINT_PENALTY.
+
+    Given the sweep's ``tangents`` along the rows of ``dgeom`` (n, P), a
+    third item is the Jacobian of the entries [ineq, h], shape (entries, n):
+    a max or min entry takes the derivative at its active sample, and a
+    CONSTRAINT_PENALTY or Newton-only step entry gets a zero row.
     """
     if series is None:
         series = sweep_series(mech, samples, strict=False)
     margin = series["margin"]
     transmission = series["transmission"]
+    jac = tangents is not None
     ineq = []
+    rows = []  # with tangents, one derivative row per entry
+
+    def at_sample(key: str, cid: str, k: int | None) -> np.ndarray:
+        """The tangent of series[key][cid] at sample k; zero for k None."""
+        if k is None:
+            return np.zeros(len(dgeom))
+        d = tangents[key][cid][:, k]
+        return np.where(np.isfinite(d), d, 0.0)
+
     for cid in mech.closures:
         m = margin.get(cid)
+        k = None
         if m is None:
             # No analytic margin (Newton-only topology): binary form.
             ineq.append(-1.0 if bool(np.all(series["ok"])) else CONSTRAINT_PENALTY)
         else:
             m = np.asarray(m, dtype=float)
-            m = np.where(np.isfinite(m), m, CONSTRAINT_PENALTY)
-            ineq.append(float(np.max(m)))
+            finite = np.isfinite(m)
+            m = np.where(finite, m, CONSTRAINT_PENALTY)
+            k = int(np.argmax(m))
+            ineq.append(float(m[k]))
+            k = k if finite[k] else None
+        if jac:
+            rows.append(at_sample("margin", cid, k))
     for pairs in mech.fourbar_loops.values():
-        ground, crank, coupler, rocker = (_span(mech, pair) for pair in pairs)
-        s, p, q, l = sorted((ground, crank, coupler, rocker))
+        spans = [_span(mech, pair) for pair in pairs]
+        ground, crank, coupler, rocker = spans
+        s, p, q, l = sorted(spans)
         ineq.append(s + l - (p + q))
         ineq.append(crank - min(ground, coupler, rocker))
+        if jac:
+            dspans = [_span_tangent(mech, pair, dgeom) for pair in pairs]
+            ds, dp, dq, dl = (dspans[i] for i in sorted(range(4), key=spans.__getitem__))
+            rows.append(ds + dl - (dp + dq))
+            rows.append(dspans[1] - dspans[min((0, 2, 3), key=spans.__getitem__)])
     floor = math.radians(MIN_TRANSMISSION_DEG)
     for cid in mech.closures:
         t = transmission.get(cid)
+        k = None
         if t is None:
             ineq.append(-1.0 if bool(np.all(series["ok"])) else CONSTRAINT_PENALTY)
-            continue
-        t = np.asarray(t, dtype=float)
-        if np.all(np.isfinite(t)):
-            ineq.append(floor - float(np.min(t)))
+        elif np.all(np.isfinite(t)):
+            k = int(np.argmin(t))
+            ineq.append(floor - float(t[k]))
         else:
             ineq.append(CONSTRAINT_PENALTY)
+        if jac:
+            rows.append(-at_sample("transmission", cid, k))
     eq = [mech.geom[slot] - sym.value for sym, slot in mech._symmetry]
-    return np.asarray(ineq, dtype=float), np.asarray(eq, dtype=float)
+    ineq, eq = np.asarray(ineq, dtype=float), np.asarray(eq, dtype=float)
+    if not jac:
+        return ineq, eq
+    rows.extend(dgeom[:, slot] for _, slot in mech._symmetry)
+    return ineq, eq, np.array(rows).reshape(len(ineq) + len(eq), len(dgeom))
 
 
 def evaluate_constraints(
@@ -313,6 +373,7 @@ def evaluate_constraints(
     ``q`` to evaluate a candidate design without mutating ``mech``.
     Entries are always finite; see constraint_names for labels.
     """
+    _one_design(mech, "evaluate_constraints")
     if q is not None:
         mech = q.apply(mech)
     ineq, eq = _constraint_core(mech, samples)
@@ -327,11 +388,12 @@ def evaluate_constraints(
 
 
 class _StageProblem:
-    """Objective/constraint adapters over the movable subvector, cached.
+    """Objective/constraint adapters over the movable subvector.
 
-    One sweep per evaluated point powers both the residual cost and the
-    constraint entries; a small LRU keyed by the point's bytes keeps the
-    finite-difference stencil warm without unbounded growth.
+    A last-point memo keeps the sweep at the latest x: the cost, residual
+    and constraint values at one x share one sweep, and their Jacobians
+    share one tangent pass over it, seeded with a unit direction on each
+    moved parameter's geom slot.
     """
 
     def __init__(self, mech, targets, stage, options: FitOptions):
@@ -347,10 +409,12 @@ class _StageProblem:
         self.lower = self.base.lower[self.move]
         self.upper = self.base.upper[self.move]
         self.x0 = self.base.values[self.move]
-        self._cache: OrderedDict[bytes, tuple[float, np.ndarray, np.ndarray]] = (
-            OrderedDict()
-        )
-        self._cache_cap = 16 * len(self.move) + 64
+        self.dgeom = np.zeros((len(self.move), mech.geom.size))
+        for k, i in enumerate(self.move):
+            self.dgeom[k, mech._targets[self.base.names[i]]] = 1.0
+        self._x: np.ndarray | None = None
+        self._point = None  # (cost, residuals, constraints, graph, series) at _x
+        self._jac = None  # (residual Jacobian, constraint Jacobian) at _x
         ineq0, eq0 = _constraint_core(mech, self.samples)
         self.con_lb = np.concatenate(
             [np.full(ineq0.shape, -np.inf), np.zeros(eq0.shape)]
@@ -363,29 +427,45 @@ class _StageProblem:
         return self.base.with_values(values).apply(self.mech)
 
     def _evaluate(self, x: np.ndarray):
-        key = np.asarray(x, dtype=float).tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-            return hit
-        m = self.mech_at(x)
-        series = sweep_series(m, self.samples, strict=False)
-        resid = _stage_residuals(series, self.targets, self.stage)
-        ineq, eq = _constraint_core(m, self.samples, series=series)
-        out = (cost(resid), resid, np.concatenate([ineq, eq]))
-        self._cache[key] = out
-        if len(self._cache) > self._cache_cap:
-            self._cache.popitem(last=False)
-        return out
+        x = np.asarray(x, dtype=float)
+        if self._x is None or not np.array_equal(x, self._x):
+            m = self.mech_at(x)
+            series = sweep_series(m, self.samples, strict=False)
+            resid = _stage_residuals(series, self.targets, self.stage)
+            ineq, eq = _constraint_core(m, self.samples, series=series)
+            self._x = x.copy()
+            self._point = (cost(resid), resid, np.concatenate([ineq, eq]), m, series)
+            self._jac = None
+        return self._point
+
+    def _jacobians(self, x: np.ndarray):
+        _, _, _, m, series = self._evaluate(x)
+        if self._jac is None:
+            tangents = sweep_tangents(series, self.dgeom)
+            _, _, con_jac = _constraint_core(m, self.samples, series, tangents, self.dgeom)
+            resid_jac = _stage_jacobian(series, tangents, self.targets, self.stage)
+            self._jac = (resid_jac, con_jac)
+        return self._jac
 
     def objective(self, x) -> float:
         return self._evaluate(x)[0]
 
+    def gradient(self, x) -> np.ndarray:
+        """d(cost)/dx = 2 J^T r / N."""
+        resid = self._evaluate(x)[1]
+        return 2.0 * (self._jacobians(x)[0].T @ resid) / resid.size
+
     def residual_vector(self, x) -> np.ndarray:
         return self._evaluate(x)[1]
 
+    def residual_jacobian(self, x) -> np.ndarray:
+        return self._jacobians(x)[0]
+
     def constraint_vector(self, x) -> np.ndarray:
         return self._evaluate(x)[2]
+
+    def constraint_jacobian(self, x) -> np.ndarray:
+        return self._jacobians(x)[1]
 
     def violation(self, x) -> float:
         ineq_eq = self._evaluate(x)[2]
@@ -404,8 +484,7 @@ def _run_start(problem: _StageProblem, x0: np.ndarray):
         problem.constraint_vector,
         problem.con_lb,
         problem.con_ub,
-        jac="3-point",
-        finite_diff_rel_step=FD_REL_STEP,
+        jac=problem.constraint_jacobian,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy chatters near bound-active points
@@ -413,15 +492,10 @@ def _run_start(problem: _StageProblem, x0: np.ndarray):
             problem.objective,
             np.clip(x0, problem.lower, problem.upper),
             method="trust-constr",
-            jac="3-point",
+            jac=problem.gradient,
             bounds=Bounds(problem.lower, problem.upper, keep_feasible=True),
             constraints=[nlc],
-            options={
-                "maxiter": opts.maxiter,
-                "gtol": 1e-10,
-                "xtol": 1e-12,
-                "finite_diff_rel_step": FD_REL_STEP,
-            },
+            options={"maxiter": opts.maxiter, "gtol": 1e-10, "xtol": 1e-12},
         )
     x = np.clip(result.x, problem.lower, problem.upper)
     iterations = int(result.niter)
@@ -446,10 +520,9 @@ def _polish(problem: _StageProblem, x: np.ndarray) -> np.ndarray | None:
         result = least_squares(
             problem.residual_vector,
             x,
-            jac="3-point",
+            jac=problem.residual_jacobian,
             bounds=(problem.lower, problem.upper),
             method="trf",
-            diff_step=FD_REL_STEP,
             xtol=1e-15,
             ftol=1e-15,
             gtol=1e-15,

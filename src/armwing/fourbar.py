@@ -150,6 +150,28 @@ def assembly_margin_and_transmission(d, r1, r2):
     return margin, np.minimum(mu, np.pi - mu)
 
 
+def assembly_margin_and_transmission_tangent(d, r1, r2, dd, dr1, dr2):
+    """Directional derivatives of assembly_margin_and_transmission along the
+    tangents dd, dr1, dr2 of its arguments.
+
+    Each ``abs``, ``maximum``, ``clip`` and ``minimum`` of the primal takes
+    the derivative of the branch it selected; where the clip is active the
+    transmission's derivative is 0.
+    """
+    dmargin = np.where(
+        d - (r1 + r2) >= np.abs(r1 - r2) - d,
+        dd - dr1 - dr2,
+        np.sign(r1 - r2) * (dr1 - dr2) - dd,
+    )
+    cos_mu = (r1 * r1 + r2 * r2 - d * d) / (2.0 * r1 * r2)
+    dcos = (r1 * dr1 + r2 * dr2 - d * dd) / (r1 * r2) - cos_mu * (dr1 / r1 + dr2 / r2)
+    inside = np.abs(cos_mu) < 1.0
+    sin_mu = np.sqrt(np.where(inside, 1.0 - cos_mu * cos_mu, 1.0))
+    dmu = np.where(inside, -dcos / sin_mu, 0.0)
+    mu = np.arccos(np.clip(cos_mu, -1.0, 1.0))
+    return dmargin, np.where(mu <= np.pi - mu, dmu, -dmu)
+
+
 def solve_fourbar(fourbar: FourBar, theta_in):
     """Solve the four-bar at crank angle ``theta_in`` (radians).
 

@@ -254,6 +254,9 @@ class MechanismGraph:
         self.geom: np.ndarray = np.empty(0)
         self._slots: dict[str, int] = {}  # target string -> geom column
         self._xy: dict[tuple, int] = {}  # (link or ground, point) -> column of x; y follows
+        self._driver_slot = -1  # column of the driver's offset_deg
+        self._gear_slots: dict[str, tuple[int, int]] = {}  # coupling -> (ratio, offset_deg)
+        self._output_slots: dict[str, int] = {}  # angle output -> column of offset_deg
         self.joints: dict[str, Joint] = {}
         self.tree_parent: dict[str, tuple[str, str]] = {}  # link -> (joint, parent)
         self.tree_child: dict[str, str] = {}  # tree joint -> child link
@@ -402,6 +405,12 @@ def _build(g: MechanismGraph) -> None:
     for link in spec.links:
         g._xy.update({(link.id, p): g._slots[f"point:{link.id}.{p}.x"] for p in link.points})
     g._xy.update({(GROUND, p.id): g._slots[f"pivot:{p.id}.x"] for p in spec.ground_pivots})
+    g._driver_slot = g._slots["driver.offset_deg"]
+    g._gear_slots = {
+        c.id: (g._slots[f"gear:{c.id}.ratio"], g._slots[f"gear:{c.id}.offset_deg"])
+        for c in spec.gear_couplings
+    }
+    g._output_slots = {o.name: g._slots[f"output:{o.name}.offset_deg"] for o in spec.angle_outputs}
     g.joints = {joint.id: joint for joint in spec.joints}
     for joint in spec.joints:
         for end, (link_id, point) in (("a", joint.a), ("b", joint.b)):

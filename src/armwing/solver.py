@@ -1,4 +1,5 @@
-"""Kinematic solving: single configurations, sweeps, assembly margins.
+"""Kinematic solving: single configurations, sweeps, assembly margins, and
+their exact derivatives with respect to the design.
 
 Two solve routes share the same mechanism graph and one step executor,
 ``_run_steps``, which places links by the tree, gear and dyad steps fixed
@@ -9,15 +10,29 @@ at validation, vectorized over a phase grid and a batch of designs:
   branch chosen by the per-loop flags), and
 * the Newton route sets the free joint angles from its iterate q and runs
   ``newton_steps`` (tree and gear steps only).  The stacked loop-closure
-  gaps of that pose are its residual.  Its Jacobian comes from the same
-  pose: a world point P on a link moves as
+  gaps of that pose are its residual.  Newton runs when no plan exists,
+  when a caller forces it, or to polish a guess.
 
-      dP/dq = sum over links l on P's root path of perp(P - A_l) w_l^T,
+One forward-mode tangent pass, ``_tangents``, mirrors ``_run_steps`` step
+for step over a solved one-design pose.  It carries a leading axis of n
+directions in the slot space of ``geom`` (and, on a Newton pose, seeds on
+the free angles), and returns exact derivatives of every link angle and
+origin, the joint angles, the dyad margins and transmissions, and the
+closure gaps.  Its rules:
 
-  where A_l is the world position of link l's parent joint, perp rotates
-  by +90 degrees, and w_l = d(theta_l - theta_parent)/dq (``_angle_weights``).
-  Newton runs when no plan exists, when a caller forces it, or to polish
-  a guess.
+* tree step: dtheta_child = dtheta_parent + sign dalpha, and the child's
+  origin moves with the anchor, less the rotated local point's change;
+* gear step: dalpha_out = dratio value + ratio dvalue + radians(doffset);
+* dyad step: the hinge H keeps |H - p| = r1 and |H - q| = r2, a 2x2
+  solve per sample with determinant cross(H - p, H - q).
+
+The Newton route's Jacobian d(gap)/dq is that pass seeded on the free
+angles (``_closure_jacobian``).  A Newton pose's design derivatives
+follow the implicit function theorem: gap(p, q) = 0 gives
+dq/dp = -G_q^-1 G_p, one batched solve over the grid, and a second pass
+seeded with dq/dp gives every total derivative (``_design_tangents``).
+``sweep_tangents`` differentiates a sweep's angle outputs, margins and
+transmissions.
 
 Every returned Configuration carries a residual certificate re-evaluated
 from the closure equations; a configuration is only reported as solved
@@ -40,7 +55,12 @@ from .errors import (
     SingularConfiguration,
     SingularJacobian,
 )
-from .fourbar import COLLINEAR_TOL_RAD, assembly_margin_and_transmission, circle_circle
+from .fourbar import (
+    COLLINEAR_TOL_RAD,
+    assembly_margin_and_transmission,
+    assembly_margin_and_transmission_tangent,
+    circle_circle,
+)
 from .gait import phase_grid
 from .linkage import GROUND, MechanismGraph
 
@@ -50,6 +70,7 @@ __all__ = [
     "solve_configuration",
     "sweep_gait",
     "sweep_series",
+    "sweep_tangents",
     "assembly_report",
     "NEWTON_TOL_MM",
     "NEWTON_MAX_ITER",
@@ -158,6 +179,7 @@ class _Solution:
         self.transmission: dict[str, np.ndarray] = {}
         self.gap: np.ndarray | None = None  # stacked closure gaps, (..., 2*loops)
         self.residual: np.ndarray | None = None
+        self.steps: list[tuple] = []  # the step list that placed the links
 
     def __getitem__(self, index) -> "_Solution":
         """One sample (int) or a range of samples (slice) of a grid solution."""
@@ -167,11 +189,8 @@ class _Solution:
             setattr(out, name, {k: v[at] for k, v in getattr(self, name).items()})
         for name in ("ok", "gap", "residual"):
             setattr(out, name, getattr(self, name)[at])
+        out.steps = self.steps
         return out
-
-    def value(self, target: str):
-        """A geometry scalar per design, shaped to broadcast over phases."""
-        return self.cols[self.graph._slots[target]]
 
     def local(self, link_id: str, point: str) -> np.ndarray:
         """A point's x and y, stacked first, in its link's (or ground's) frame."""
@@ -247,7 +266,8 @@ def _run_steps(sol: _Solution, steps) -> _Solution:
     the one forward pass of both solve routes."""
     g = sol.graph
     drv = g._spec.driver
-    sol.alpha[drv.joint] = drv.sign * sol.phi + np.radians(sol.value("driver.offset_deg"))
+    sol.alpha[drv.joint] = drv.sign * sol.phi + np.radians(sol.cols[g._driver_slot])
+    sol.steps = steps
     for kind, ref in steps:
         if kind == "tree":
             child = g.tree_child[ref]
@@ -269,9 +289,10 @@ def _run_steps(sol: _Solution, steps) -> _Solution:
             else:
                 joint = g.joints[jin]
                 value = sol.theta[joint.b[0]] - sol.theta[joint.a[0]]
-            ratio = sol.value(f"gear:{ref}.ratio")
-            offset = np.radians(sol.value(f"gear:{ref}.offset_deg"))
-            sol.alpha[coupling.joint_out] = ratio * value + offset
+            ratio, offset = g._gear_slots[ref]
+            sol.alpha[coupling.joint_out] = (
+                sol.cols[ratio] * value + np.radians(sol.cols[offset])
+            )
         else:
             _place_dyad(sol, ref)
     return sol.finish()
@@ -318,57 +339,226 @@ def _leg_angle(v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# tangent pass
+
+
+def _complex(xy):
+    """Plane vectors on the last axis as complex numbers x + iy."""
+    return xy[..., 0] + 1j * xy[..., 1]
+
+
+class _Tangent:
+    """Directional derivatives of a one-design _Solution's state.
+
+    The rows of ``dgeom`` (shape (n, P)) are n directions in the slot space
+    of ``geom``; every tangent has the primal's shape behind a leading axis
+    of n (a phase-independent one may keep a phase axis of 1).  Plane
+    vectors are complex, x + iy: rotating by theta is a product with
+    exp(i theta), so a world point origin + exp(i theta) local moves by
+    d origin + exp(i theta) (i local dtheta + d local).
+    """
+
+    def __init__(self, sol: _Solution, dgeom: np.ndarray):
+        g = sol.graph
+        _one_design(g, "a tangent pass")
+        self.sol = sol
+        self.n = len(dgeom)
+        pad = (1,) * sol.phi.ndim
+        # Entry i is the point whose x sits in slot i: primal, then tangent.
+        self.xy = sol.cols[:-1] + 1j * sol.cols[1:]
+        self.dxy = (dgeom[:, :-1] + 1j * dgeom[:, 1:]).T.reshape((-1, self.n) + pad)
+        self.dcols = dgeom.T.reshape(dgeom.shape[-1:] + (self.n,) + pad)
+        self.turn: dict[str, np.ndarray] = {}  # link -> exp(i theta), primal
+        self.theta = {GROUND: 0.0}
+        self.origin: dict[str, np.ndarray] = {}
+        self.alpha: dict[str, np.ndarray] = {}
+        self.margin: dict[str, np.ndarray] = {}
+        self.transmission: dict[str, np.ndarray] = {}
+
+    def rotation(self, link_id: str) -> np.ndarray:
+        turn = self.turn.get(link_id)
+        if turn is None:
+            turn = self.turn[link_id] = np.exp(1j * self.sol.theta[link_id])
+        return turn
+
+    def moved(self, link_id: str, point: str):
+        """(primal local, tangent of local) of a point, complex."""
+        i = self.sol.graph._xy[link_id, point]
+        return self.xy[i], self.dxy[i]
+
+    def point_world(self, link_id: str, point: str) -> np.ndarray:
+        """Tangent of sol.point_world, complex."""
+        local, dlocal = self.moved(link_id, point)
+        if link_id == GROUND:
+            return dlocal
+        turn = self.rotation(link_id)
+        return self.origin[link_id] + turn * (1j * local * self.theta[link_id] + dlocal)
+
+    def place(self, link_id: str, anchor, point: str, dtheta) -> None:
+        """Set a link's angle tangent, and its origin's, by origin = anchor -
+        exp(i theta) local with ``anchor`` the tangent of the anchor."""
+        local, dlocal = self.moved(link_id, point)
+        self.theta[link_id] = dtheta
+        self.origin[link_id] = anchor - self.rotation(link_id) * (1j * local * dtheta + dlocal)
+
+    def gaps(self) -> np.ndarray:
+        """Tangent of sol.gap, the stacked closure gaps: (n, ..., 2*loops)."""
+        g = self.sol.graph
+        out = np.empty((self.n,) + self.sol.ok.shape + (2 * len(g.closures),))
+        for i, cid in enumerate(g.closures):
+            joint = g.joints[cid]
+            gap = self.point_world(*joint.a) - self.point_world(*joint.b)
+            out[..., 2 * i] = gap.real
+            out[..., 2 * i + 1] = gap.imag
+        return out
+
+
+def _tangents(sol: _Solution, dgeom: np.ndarray, dfree=None) -> _Tangent:
+    """The forward-mode pass: ``sol``'s state differentiated along the rows
+    of ``dgeom`` by the rules of _run_steps, step for step over ``sol.steps``.
+
+    ``dfree`` (shape (n, ..., nq)) seeds the free joint angles of a Newton
+    pose; without it they do not move.  Samples that failed in ``sol`` get
+    NaN tangents.
+    """
+    g = sol.graph
+    t = _Tangent(sol, dgeom)
+    t.alpha[g._spec.driver.joint] = np.radians(t.dcols[g._driver_slot])
+    for k, jid in enumerate(g.free_joints if dfree is not None else ()):
+        t.alpha[jid] = dfree[..., k]
+    for kind, ref in sol.steps:
+        if kind == "tree":
+            child = g.tree_child[ref]
+            parent = g.tree_parent[child][1]
+            joint = g.joints[ref]
+            sign = 1.0 if joint.b[0] == child else -1.0
+            anchor = t.point_world(parent, joint.attachment(parent))
+            t.place(child, anchor, joint.attachment(child), t.theta[parent] + sign * t.alpha[ref])
+        elif kind == "gear":
+            coupling = g.gear_by_id[ref]
+            jin = coupling.joint_in
+            if jin in t.alpha:
+                dvalue = t.alpha[jin]
+            else:
+                joint = g.joints[jin]
+                dvalue = t.theta[joint.b[0]] - t.theta[joint.a[0]]
+            ratio, offset = g._gear_slots[ref]
+            # sol.alpha[jin] is the input value the primal step read.
+            t.alpha[coupling.joint_out] = (
+                t.dcols[ratio] * sol.alpha[jin]
+                + sol.cols[ratio] * dvalue
+                + np.radians(t.dcols[offset])
+            )
+        else:
+            _dyad_tangent(t, ref)
+    for jid, joint in g.joints.items():
+        if jid not in t.alpha:
+            t.alpha[jid] = t.theta[joint.b[0]] - t.theta[joint.a[0]]
+    return t
+
+
+def _dyad_tangent(t: _Tangent, step) -> None:
+    """Tangent of _place_dyad.  The hinge H satisfies |H - p| = r1 and
+    |H - q| = r2, so (H - p).(dH - dp) = r1 dr1 and (H - q).(dH - dq) =
+    r2 dr2: one 2x2 solve per sample, determinant cross(H - p, H - q)."""
+    sol = t.sol
+    (a1, da1), (m1, dm1) = (t.moved(step.link1, point) for point in (step.a1, step.m1))
+    (b2, db2), (m2, dm2) = (t.moved(step.link2, point) for point in (step.b2, step.m2))
+    v1, dv1 = m1 - a1, dm1 - da1  # the legs, link-local
+    v2, dv2 = m2 - b2, dm2 - db2
+    r1, r2 = abs(v1), abs(v2)
+    r1dr1 = (v1.conjugate() * dv1).real
+    r2dr2 = (v2.conjugate() * dv2).real
+    p = _complex(sol.point_world(*step.p_ref))
+    q = _complex(sol.point_world(*step.q_ref))
+    dp = t.point_world(*step.p_ref)
+    dq = t.point_world(*step.q_ref)
+    u = t.rotation(step.link1) * v1  # H - p
+    w = t.rotation(step.link2) * v2  # H - q
+    rhs1 = r1dr1 + (u.conjugate() * dp).real  # (H - p).dH
+    rhs2 = r2dr2 + (w.conjugate() * dq).real  # (H - q).dH
+    delta = q - p
+    d = abs(delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dh = 1j * (rhs2 * u - rhs1 * w) / (u.conjugate() * w).imag
+        dtheta1 = ((u.conjugate() * (dh - dp)).imag - (v1.conjugate() * dv1).imag) / (r1 * r1)
+        dtheta2 = ((w.conjugate() * (dh - dq)).imag - (v2.conjugate() * dv2).imag) / (r2 * r2)
+        dd = (delta.conjugate() * (dq - dp)).real / d
+        margin, trans = assembly_margin_and_transmission_tangent(
+            d, r1, r2, dd, r1dr1 / r1, r2dr2 / r2
+        )
+    t.margin[step.closure] = margin
+    t.transmission[step.closure] = trans
+    t.place(step.link1, dp, step.a1, dtheta1)
+    t.place(step.link2, dq, step.b2, dtheta2)
+
+
+def _design_tangents(sol: _Solution, dgeom: np.ndarray) -> _Tangent:
+    """Total derivatives of a solved design along the rows of ``dgeom``.
+
+    A pose the analytic steps placed is differentiated directly.  A Newton
+    pose (placed by ``newton_steps`` from free angles q) obeys gap(p, q) = 0,
+    so by the implicit function theorem dq/dp = -G_q^-1 G_p, with G_p and
+    G_q the gap tangents seeded on the directions and on each free angle;
+    a second pass seeded with dq/dp gives every total derivative.
+    """
+    g = sol.graph
+    nq = len(g.free_joints)
+    if sol.steps is g.steps or nq == 0:
+        return _tangents(sol, dgeom)
+    n = len(dgeom)
+    seeds = np.concatenate([dgeom, np.zeros((nq, dgeom.shape[1]))])
+    dfree = np.zeros((n + nq,) + sol.ok.shape + (nq,))
+    for k in range(nq):
+        dfree[n + k, ..., k] = 1.0
+    jac = np.moveaxis(_tangents(sol, seeds, dfree).gaps(), 0, -1)  # (..., 2m, n + nq)
+    fine = np.all(np.isfinite(jac), axis=(-2, -1))[..., None, None]
+    g_p = np.where(fine, jac[..., :n], 0.0)
+    g_q = np.where(fine, jac[..., n:], np.eye(nq))
+    dq = np.where(fine, np.linalg.solve(g_q, -g_p), np.nan)  # (..., nq, n)
+    return _tangents(sol, dgeom, np.moveaxis(dq, -1, 0))
+
+
+def sweep_tangents(series: dict, dgeom) -> dict:
+    """Exact derivatives of a one-design sweep_series result along the rows
+    of ``dgeom``: n directions in the slot space of the design's ``geom``,
+    shape (n, P).
+
+    Returns theta_s_deg and theta_e_deg, shape (n, N), and the per-loop
+    margin and transmission dicts of (n, N) arrays (none on the Newton
+    route).  Failed samples carry NaN; unwrapping only adds constants, so
+    the angle tangents are those of the principal values.
+    """
+    sol = series["_solution"]
+    g = sol.graph
+    t = _design_tangents(sol, np.asarray(dgeom, dtype=float))
+    shape = (t.n,) + sol.ok.shape
+    out = {"margin": t.margin, "transmission": t.transmission}
+    for name in ("theta_s", "theta_e"):
+        spec_out = g._angle_outputs[name]
+        if spec_out.link is not None:
+            raw = t.theta[spec_out.link]
+        else:
+            raw = t.alpha[spec_out.joint]
+        offset = t.dcols[g._output_slots[name]]
+        out[f"{name}_deg"] = np.broadcast_to(spec_out.sign * np.degrees(raw) + offset, shape)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Newton route
 
 
-def _angle_weights(graph: MechanismGraph) -> dict[str, np.ndarray]:
-    """Per link, d(theta_link)/dq, constant for a geometry: one walk over
-    newton_steps.
-
-    Driven angles do not move with q; gear ratios scale their inputs.
-    """
-    g = graph
-    nq = len(g.free_joints)
-    dalpha = dict(zip(g.free_joints, np.eye(nq)))
-    dalpha[g._spec.driver.joint] = np.zeros(nq)
-    dtheta = {GROUND: np.zeros(nq)}
-    for kind, ref in g.newton_steps:
-        if kind == "tree":
-            child = g.tree_child[ref]
-            sign = 1.0 if g.joints[ref].b[0] == child else -1.0
-            dtheta[child] = dtheta[g.tree_parent[child][1]] + sign * dalpha[ref]
-        else:
-            coupling = g.gear_by_id[ref]
-            jin = coupling.joint_in
-            if jin in dalpha:
-                value = dalpha[jin]
-            else:
-                joint = g.joints[jin]
-                value = dtheta[joint.b[0]] - dtheta[joint.a[0]]
-            dalpha[coupling.joint_out] = g.geom[g._slots[f"gear:{ref}.ratio"]] * value
-    return dtheta
-
-
-def _jacobian(sol: _Solution, dtheta: dict[str, np.ndarray]) -> np.ndarray:
-    """d(sol.gap)/dq at a single-sample pose, shape (2*loops, nq)."""
+def _closure_jacobian(sol: _Solution) -> np.ndarray:
+    """d(sol.gap)/dq at a single-sample Newton pose, shape (2*loops, nq):
+    the tangent pass seeded on each free angle."""
     g = sol.graph
-    jac = np.zeros((2 * len(g.closures), len(g.free_joints)))
-    for i, cid in enumerate(g.closures):
-        joint = g.joints[cid]
-        for side, (link, point) in ((1.0, joint.a), (-1.0, joint.b)):
-            p = sol.point_world(link, point)
-            while link != GROUND:
-                jid, parent = g.tree_parent[link]
-                anchor = sol.point_world(parent, g.joints[jid].attachment(parent))
-                rate = dtheta[link] - dtheta[parent]
-                jac[2 * i : 2 * i + 2] += side * np.outer(_perp(p - anchor), rate)
-                link = parent
-    return jac
+    nq = len(g.free_joints)
+    return _tangents(sol, np.zeros((nq, g.geom.size)), np.eye(nq)).gaps().T
 
 
 def _solve_newton(graph: MechanismGraph, phi: float, q0: np.ndarray) -> _Solution:
     """Damped Newton on the loop equations from guess ``q0``."""
-    dtheta = _angle_weights(graph)
     q = np.asarray(q0, dtype=float).copy()
     sol = _forward(graph, phi, q)
     norm = float(np.linalg.norm(sol.gap))
@@ -376,7 +566,7 @@ def _solve_newton(graph: MechanismGraph, phi: float, q0: np.ndarray) -> _Solutio
         if norm <= NEWTON_TOL_MM:
             break
         try:
-            step = np.linalg.solve(_jacobian(sol, dtheta), -sol.gap)
+            step = np.linalg.solve(_closure_jacobian(sol), -sol.gap)
         except np.linalg.LinAlgError:
             raise SingularJacobian(
                 "loop-closure Jacobian is singular", phi=float(phi)
@@ -571,7 +761,7 @@ def sweep_series(
             raw = sol.alpha[spec_out.joint]
         if np.any(all_ok):
             raw = np.where(all_ok[..., None], np.unwrap(raw, axis=-1), raw)
-        offset = sol.value(f"output:{name}.offset_deg")
+        offset = sol.cols[mech._output_slots[name]]
         out[f"{name}_deg"] = spec_out.sign * np.degrees(raw) + offset
     point_outputs = mech._spec.point_outputs
     out["elbow"] = sol.point_world(*point_outputs["elbow"])

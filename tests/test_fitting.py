@@ -252,3 +252,11 @@ def test_order_must_permute_the_two_stages(reference):
     targets = sample_targets(360)
     with pytest.raises(ValueError):
         optimize_armwing(reference, targets, FAST, order=("humerus", "humerus"))
+
+
+def test_a_batch_of_designs_is_refused_with_a_clear_error(reference):
+    batch = reference.with_parameters({"crank_len": np.array([16.0, 16.5, 17.0])})
+    with pytest.raises(ValueError, match="not a batch"):
+        evaluate_constraints(batch, samples=36)
+    with pytest.raises(ValueError, match="not a batch"):
+        DesignVector.from_mechanism(batch)

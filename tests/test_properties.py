@@ -1,13 +1,16 @@
 """Randomized invariants: parameter application on the shipped designs, one
 design at a time and in batches, batched sensitivity ranking against a
-one-design-at-a-time scorer, the solve routes and mirror symmetry of random
-Grashof four-bars, and the Newton Jacobian against central differences of
-the forward pass."""
+one-design-at-a-time scorer, byte round trips of mechanism and trajectory
+files, the solve routes and mirror symmetry of random Grashof four-bars,
+and the Newton Jacobian against central differences of the forward pass."""
 
 from __future__ import annotations
 
 import functools
 import json
+import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +24,15 @@ from armwing import (
     mirror_mechanism,
     parse_mechanism_file,
     parse_mechanism_text,
+    read_trajectory_csv,
     sensitivity_rank,
+    sweep_gait,
     sweep_series,
+    trajectory_csv_text,
     validate_mechanism,
 )
 from armwing.io import mechanism_to_dict
-from armwing.solver import _angle_weights, _forward, _jacobian, wrap_pi
+from armwing.solver import _closure_jacobian, _forward, wrap_pi
 
 from conftest import DEMO_PATH, REFERENCE_PATH
 from test_solver import _geared_fivebar, _triad_sixbar
@@ -166,6 +172,47 @@ def test_sensitivity_rank_matches_one_design_at_a_time(path, data, samples, delt
     assert [(n, float(s).hex()) for n, s in got] == [(n, float(s).hex()) for n, s in want]
 
 
+def _designs_and_mirrors(path):
+    """perturbed_designs of a shipped design, or the mirror image of one."""
+    return st.tuples(perturbed_designs(path), st.booleans()).map(
+        lambda pair: mirror_mechanism(pair[0]) if pair[1] else pair[0]
+    )
+
+
+def _mechanism_text(mech) -> str:
+    """A mechanism file's text, as write_mechanism_file renders it."""
+    return json.dumps(mechanism_to_dict(mech.spec), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("path", [REFERENCE_PATH, DEMO_PATH], ids=lambda p: p.stem)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mechanism_text_round_trips_byte_for_byte(path, data):
+    text = _mechanism_text(data.draw(_designs_and_mirrors(path), label="design"))
+    again = validate_mechanism(parse_mechanism_text(text))
+    assert _mechanism_text(again) == text
+
+
+@pytest.mark.parametrize("path", [REFERENCE_PATH, DEMO_PATH], ids=lambda p: p.stem)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), samples=st.sampled_from([8, 90, 360]))
+def test_trajectory_csv_round_trips_byte_for_byte(path, data, samples):
+    mech = data.draw(_designs_and_mirrors(path), label="design")
+    text = trajectory_csv_text(sweep_gait(mech, samples))
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "trajectory.csv"
+        csv.write_text(text, encoding="utf-8")
+        columns = read_trajectory_csv(csv)
+    reread = types.SimpleNamespace(
+        phi=np.radians(columns["phi_deg"]),
+        theta_s_deg=columns["theta_s_deg"],
+        theta_e_deg=columns["theta_e_deg"],
+        elbow_path=np.column_stack([columns["elbow_x_mm"], columns["elbow_y_mm"]]),
+        tip_path=np.column_stack([columns["tip_x_mm"], columns["tip_y_mm"]]),
+    )
+    assert trajectory_csv_text(reread) == text
+
+
 @st.composite
 def crank_rockers(draw):
     """Ground, crank, coupler, rocker of a crank-rocker with Grashof slack.
@@ -218,7 +265,7 @@ def test_newton_jacobian_matches_central_differences(name, data, phi):
     nq = len(mech.free_joints)
     angle = st.floats(-np.pi, np.pi)
     q = np.array([data.draw(angle, label=jid) for jid in mech.free_joints])
-    jac = _jacobian(_forward(mech, phi, q), _angle_weights(mech))
+    jac = _closure_jacobian(_forward(mech, phi, q))
     h = 1e-6
     fd = np.empty((2 * len(mech.closures), nq))
     for k, step in enumerate(h * np.eye(nq)):
