@@ -23,9 +23,9 @@ from .errors import ArmwingError
 from .fitting import FitOptions, optimize_armwing, optimize_stage
 from .gait import phase_grid, sample_targets
 from .io import (
-    TRAJECTORY_COLUMNS,
     parse_mechanism_file,
     read_trajectory_csv,
+    target_csv_text,
     targets_from_trajectory,
     trajectory_csv_text,
     write_mechanism_file,
@@ -149,21 +149,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_target(args) -> int:
-    targets = sample_targets(args.samples)
-    phi_deg = np.degrees(targets.phi)
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for k in range(args.samples):
-        row = (
-            phi_deg[k],
-            targets.shoulder_deg[k],
-            targets.elbow_deg[k],
-            0.0,
-            0.0,
-            0.0,
-            0.0,
-        )
-        lines.append(",".join("%.12g" % v for v in row))
-    text = "\n".join(lines) + "\n"
+    text = target_csv_text(sample_targets(args.samples))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.samples} target samples to {args.out}")

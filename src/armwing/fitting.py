@@ -256,16 +256,17 @@ def _stage_jacobian(series: dict, tangents: dict, targets: TargetGait, stage: st
 # constraint vector
 
 
-def _span(mech: MechanismGraph, pair) -> float:
-    """Distance between two attachments of one body (a link, or ground)."""
-    i, j = (mech._xy[link, point] for link, point in pair)
-    return float(np.hypot(*(mech.geom[i : i + 2] - mech.geom[j : j + 2])))
+def _span(geom: np.ndarray, pair) -> float:
+    """Distance between two attachments of one body (a link, or ground),
+    given as the slot pair of their x coordinates."""
+    i, j = pair
+    return float(np.hypot(*(geom[i : i + 2] - geom[j : j + 2])))
 
 
-def _span_tangent(mech: MechanismGraph, pair, dgeom: np.ndarray) -> np.ndarray:
+def _span_tangent(geom: np.ndarray, pair, dgeom: np.ndarray) -> np.ndarray:
     """The derivative of _span along each row of ``dgeom`` (n, P)."""
-    i, j = (mech._xy[link, point] for link, point in pair)
-    delta = mech.geom[i : i + 2] - mech.geom[j : j + 2]
+    i, j = pair
+    delta = geom[i : i + 2] - geom[j : j + 2]
     return (dgeom[:, i : i + 2] - dgeom[:, j : j + 2]) @ delta / np.hypot(*delta)
 
 
@@ -331,13 +332,13 @@ def _constraint_core(
         if jac:
             rows.append(at_sample("margin", cid, k))
     for pairs in mech.fourbar_loops.values():
-        spans = [_span(mech, pair) for pair in pairs]
+        spans = [_span(mech.geom, pair) for pair in pairs]
         ground, crank, coupler, rocker = spans
         s, p, q, l = sorted(spans)
         ineq.append(s + l - (p + q))
         ineq.append(crank - min(ground, coupler, rocker))
         if jac:
-            dspans = [_span_tangent(mech, pair, dgeom) for pair in pairs]
+            dspans = [_span_tangent(mech.geom, pair, dgeom) for pair in pairs]
             ds, dp, dq, dl = (dspans[i] for i in sorted(range(4), key=spans.__getitem__))
             rows.append(ds + dl - (dp + dq))
             rows.append(dspans[1] - dspans[min((0, 2, 3), key=spans.__getitem__)])
@@ -390,10 +391,13 @@ def evaluate_constraints(
 class _StageProblem:
     """Objective/constraint adapters over the movable subvector.
 
-    A last-point memo keeps the sweep at the latest x: the cost, residual
-    and constraint values at one x share one sweep, and their Jacobians
-    share one tangent pass over it, seeded with a unit direction on each
-    moved parameter's geom slot.
+    A trial x is one write into the moved parameters' geom slots of a
+    graph copy; x is always inside the box (trust-constr keeps its bounds
+    feasible, least_squares works inside them, _run_start clips), so it
+    needs no bounds check.  A last-point memo keeps the sweep at the latest
+    x: the cost, residual and constraint values at one x share one sweep,
+    and their Jacobians share one tangent pass over it, seeded with a unit
+    direction on each moved parameter's slot.
     """
 
     def __init__(self, mech, targets, stage, options: FitOptions):
@@ -409,9 +413,9 @@ class _StageProblem:
         self.lower = self.base.lower[self.move]
         self.upper = self.base.upper[self.move]
         self.x0 = self.base.values[self.move]
+        self.slots = [mech._targets[self.base.names[i]] for i in self.move]
         self.dgeom = np.zeros((len(self.move), mech.geom.size))
-        for k, i in enumerate(self.move):
-            self.dgeom[k, mech._targets[self.base.names[i]]] = 1.0
+        self.dgeom[range(len(self.move)), self.slots] = 1.0
         self._x: np.ndarray | None = None
         self._point = None  # (cost, residuals, constraints, graph, series) at _x
         self._jac = None  # (residual Jacobian, constraint Jacobian) at _x
@@ -421,15 +425,11 @@ class _StageProblem:
         )
         self.con_ub = np.zeros(ineq0.size + eq0.size)
 
-    def mech_at(self, x: np.ndarray) -> MechanismGraph:
-        values = self.base.values.copy()
-        values[self.move] = x
-        return self.base.with_values(values).apply(self.mech)
-
     def _evaluate(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
         if self._x is None or not np.array_equal(x, self._x):
-            m = self.mech_at(x)
+            m = self.mech.copy()
+            m.geom[self.slots] = x
             series = sweep_series(m, self.samples, strict=False)
             resid = _stage_residuals(series, self.targets, self.stage)
             ineq, eq = _constraint_core(m, self.samples, series=series)

@@ -38,6 +38,7 @@ __all__ = [
     "write_mechanism_file",
     "mechanism_to_dict",
     "trajectory_csv_text",
+    "target_csv_text",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "targets_from_trajectory",
@@ -405,8 +406,16 @@ def write_mechanism_file(spec: LinkageSpec, path: str | Path) -> None:
 # trajectory CSV
 
 
-def _fmt(value: float) -> str:
-    return "%.12g" % value
+def _csv_text(phi, shoulder_deg, elbow_deg, elbow_path, tip_path) -> str:
+    """Trajectory CSV text: the header plus one row per sample, each value
+    %.12g; the one writer of the format."""
+    if len(phi) == 0:
+        raise ValueError("cannot write an empty trajectory")
+    columns = (np.degrees(phi), shoulder_deg, elbow_deg, *np.transpose(elbow_path),
+               *np.transpose(tip_path))
+    lines = [",".join(TRAJECTORY_COLUMNS)]
+    lines.extend(",".join("%.12g" % v for v in row) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_csv_text(traj: GaitTrajectory) -> str:
@@ -416,22 +425,15 @@ def trajectory_csv_text(traj: GaitTrajectory) -> str:
     rendering the result of reading a written file, produces identical
     bytes.
     """
-    if len(traj.phi) == 0:
-        raise ValueError("cannot write an empty trajectory")
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    phi_deg = np.degrees(traj.phi)
-    for k in range(len(traj.phi)):
-        row = (
-            phi_deg[k],
-            traj.theta_s_deg[k],
-            traj.theta_e_deg[k],
-            traj.elbow_path[k, 0],
-            traj.elbow_path[k, 1],
-            traj.tip_path[k, 0],
-            traj.tip_path[k, 1],
-        )
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv_text(traj.phi, traj.theta_s_deg, traj.theta_e_deg, traj.elbow_path,
+                     traj.tip_path)
+
+
+def target_csv_text(targets: TargetGait) -> str:
+    """Render a target gait as trajectory CSV with zero paths; reading it
+    back with targets_from_trajectory gives the same targets."""
+    paths = np.zeros((len(targets.phi), 2))
+    return _csv_text(targets.phi, targets.shoulder_deg, targets.elbow_deg, paths, paths)
 
 
 def write_trajectory_csv(traj: GaitTrajectory, path: str | Path) -> None:

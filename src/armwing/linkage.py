@@ -4,27 +4,29 @@ A mechanism is a planar linkage chain: rigid links carrying named local
 attachment points, ground pivots fixed in the body frame, revolute joints
 pairing two attachment points, one driven (crank) joint, and optional gear
 couplings that slave one joint angle to another.  ``validate_mechanism``
-checks a LinkageSpec and derives the structure the solver needs:
+checks a LinkageSpec and compiles the structure the solver needs, with
+every name the solver reads already resolved:
 
-* a deterministic spanning tree of the joint graph rooted at ground (the
-  driver joint is pulled into the tree with priority),
-* the loop set: every non-tree joint closes exactly one loop,
-* a classification of every tree joint angle as driven, gear-slaved or a
-  free unknown, with the free-unknown count matching the closure equation
-  count (2 per loop),
-* the analytic solve order, when the topology supports one: tree
-  placements, gear couplings and two-link dyad constructions in the order
-  the solver executes them (``steps``; its dyads are ``plan``), used for
-  closed-form sweeps and for assembly margin reporting,
-* the Newton step order: the same walk with the free joint angles given,
-  so only tree placements and gear couplings (``newton_steps``); it places
-  every link from a guess of the free angles,
-* the four-bar loop table: each loop that is a plain four-bar driven at a
-  ground joint, as its ground, crank, coupler and rocker attachment pairs
-  (``fourbar_loops``; the Grashof constraint entries read it),
 * the geometry array ``geom``: one slot per link-point and pivot
   coordinate, driver offset, gear ratio and offset and angle-output offset,
-  shape (P,) for one design or (B, P) for a batch of B designs,
+  shape (P,) for one design or (B, P) for a batch of B designs; a point
+  is named by the slot of its x (its y follows),
+* a deterministic spanning tree of the joint graph rooted at ground (the
+  driver joint is pulled into the tree with priority), and the loop set:
+  every non-tree joint closes exactly one loop,
+* the free joint angles: tree joints neither driven nor gear-slaved, as
+  many as the closure equations (2 per loop),
+* the analytic solve order, when the topology supports one (``steps``;
+  its dyads are ``plan``), used for closed-form sweeps and for assembly
+  margin reporting, and the Newton step order: the same walk with the
+  free joint angles given and no dyads (``newton_steps``).  Each step is a
+  record an executor runs without a lookup: a TreeStep, GearStep or
+  DyadStep carrying its links, joint angles and geom slots,
+* the closure gaps, the theta_s/theta_e angle outputs and the
+  elbow/wingtip point outputs as (link, slot) reads, and the four-bar
+  loop table: each loop that is a plain four-bar driven at a ground joint,
+  as the slot pairs of its ground, crank, coupler and rocker spans
+  (``fourbar_loops``; the Grashof constraint entries read it),
 * the design parameter map: named scalars bound to geometry slots.
 
 Angles are radians internally and counterclockwise from the body +x axis;
@@ -62,6 +64,8 @@ __all__ = [
     "ParameterBinding",
     "SymmetryConstraint",
     "LinkageSpec",
+    "TreeStep",
+    "GearStep",
     "DyadStep",
     "MechanismGraph",
     "validate_mechanism",
@@ -217,32 +221,61 @@ class LinkageSpec:
     description: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
+class TreeStep:
+    """Place ``child`` from its placed ``parent`` through tree joint
+    ``joint``: theta_child = theta_parent + sign * alpha, and the child's
+    attachment lands on the parent's.  Points are geom slots of an x."""
+
+    joint: str
+    child: str
+    parent: str
+    sign: float  # +1 when the child is the joint's b side (alpha is b minus a)
+    anchor: int  # the parent's attachment
+    local: int  # the child's attachment
+
+
+@dataclass(frozen=True)
+class GearStep:
+    """Set joint_out's angle to ratio * (joint_in's angle) + offset.  The
+    input angle is read from ``links`` (its a-side and b-side link) when no
+    earlier step set it, and ``links`` is None when one did."""
+
+    id: str
+    joint_in: str
+    joint_out: str
+    ratio: int  # geom slot of the ratio
+    offset: int  # geom slot of offset_deg
+    links: tuple[str, str] | None
+
+
+@dataclass(frozen=True)
 class DyadStep:
     """One closed-form construction: two links of unknown orientation
-    between two known attachment positions, hinged at a shared joint."""
+    between two known attachment positions, hinged at a shared joint.
+    Points are geom slots of an x."""
 
     closure: str
     link1: str
     link2: str
     hinge: str
-    outer1: str  # joint giving the known position on link1's side
-    outer2: str  # joint giving the known position on link2's side
-    p_ref: tuple[str, str]  # (link, point) whose world position anchors link1
-    q_ref: tuple[str, str]  # (link, point) whose world position anchors link2
-    a1: str  # link1 local point at outer1
-    m1: str  # link1 local point at hinge
-    m2: str  # link2 local point at hinge
-    b2: str  # link2 local point at outer2
+    p_ref: tuple[str, int]  # (placed body, point) whose world position anchors link1
+    q_ref: tuple[str, int]  # (placed body, point) whose world position anchors link2
+    a1: int  # link1 local point at its outer joint
+    m1: int  # link1 local point at hinge
+    m2: int  # link2 local point at hinge
+    b2: int  # link2 local point at its outer joint
+    sign: float  # circle intersection branch: +1 open, -1 crossed
 
 
 class MechanismGraph:
     """A validated mechanism: its topology and its geometry array.
 
-    Validation derives the topology once (tree, loops, joint kinds, gear
-    order, analytic solve order and its dyad plan, Newton step order,
-    four-bar loop table, parameter and symmetry targets resolved to slots
-    of ``geom``).  ``geom`` is the one store of the numbers: the validated
+    Validation compiles the topology once: the tree and loops, the free
+    joints, the analytic and Newton step records and the dyad plan, the
+    closure gaps and outputs as (link, slot) reads, the four-bar loop
+    table, and the parameter and symmetry targets, all resolved to slots
+    of ``geom``.  ``geom`` is the one store of the numbers: the validated
     records keep NaN in their numeric fields.  Graphs made by ``copy()``,
     ``with_parameters()`` or ``DesignVector.apply()`` share the topology and
     own a private ``geom``.  Solves never mutate a graph.  The constructor
@@ -255,21 +288,20 @@ class MechanismGraph:
         self._slots: dict[str, int] = {}  # target string -> geom column
         self._xy: dict[tuple, int] = {}  # (link or ground, point) -> column of x; y follows
         self._driver_slot = -1  # column of the driver's offset_deg
-        self._gear_slots: dict[str, tuple[int, int]] = {}  # coupling -> (ratio, offset_deg)
-        self._output_slots: dict[str, int] = {}  # angle output -> column of offset_deg
         self.joints: dict[str, Joint] = {}
         self.tree_parent: dict[str, tuple[str, str]] = {}  # link -> (joint, parent)
         self.tree_child: dict[str, str] = {}  # tree joint -> child link
         self.tree_order: list[str] = []  # joint ids, root outward
         self.closures: list[str] = []
         self.loops: dict[str, list[str]] = {}
-        self.joint_kind: dict[str, str] = {}  # driver | gear | free | closure
         self.free_joints: list[str] = []
-        self.gear_order: list[str] = []
-        self.steps: list[tuple] | None = None  # analytic solve order
+        self.steps: list[tuple] | None = None  # analytic solve order, (kind, record)
         self.plan: list[DyadStep] | None = None  # the dyads of steps
         self.newton_steps: list[tuple] = []  # tree and gear steps, free angles given
-        self.fourbar_loops: dict[str, tuple] = {}  # closure -> attachment pairs
+        self.gaps: list[tuple] = []  # per closure, its a-side and b-side (link, slot)
+        self._angle_outputs: dict[str, tuple] = {}  # theta_s/e -> (table, key, sign, offset slot)
+        self._point_outputs: dict[str, tuple] = {}  # elbow/wingtip -> (link, slot)
+        self.fourbar_loops: dict[str, tuple] = {}  # closure -> slot pairs of its four spans
         self.branch_of: dict[str, str] = {}
         self.home_pose: dict[str, float] = {}
         self.parameters: "OrderedDict[str, ParameterBinding]" = OrderedDict()
@@ -361,10 +393,10 @@ class MechanismGraph:
 def validate_mechanism(spec: LinkageSpec) -> MechanismGraph:
     """Validate a LinkageSpec and derive its solve structure, once.
 
-    The structure is topology only: the tree and loops, joint kinds, the
-    gear order, the analytic solve order (None when some loop needs
-    Newton), the Newton step order and the four-bar loop table.  Geometry
-    changes never alter it.
+    The structure is topology only: the tree and loops, the free joints,
+    the analytic solve order (None when some loop needs Newton), the Newton
+    step order, the closure gaps and outputs, and the four-bar loop table,
+    compiled to geom slots.  Geometry changes never alter it.
 
     Raises SchemaError for malformed references, MissingDriver, OpenChain,
     OverConstrained, NonPositiveLength, DanglingOutput or ZeroRatio as the
@@ -393,8 +425,6 @@ def _build(g: MechanismGraph) -> None:
         link.points = {k: np.asarray(v, dtype=float) for k, v in link.points.items()}
     g.links: dict[str, Link] = {link.id: link for link in spec.links}
     g.pivots: dict[str, GroundPivot] = {p.id: p for p in spec.ground_pivots}
-    g.gear_by_id = {c.id: c for c in spec.gear_couplings}
-    g._angle_outputs = {}
     if spec.driver is None:
         raise MissingDriver("mechanism declares no driver joint")
     fields = list(_fields(spec))
@@ -406,11 +436,6 @@ def _build(g: MechanismGraph) -> None:
         g._xy.update({(link.id, p): g._slots[f"point:{link.id}.{p}.x"] for p in link.points})
     g._xy.update({(GROUND, p.id): g._slots[f"pivot:{p.id}.x"] for p in spec.ground_pivots})
     g._driver_slot = g._slots["driver.offset_deg"]
-    g._gear_slots = {
-        c.id: (g._slots[f"gear:{c.id}.ratio"], g._slots[f"gear:{c.id}.offset_deg"])
-        for c in spec.gear_couplings
-    }
-    g._output_slots = {o.name: g._slots[f"output:{o.name}.offset_deg"] for o in spec.angle_outputs}
     g.joints = {joint.id: joint for joint in spec.joints}
     for joint in spec.joints:
         for end, (link_id, point) in (("a", joint.a), ("b", joint.b)):
@@ -466,14 +491,14 @@ def _build(g: MechanismGraph) -> None:
 
     _spanning_tree(g)
     _classify_joints(g)
+    g.newton_steps = _derive_plan(g, newton=True)
     _check_balance(g)
     _branches_and_home(g)
     _outputs(g)
     _parameter_map(g)
-    g.steps = _derive_plan(g, {spec.driver.joint})
+    g.steps = _derive_plan(g, newton=False)
     if g.steps is not None:
         g.plan = [step for kind, step in g.steps if kind == "dyad"]
-    g.newton_steps = _derive_plan(g, {spec.driver.joint, *g.free_joints})
     _fourbar_loops(g)
     for _, container, key, _ in fields:  # geom is the one store from here on
         container[key] = math.nan
@@ -549,6 +574,13 @@ def _spanning_tree(g: MechanismGraph) -> None:
     g.closures.sort()
     for cid in g.closures:
         g.loops[cid] = _loop_cycle(g, cid)
+        joint = g.joints[cid]
+        g.gaps.append((_read(g, *joint.a), _read(g, *joint.b)))
+
+
+def _read(g: MechanismGraph, link_id: str, point: str) -> tuple[str, int]:
+    """A point as the solver reads it: (its link or ground, slot of its x)."""
+    return link_id, g._xy[link_id, point]
 
 
 def _loop_cycle(g: MechanismGraph, closure_id: str) -> list[str]:
@@ -572,6 +604,7 @@ def _loop_cycle(g: MechanismGraph, closure_id: str) -> list[str]:
 
 
 def _classify_joints(g: MechanismGraph) -> None:
+    """The free joints: tree joints neither driven nor gear-slaved."""
     driver_joint = g._spec.driver.joint
     if driver_joint in g.closures:
         raise SchemaError(
@@ -585,59 +618,7 @@ def _classify_joints(g: MechanismGraph) -> None:
                 f"gear_couplings[{coupling.id}].joint_out",
                 "slaved joint must be a tree joint (its angle is eliminated)",
             )
-    for jid in g.tree_order:
-        if jid == driver_joint:
-            g.joint_kind[jid] = "driver"
-        elif jid in slaved:
-            g.joint_kind[jid] = "gear"
-        else:
-            g.joint_kind[jid] = "free"
-            g.free_joints.append(jid)
-    for jid in g.closures:
-        g.joint_kind[jid] = "closure"
-    _gear_order(g)
-
-
-def _gear_order(g: MechanismGraph) -> None:
-    """Topological order of couplings so each input angle is resolvable.
-
-    An angle is resolvable once it belongs to the driver, a free joint, an
-    earlier-ordered coupling, or a joint whose two link orientations are
-    both expressible (every tree joint on their root paths resolved).
-    Couplings that cannot be ordered form a dependency cycle.
-    """
-    pending = {c.id: c for c in g._spec.gear_couplings}
-    alpha_known = {jid for jid in g.tree_order if g.joint_kind[jid] != "gear"}
-
-    def theta_known(link: str) -> bool:
-        while link != GROUND:
-            jid, parent = g.tree_parent[link]
-            if jid not in alpha_known:
-                return False
-            link = parent
-        return True
-
-    order: list[str] = []
-    while pending:
-        progressed = False
-        for cid in sorted(pending):
-            coupling = pending[cid]
-            jin = coupling.joint_in
-            joint = g.joints[jin]
-            ok = jin in alpha_known or (
-                theta_known(joint.a[0]) and theta_known(joint.b[0])
-            )
-            if ok:
-                order.append(cid)
-                alpha_known.add(coupling.joint_out)
-                del pending[cid]
-                progressed = True
-        if not progressed:
-            names = ", ".join(sorted(pending))
-            raise SchemaError(
-                "gear_couplings", f"cyclic gear coupling dependency: {names}"
-            )
-    g.gear_order = order
+    g.free_joints = [jid for jid in g.tree_order if jid != driver_joint and jid not in slaved]
 
 
 def _check_balance(g: MechanismGraph) -> None:
@@ -673,6 +654,10 @@ def _branches_and_home(g: MechanismGraph) -> None:
 
 
 def _outputs(g: MechanismGraph) -> None:
+    """Check every output; compile theta_s/theta_e to (table, key, sign,
+    offset slot), read as sign * degrees(table[key]) + offset, and
+    elbow/wingtip to (link, slot)."""
+    angles = {}
     for out in g._spec.angle_outputs:
         if (out.link is None) == (out.joint is None):
             raise SchemaError(
@@ -689,10 +674,15 @@ def _outputs(g: MechanismGraph) -> None:
             )
         if out.sign not in (1, -1):
             raise SchemaError(f"outputs.angles.{out.name}.sign", "sign must be +1/-1")
-        g._angle_outputs[out.name] = out
+        angles[out.name] = out
     for required in ("theta_s", "theta_e"):
-        if required not in g._angle_outputs:
+        out = angles.get(required)
+        if out is None:
             raise SchemaError(f"outputs.angles.{required}", "angle output missing")
+        table, key = ("theta", out.link) if out.link is not None else ("alpha", out.joint)
+        g._angle_outputs[required] = (
+            table, key, out.sign, g._slots[f"output:{required}.offset_deg"]
+        )
     for name, (link_id, point) in g._spec.point_outputs.items():
         if (link_id, point) not in g._xy:
             raise DanglingOutput(
@@ -701,6 +691,7 @@ def _outputs(g: MechanismGraph) -> None:
     for required in ("elbow", "wingtip"):
         if required not in g._spec.point_outputs:
             raise SchemaError(f"outputs.points.{required}", "point output missing")
+        g._point_outputs[required] = _read(g, *g._spec.point_outputs[required])
 
 
 def _parameter_map(g: MechanismGraph) -> None:
@@ -737,50 +728,67 @@ def _resolve_target(g: MechanismGraph, target: str, where: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# analytic plan derivation
+# solve orders: the analytic and Newton step records
 
 
-def _derive_plan(g: MechanismGraph, known: set[str]) -> list[tuple] | None:
-    """The solve order from the joint angles ``known``, or None when some
-    loop has no closed form.
+def _derive_plan(g: MechanismGraph, newton: bool) -> list[tuple] | None:
+    """The analytic solve order from the driver angle, or None when some
+    loop has no closed form; with ``newton``, the order from the driver
+    and free angles, by tree and gear steps alone.
 
     Walks the placements the solver will execute: a tree step places a
     link once its parent is placed and its joint angle is known (given, or
     gear-slaved); a gear step sets its output angle once its input angle
-    is known or both links of its input joint are placed.  A dyad is
-    planned only when no tree or gear step is ready, so a gear-slaved link
-    is never taken as a dyad unknown.  Steps are ("tree", joint id),
-    ("gear", coupling id) and ("dyad", DyadStep).  Given the driver angle
-    alone this is the analytic order; given the free angles too, the gear
-    order guarantees that tree and gear steps place every link.
+    is known or both links of its input joint are placed (gears are tried
+    in id order).  A dyad is planned only when no tree or gear step is
+    ready, so a gear-slaved link is never taken as a dyad unknown.  Steps
+    are ("tree", TreeStep), ("gear", GearStep) and ("dyad", DyadStep).
+    Given the free angles, only a gear coupling cycle can leave a link
+    unplaced; it raises SchemaError naming the couplings it holds back.
     """
     placed = {GROUND}
-    known = set(known)
-    gears = list(g.gear_order)
-    loops = list(g.closures)
+    known = {g._spec.driver.joint, *(g.free_joints if newton else ())}
+    gears = sorted(g._spec.gear_couplings, key=lambda c: c.id)
+    loops = [] if newton else list(g.closures)
 
     def next_step() -> tuple | None:
         for jid in g.tree_order:
             child = g.tree_child[jid]
-            if child not in placed and jid in known and g.tree_parent[child][1] in placed:
+            parent = g.tree_parent[child][1]
+            if child not in placed and jid in known and parent in placed:
                 placed.add(child)
-                return ("tree", jid)
-        for cid in gears:
-            coupling = g.gear_by_id[cid]
+                joint = g.joints[jid]
+                # The joint angle convention is b minus a; flip when the
+                # tree child happens to sit on the a side.
+                sign = 1.0 if joint.b[0] == child else -1.0
+                anchor = g._xy[parent, joint.attachment(parent)]
+                return "tree", TreeStep(jid, child, parent, sign, anchor,
+                                        g._xy[child, joint.attachment(child)])
+        for coupling in gears:
             joint = g.joints[coupling.joint_in]
-            if coupling.joint_in in known or {joint.a[0], joint.b[0]} <= placed:
-                gears.remove(cid)
+            links = (joint.a[0], joint.b[0])
+            if coupling.joint_in in known or set(links) <= placed:
+                gears.remove(coupling)
+                step = GearStep(
+                    coupling.id, coupling.joint_in, coupling.joint_out,
+                    g._slots[f"gear:{coupling.id}.ratio"],
+                    g._slots[f"gear:{coupling.id}.offset_deg"],
+                    None if coupling.joint_in in known else links,
+                )
                 known.add(coupling.joint_out)
-                return ("gear", cid)
+                return "gear", step
         for cid in loops:
             step = _plan_dyad(g, cid, placed)
             if step is not None:
                 loops.remove(cid)
                 placed.update((step.link1, step.link2))
-                return ("dyad", step)
+                return "dyad", step
         return None
 
     steps = list(iter(next_step, None))
+    if newton and gears:
+        names = ", ".join(c.id for c in gears)
+        raise SchemaError("gear_couplings", f"cyclic gear coupling dependency: {names}")
     return steps if placed.issuperset(g.links) else None
 
 
@@ -805,15 +813,13 @@ def _plan_dyad(g: MechanismGraph, cid: str, resolved: set[str]) -> DyadStep | No
     if hinge is None:
         return None
 
-    def outer_joint(link_id: str) -> tuple[str, str, str] | None:
+    def outer_joint(link_id: str) -> Joint | None:
         for jid in cycle:
             if jid == hinge:
                 continue
             joint = g.joints[jid]
-            if link_id in (joint.a[0], joint.b[0]):
-                other = joint.other(link_id)
-                if other in resolved:
-                    return jid, other, joint.attachment(other)
+            if link_id in (joint.a[0], joint.b[0]) and joint.other(link_id) in resolved:
+                return joint
         return None
 
     o1 = outer_joint(l1)
@@ -821,19 +827,19 @@ def _plan_dyad(g: MechanismGraph, cid: str, resolved: set[str]) -> DyadStep | No
     if o1 is None or o2 is None:
         return None
     hinge_joint = g.joints[hinge]
+    p_body, q_body = o1.other(l1), o2.other(l2)
     return DyadStep(
         closure=cid,
         link1=l1,
         link2=l2,
         hinge=hinge,
-        outer1=o1[0],
-        outer2=o2[0],
-        p_ref=(o1[1], o1[2]),
-        q_ref=(o2[1], o2[2]),
-        a1=g.joints[o1[0]].attachment(l1),
-        m1=hinge_joint.attachment(l1),
-        m2=hinge_joint.attachment(l2),
-        b2=g.joints[o2[0]].attachment(l2),
+        p_ref=_read(g, p_body, o1.attachment(p_body)),
+        q_ref=_read(g, q_body, o2.attachment(q_body)),
+        a1=g._xy[l1, o1.attachment(l1)],
+        m1=g._xy[l1, hinge_joint.attachment(l1)],
+        m2=g._xy[l2, hinge_joint.attachment(l2)],
+        b2=g._xy[l2, o2.attachment(l2)],
+        sign=1.0 if g.branch_of[cid] == "open" else -1.0,
     )
 
 
@@ -843,9 +849,11 @@ def _fourbar_loops(g: MechanismGraph) -> None:
     A qualifying loop has four joints, exactly two of them on ground, and
     three moving links each spanning two of the loop's joints.  Its crank
     is the side link whose ground joint is driven or gear-slaved.  Each
-    entry maps the closure id to the ground, crank, coupler and rocker
-    attachment pairs; their distances are the equivalent four-bar lengths.
+    entry maps the closure id to the slot pairs of the ground, crank,
+    coupler and rocker attachments; their distances are the equivalent
+    four-bar lengths.
     """
+    driven = {g._spec.driver.joint, *(c.joint_out for c in g._spec.gear_couplings)}
     for cid in g.closures:
         ends: dict[str, list[Joint]] = {}  # body -> its joints in the loop
         for jid in g.loops[cid]:
@@ -854,14 +862,14 @@ def _fourbar_loops(g: MechanismGraph) -> None:
                 ends.setdefault(body, []).append(joint)
         if len(ends) != 4 or GROUND not in ends or any(len(j) != 2 for j in ends.values()):
             continue
-        driven = [j for j in ends[GROUND] if g.joint_kind[j.id] in ("driver", "gear")]
-        if not driven:
+        cranks = [j for j in ends[GROUND] if j.id in driven]
+        if not cranks:
             continue
-        crank = driven[-1].other(GROUND)
-        rocker = next(j.other(GROUND) for j in ends[GROUND] if j is not driven[-1])
+        crank = cranks[-1].other(GROUND)
+        rocker = next(j.other(GROUND) for j in ends[GROUND] if j is not cranks[-1])
         coupler = next(body for body in ends if body not in (GROUND, crank, rocker))
         g.fourbar_loops[cid] = tuple(
-            tuple((body, joint.attachment(body)) for joint in ends[body])
+            tuple(g._xy[body, joint.attachment(body)] for joint in ends[body])
             for body in (GROUND, crank, coupler, rocker)
         )
 

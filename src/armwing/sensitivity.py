@@ -106,7 +106,8 @@ def sensitivity_sweep(
     recorded with the first failing phase instead of raised.  The score is
     the per-1% wingtip displacement between the scales nearest 1.0 on each
     side (one-sided if the family only extends one way, 0 for the trivial
-    family [1.0]).
+    family [1.0]), taken as sensitivity_rank takes it: from one batched,
+    non-raising sweep of the two scales.
     """
     nominal = mech.get_parameter(param)  # raises UnknownParameter on a miss
     scales = tuple(float(s) for s in scales)
@@ -132,15 +133,11 @@ def sensitivity_sweep(
             gap = np.linalg.norm(traj.tip_path - base.tip_path, axis=-1)
             deviations[scale] = float(np.max(gap))
 
-    def tips(scale):
-        traj = trajectories.get(scale)
-        if traj is None:  # failed strictly; score the samples that assemble
-            return _scaled_tips(mech, [(param, scale)], samples)[0]
-        return np.ones(samples, dtype=bool), traj.tip_path
-
     lo = max((s for s in scales if s < 1.0), default=1.0)
     hi = min((s for s in scales if s > 1.0), default=1.0)
-    score = 0.0 if lo == hi else _pair_score(tips(lo), tips(hi), lo, hi)
+    score = 0.0
+    if lo != hi:
+        score = _pair_score(*_scaled_tips(mech, [(param, lo), (param, hi)], samples), lo, hi)
 
     return SensitivityResult(
         parameter=param,

@@ -2,8 +2,10 @@
 their exact derivatives with respect to the design.
 
 Two solve routes share the same mechanism graph and one step executor,
-``_run_steps``, which places links by the tree, gear and dyad steps fixed
-at validation, vectorized over a phase grid and a batch of designs:
+``_run_steps``, which places links by the tree, gear and dyad step records
+compiled at validation (links, joints and geom slots resolved), vectorized
+over a phase grid and a batch of designs.  A placed link keeps its
+(cos theta, sin theta), which every later point read reuses:
 
 * the analytic route runs ``steps`` from the driven angle (dyads built
   with the circle-intersection construction; exact to machine precision,
@@ -148,14 +150,11 @@ def wrap_pi(angle):
     return np.pi - a
 
 
-def _rotate(theta, v):
-    c = np.cos(theta)
-    s = np.sin(theta)
+def _rotate(turn, v):
+    """Rotate the x, y of ``v`` (stacked first) by ``turn`` = (cos, sin);
+    x, y onto the last axis."""
+    c, s = turn
     return np.stack([c * v[0] - s * v[1], s * v[0] + c * v[1]], axis=-1)
-
-
-def _perp(w):
-    return np.stack([-w[..., 1], w[..., 0]], axis=-1)
 
 
 class _Solution:
@@ -172,6 +171,7 @@ class _Solution:
         self.cols = graph.geom.T.reshape(graph.geom.shape[-1:] + batch + pad)
         shape = batch + self.phi.shape
         self.theta = {GROUND: np.zeros(shape)}
+        self.turn: dict[str, tuple] = {}  # link -> (cos theta, sin theta)
         self.origin = {GROUND: np.zeros(shape + (2,))}
         self.alpha: dict[str, np.ndarray] = {}
         self.ok = np.ones(shape, dtype=bool)
@@ -187,21 +187,29 @@ class _Solution:
         out = _Solution(self.graph, self.phi[index])
         for name in ("theta", "origin", "alpha", "margin", "transmission"):
             setattr(out, name, {k: v[at] for k, v in getattr(self, name).items()})
+        out.turn = {k: (c[at], s[at]) for k, (c, s) in self.turn.items()}
         for name in ("ok", "gap", "residual"):
             setattr(out, name, getattr(self, name)[at])
         out.steps = self.steps
         return out
 
-    def local(self, link_id: str, point: str) -> np.ndarray:
-        """A point's x and y, stacked first, in its link's (or ground's) frame."""
-        i = self.graph._xy[link_id, point]
-        return self.cols[i : i + 2]
+    def local(self, slot: int) -> np.ndarray:
+        """The x and y of the point at ``slot``, stacked first, in its link's
+        (or ground's) frame."""
+        return self.cols[slot : slot + 2]
 
-    def point_world(self, link_id: str, point: str) -> np.ndarray:
-        local = self.local(link_id, point)
+    def point_world(self, link_id: str, slot: int) -> np.ndarray:
+        local = self.local(slot)
         if link_id == GROUND:  # x, y onto the last axis
             return self.origin[GROUND] + local.transpose((*range(1, local.ndim), 0))
-        return self.origin[link_id] + _rotate(self.theta[link_id], local)
+        return self.origin[link_id] + _rotate(self.turn[link_id], local)
+
+    def place(self, link_id: str, theta, anchor, slot: int) -> None:
+        """Set a link's orientation and its origin, so that its point at
+        ``slot`` lands on the world point ``anchor``."""
+        self.theta[link_id] = theta
+        self.turn[link_id] = turn = (np.cos(theta), np.sin(theta))
+        self.origin[link_id] = anchor - _rotate(turn, self.local(slot))
 
     def finish(self):
         """Fill unset joint angles from link orientations, the closure gaps
@@ -210,12 +218,9 @@ class _Solution:
         for jid, joint in g.joints.items():
             if jid not in self.alpha:
                 self.alpha[jid] = self.theta[joint.b[0]] - self.theta[joint.a[0]]
-        self.gap = np.empty(self.ok.shape + (2 * len(g.closures),))
-        for i, cid in enumerate(g.closures):
-            joint = g.joints[cid]
-            self.gap[..., 2 * i : 2 * i + 2] = (
-                self.point_world(*joint.a) - self.point_world(*joint.b)
-            )
+        self.gap = np.empty(self.ok.shape + (2 * len(g.gaps),))
+        for i, (a, b) in enumerate(g.gaps):
+            self.gap[..., 2 * i : 2 * i + 2] = self.point_world(*a) - self.point_world(*b)
         self.residual = np.sqrt(np.sum(self.gap * self.gap, axis=-1))
         return self
 
@@ -268,52 +273,43 @@ def _run_steps(sol: _Solution, steps) -> _Solution:
     drv = g._spec.driver
     sol.alpha[drv.joint] = drv.sign * sol.phi + np.radians(sol.cols[g._driver_slot])
     sol.steps = steps
-    for kind, ref in steps:
+    for kind, step in steps:
         if kind == "tree":
-            child = g.tree_child[ref]
-            parent = g.tree_parent[child][1]
-            joint = g.joints[ref]
-            # The joint angle convention is b minus a; flip when the tree
-            # child happens to sit on the a side.
-            sign = 1.0 if joint.b[0] == child else -1.0
-            theta_child = sol.theta[parent] + sign * sol.alpha[ref]
-            anchor = sol.point_world(parent, joint.attachment(parent))
-            local = sol.local(child, joint.attachment(child))
-            sol.theta[child] = theta_child
-            sol.origin[child] = anchor - _rotate(theta_child, local)
+            theta = sol.theta[step.parent] + step.sign * sol.alpha[step.joint]
+            sol.place(step.child, theta, sol.point_world(step.parent, step.anchor), step.local)
         elif kind == "gear":
-            coupling = g.gear_by_id[ref]
-            jin = coupling.joint_in
-            if jin in sol.alpha:
-                value = sol.alpha[jin]
-            else:
-                joint = g.joints[jin]
-                value = sol.theta[joint.b[0]] - sol.theta[joint.a[0]]
-            ratio, offset = g._gear_slots[ref]
-            sol.alpha[coupling.joint_out] = (
-                sol.cols[ratio] * value + np.radians(sol.cols[offset])
+            sol.alpha[step.joint_out] = (
+                sol.cols[step.ratio] * _gear_input(sol, step)
+                + np.radians(sol.cols[step.offset])
             )
         else:
-            _place_dyad(sol, ref)
+            _place_dyad(sol, step)
     return sol.finish()
+
+
+def _gear_input(state, step):
+    """The input angle of a gear step, or its tangent: the joint angle an
+    earlier step set, else the b-side minus the a-side link orientation."""
+    if step.links is None:
+        return state.alpha[step.joint_in]
+    a, b = step.links
+    return state.theta[b] - state.theta[a]
 
 
 def _place_dyad(sol: _Solution, step) -> None:
     """Place a dyad's two links by intersecting circles about its anchors."""
-    g = sol.graph
-    a1 = sol.local(step.link1, step.a1)
-    b2 = sol.local(step.link2, step.b2)
-    v1 = sol.local(step.link1, step.m1) - a1
-    v2 = sol.local(step.link2, step.m2) - b2
+    a1 = sol.local(step.a1)
+    b2 = sol.local(step.b2)
+    v1 = sol.local(step.m1) - a1
+    v2 = sol.local(step.m2) - b2
     r1 = np.hypot(v1[0], v1[1])
     r2 = np.hypot(v2[0], v2[1])
     if ((r1 <= 0.0) | (r2 <= 0.0)).any():
         raise NonPositiveLength(f"dyad leg through joint {step.hinge!r} has zero length")
     p = sol.point_world(*step.p_ref)
     q = sol.point_world(*step.q_ref)
-    sign = 1.0 if g.branch_of[step.closure] == "open" else -1.0
     with np.errstate(invalid="ignore"):
-        hinge, _h, d = circle_circle(p, r1, q, r2, sign)
+        hinge, _h, d = circle_circle(p, r1, q, r2, step.sign)
         margin, trans = assembly_margin_and_transmission(d, r1, r2)
     bad = ~np.isfinite(hinge[..., 0])
     sol.margin[step.closure] = margin
@@ -323,10 +319,8 @@ def _place_dyad(sol: _Solution, step) -> None:
     theta1 = theta1 - _leg_angle(v1)
     theta2 = np.arctan2(hinge[..., 1] - q[..., 1], hinge[..., 0] - q[..., 0])
     theta2 = theta2 - _leg_angle(v2)
-    sol.theta[step.link1] = theta1
-    sol.theta[step.link2] = theta2
-    sol.origin[step.link1] = p - _rotate(theta1, a1)
-    sol.origin[step.link2] = q - _rotate(theta2, b2)
+    sol.place(step.link1, theta1, p, step.a1)
+    sol.place(step.link2, theta2, q, step.b2)
 
 
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
@@ -368,46 +362,35 @@ class _Tangent:
         self.xy = sol.cols[:-1] + 1j * sol.cols[1:]
         self.dxy = (dgeom[:, :-1] + 1j * dgeom[:, 1:]).T.reshape((-1, self.n) + pad)
         self.dcols = dgeom.T.reshape(dgeom.shape[-1:] + (self.n,) + pad)
-        self.turn: dict[str, np.ndarray] = {}  # link -> exp(i theta), primal
+        self.turn = {k: c + 1j * s for k, (c, s) in sol.turn.items()}  # exp(i theta), primal
         self.theta = {GROUND: 0.0}
         self.origin: dict[str, np.ndarray] = {}
         self.alpha: dict[str, np.ndarray] = {}
         self.margin: dict[str, np.ndarray] = {}
         self.transmission: dict[str, np.ndarray] = {}
 
-    def rotation(self, link_id: str) -> np.ndarray:
-        turn = self.turn.get(link_id)
-        if turn is None:
-            turn = self.turn[link_id] = np.exp(1j * self.sol.theta[link_id])
-        return turn
-
-    def moved(self, link_id: str, point: str):
-        """(primal local, tangent of local) of a point, complex."""
-        i = self.sol.graph._xy[link_id, point]
-        return self.xy[i], self.dxy[i]
-
-    def point_world(self, link_id: str, point: str) -> np.ndarray:
+    def point_world(self, link_id: str, slot: int) -> np.ndarray:
         """Tangent of sol.point_world, complex."""
-        local, dlocal = self.moved(link_id, point)
         if link_id == GROUND:
-            return dlocal
-        turn = self.rotation(link_id)
-        return self.origin[link_id] + turn * (1j * local * self.theta[link_id] + dlocal)
+            return self.dxy[slot]
+        return self.origin[link_id] + self.turn[link_id] * (
+            1j * self.xy[slot] * self.theta[link_id] + self.dxy[slot]
+        )
 
-    def place(self, link_id: str, anchor, point: str, dtheta) -> None:
+    def place(self, link_id: str, anchor, slot: int, dtheta) -> None:
         """Set a link's angle tangent, and its origin's, by origin = anchor -
         exp(i theta) local with ``anchor`` the tangent of the anchor."""
-        local, dlocal = self.moved(link_id, point)
         self.theta[link_id] = dtheta
-        self.origin[link_id] = anchor - self.rotation(link_id) * (1j * local * dtheta + dlocal)
+        self.origin[link_id] = anchor - self.turn[link_id] * (
+            1j * self.xy[slot] * dtheta + self.dxy[slot]
+        )
 
     def gaps(self) -> np.ndarray:
         """Tangent of sol.gap, the stacked closure gaps: (n, ..., 2*loops)."""
         g = self.sol.graph
-        out = np.empty((self.n,) + self.sol.ok.shape + (2 * len(g.closures),))
-        for i, cid in enumerate(g.closures):
-            joint = g.joints[cid]
-            gap = self.point_world(*joint.a) - self.point_world(*joint.b)
+        out = np.empty((self.n,) + self.sol.ok.shape + (2 * len(g.gaps),))
+        for i, (a, b) in enumerate(g.gaps):
+            gap = self.point_world(*a) - self.point_world(*b)
             out[..., 2 * i] = gap.real
             out[..., 2 * i + 1] = gap.imag
         return out
@@ -426,31 +409,19 @@ def _tangents(sol: _Solution, dgeom: np.ndarray, dfree=None) -> _Tangent:
     t.alpha[g._spec.driver.joint] = np.radians(t.dcols[g._driver_slot])
     for k, jid in enumerate(g.free_joints if dfree is not None else ()):
         t.alpha[jid] = dfree[..., k]
-    for kind, ref in sol.steps:
+    for kind, step in sol.steps:
         if kind == "tree":
-            child = g.tree_child[ref]
-            parent = g.tree_parent[child][1]
-            joint = g.joints[ref]
-            sign = 1.0 if joint.b[0] == child else -1.0
-            anchor = t.point_world(parent, joint.attachment(parent))
-            t.place(child, anchor, joint.attachment(child), t.theta[parent] + sign * t.alpha[ref])
+            dtheta = t.theta[step.parent] + step.sign * t.alpha[step.joint]
+            t.place(step.child, t.point_world(step.parent, step.anchor), step.local, dtheta)
         elif kind == "gear":
-            coupling = g.gear_by_id[ref]
-            jin = coupling.joint_in
-            if jin in t.alpha:
-                dvalue = t.alpha[jin]
-            else:
-                joint = g.joints[jin]
-                dvalue = t.theta[joint.b[0]] - t.theta[joint.a[0]]
-            ratio, offset = g._gear_slots[ref]
-            # sol.alpha[jin] is the input value the primal step read.
-            t.alpha[coupling.joint_out] = (
-                t.dcols[ratio] * sol.alpha[jin]
-                + sol.cols[ratio] * dvalue
-                + np.radians(t.dcols[offset])
+            # sol.alpha[joint_in] is the input value the primal step read.
+            t.alpha[step.joint_out] = (
+                t.dcols[step.ratio] * sol.alpha[step.joint_in]
+                + sol.cols[step.ratio] * _gear_input(t, step)
+                + np.radians(t.dcols[step.offset])
             )
         else:
-            _dyad_tangent(t, ref)
+            _dyad_tangent(t, step)
     for jid, joint in g.joints.items():
         if jid not in t.alpha:
             t.alpha[jid] = t.theta[joint.b[0]] - t.theta[joint.a[0]]
@@ -462,10 +433,10 @@ def _dyad_tangent(t: _Tangent, step) -> None:
     |H - q| = r2, so (H - p).(dH - dp) = r1 dr1 and (H - q).(dH - dq) =
     r2 dr2: one 2x2 solve per sample, determinant cross(H - p, H - q)."""
     sol = t.sol
-    (a1, da1), (m1, dm1) = (t.moved(step.link1, point) for point in (step.a1, step.m1))
-    (b2, db2), (m2, dm2) = (t.moved(step.link2, point) for point in (step.b2, step.m2))
-    v1, dv1 = m1 - a1, dm1 - da1  # the legs, link-local
-    v2, dv2 = m2 - b2, dm2 - db2
+    v1 = t.xy[step.m1] - t.xy[step.a1]  # the legs, link-local
+    v2 = t.xy[step.m2] - t.xy[step.b2]
+    dv1 = t.dxy[step.m1] - t.dxy[step.a1]
+    dv2 = t.dxy[step.m2] - t.dxy[step.b2]
     r1, r2 = abs(v1), abs(v2)
     r1dr1 = (v1.conjugate() * dv1).real
     r2dr2 = (v2.conjugate() * dv2).real
@@ -473,8 +444,8 @@ def _dyad_tangent(t: _Tangent, step) -> None:
     q = _complex(sol.point_world(*step.q_ref))
     dp = t.point_world(*step.p_ref)
     dq = t.point_world(*step.q_ref)
-    u = t.rotation(step.link1) * v1  # H - p
-    w = t.rotation(step.link2) * v2  # H - q
+    u = t.turn[step.link1] * v1  # H - p
+    w = t.turn[step.link2] * v2  # H - q
     rhs1 = r1dr1 + (u.conjugate() * dp).real  # (H - p).dH
     rhs2 = r2dr2 + (w.conjugate() * dq).real  # (H - q).dH
     delta = q - p
@@ -535,13 +506,9 @@ def sweep_tangents(series: dict, dgeom) -> dict:
     shape = (t.n,) + sol.ok.shape
     out = {"margin": t.margin, "transmission": t.transmission}
     for name in ("theta_s", "theta_e"):
-        spec_out = g._angle_outputs[name]
-        if spec_out.link is not None:
-            raw = t.theta[spec_out.link]
-        else:
-            raw = t.alpha[spec_out.joint]
-        offset = t.dcols[g._output_slots[name]]
-        out[f"{name}_deg"] = np.broadcast_to(spec_out.sign * np.degrees(raw) + offset, shape)
+        table, key, sign, offset = g._angle_outputs[name]
+        raw = getattr(t, table)[key]
+        out[f"{name}_deg"] = np.broadcast_to(sign * np.degrees(raw) + t.dcols[offset], shape)
     return out
 
 
@@ -631,8 +598,8 @@ def _configuration(graph, sol: _Solution) -> Configuration:
     _one_design(graph, "a Configuration")
     joint_angles = {jid: float(sol.alpha[jid]) for jid in graph.joints}
     points: dict[str, tuple[float, float]] = {}
-    for link_id, pname in graph._xy:
-        w = sol.local(GROUND, pname) if link_id == GROUND else sol.point_world(link_id, pname)
+    for (link_id, pname), slot in graph._xy.items():
+        w = sol.local(slot) if link_id == GROUND else sol.point_world(link_id, slot)
         points[f"{link_id}:{pname}"] = (float(w[0]), float(w[1]))
     for name, ref in graph._spec.point_outputs.items():
         key = f"{ref[0]}:{ref[1]}"
@@ -754,18 +721,13 @@ def sweep_series(
     out["wrap_deviation_rad"] = np.where(valid, deviation, math.nan)[()]
 
     for name in ("theta_s", "theta_e"):
-        spec_out = mech._angle_outputs[name]
-        if spec_out.link is not None:
-            raw = sol.theta[spec_out.link]
-        else:
-            raw = sol.alpha[spec_out.joint]
+        table, key, sign, offset = mech._angle_outputs[name]
+        raw = getattr(sol, table)[key]
         if np.any(all_ok):
             raw = np.where(all_ok[..., None], np.unwrap(raw, axis=-1), raw)
-        offset = sol.cols[mech._output_slots[name]]
-        out[f"{name}_deg"] = spec_out.sign * np.degrees(raw) + offset
-    point_outputs = mech._spec.point_outputs
-    out["elbow"] = sol.point_world(*point_outputs["elbow"])
-    out["tip"] = sol.point_world(*point_outputs["wingtip"])
+        out[f"{name}_deg"] = sign * np.degrees(raw) + sol.cols[offset]
+    out["elbow"] = sol.point_world(*mech._point_outputs["elbow"])
+    out["tip"] = sol.point_world(*mech._point_outputs["wingtip"])
     out["_solution"] = sol
     return out
 

@@ -308,10 +308,22 @@ def test_gear_ratio_zero_via_spec(reference):
         validate_mechanism(spec)
 
 
+def test_cyclic_gear_couplings_are_rejected(reference):
+    spec = copy.deepcopy(reference.spec)
+    gears = {coupling.id: coupling for coupling in spec.gear_couplings}
+    gears["gear_rc"].joint_in = "j8_digit"  # gear_dg's output
+    gears["gear_dg"].joint_in = "j0_rcrank"  # gear_rc's output
+    with pytest.raises(SchemaError) as err:
+        validate_mechanism(spec)
+    assert err.value.field == "gear_couplings"
+    assert "cyclic" in err.value.detail
+    assert "gear_dg" in err.value.detail and "gear_rc" in err.value.detail
+
+
 def test_copy_shares_topology_and_owns_every_geometry_record(reference):
     before = mechanism_to_dict(reference.spec)
     twin = reference.copy()
-    tables = ("joints", "tree_order", "loops", "gear_order", "steps", "plan",
+    tables = ("joints", "tree_order", "loops", "steps", "plan",
               "newton_steps", "fourbar_loops", "parameters")
     for table in tables:
         assert getattr(twin, table) is getattr(reference, table)
@@ -353,10 +365,14 @@ def test_derived_graphs_never_revalidate(reference, monkeypatch):
     assert np.all(np.isfinite(entries))
 
 
+def _step_names(steps) -> list[tuple[str, str]]:
+    """(kind, tree joint, gear coupling or dyad closure) of each step record."""
+    names = {"tree": "joint", "gear": "id", "dyad": "closure"}
+    return [(kind, getattr(step, names[kind])) for kind, step in steps]
+
+
 def test_reference_solve_order(reference):
-    order = [
-        (kind, ref.closure if kind == "dyad" else ref) for kind, ref in reference.steps
-    ]
+    order = _step_names(reference.steps)
     assert order == [
         ("tree", "j1_drive"),
         ("gear", "gear_rc"),
@@ -368,7 +384,7 @@ def test_reference_solve_order(reference):
     ]
     assert reference.plan == [ref for kind, ref in reference.steps if kind == "dyad"]
     # With the free angles given, tree and gear steps place every link.
-    assert reference.newton_steps == [
+    assert _step_names(reference.newton_steps) == [
         ("tree", "j1_drive"),
         ("tree", "j2_shoulder"),
         ("tree", "j3_crankpin"),

@@ -172,8 +172,11 @@ def test_family_sweeps_each_scale_once(reference, monkeypatch):
     calls = _count_calls(monkeypatch, "with_parameters", "sweep_gait", "sweep_series")
     result = sensitivity_sweep(reference, "crank_len", (0.98, 1.0, 1.02), samples=90)
     assert not result.failures
-    assert calls.count("with_parameters") == 3
-    assert calls.count("sweep_gait") + calls.count("sweep_series") == 3
+    # One strict sweep per scale, then one batched pass of the two scales
+    # nearest 1.0 for the score.
+    assert calls.count("sweep_gait") == 3
+    assert calls.count("sweep_series") == 1
+    assert calls.count("with_parameters") == 4
 
 
 def test_rank_applies_and_sweeps_once_per_pass(reference, monkeypatch):

@@ -269,10 +269,10 @@ def test_newton_steps_place_every_link_by_tree_and_gear_steps(spec):
     mech = validate_mechanism(spec())
     kinds = [kind for kind, _ref in mech.newton_steps]
     assert set(kinds) <= {"tree", "gear"}
-    placed = [mech.tree_child[ref] for kind, ref in mech.newton_steps if kind == "tree"]
+    placed = [step.child for kind, step in mech.newton_steps if kind == "tree"]
     assert sorted(placed) == sorted(mech.links)
-    assert sorted(ref for kind, ref in mech.newton_steps if kind == "gear") == sorted(
-        mech.gear_by_id
+    assert sorted(step.id for kind, step in mech.newton_steps if kind == "gear") == sorted(
+        coupling.id for coupling in mech.spec.gear_couplings
     )
 
 
