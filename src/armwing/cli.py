@@ -39,8 +39,8 @@ from .materials import (
     load_materials,
     strain_budget_check,
 )
-from .sensitivity import sensitivity_rank, sensitivity_sweep
-from .solver import solve_configuration, sweep_gait
+from .sensitivity import RANK_DELTA_MAX, sensitivity_rank, sensitivity_sweep
+from .solver import GAIT_MIN_SAMPLES, solve_configuration, sweep_gait
 from .svgplot import PlotSpec, Series, write_svg
 
 __all__ = ["main", "build_parser"]
@@ -187,6 +187,31 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+def _count(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _rank_delta(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value <= RANK_DELTA_MAX:
+        raise argparse.ArgumentTypeError(f"must be in (0, {RANK_DELTA_MAX}], got {text}")
+    return value
+
+
 def _parse_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -217,6 +242,8 @@ def _cmd_sensitivity(args) -> int:
         return 0
     if not args.param or not args.range:
         raise UsageError("sensitivity needs either --rank or --param with --range")
+    if args.samples < GAIT_MIN_SAMPLES:
+        raise UsageError(f"--samples must be >= {GAIT_MIN_SAMPLES} for a family sweep")
     result = sensitivity_sweep(mech, args.param, args.range, samples=args.samples)
     if args.plot:
         series = []
@@ -373,7 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep a full wingbeat to trajectory CSV")
     p.add_argument("--mech", required=True, help="mechanism JSON file")
-    p.add_argument("--samples", type=int, default=360, help="phase samples (default 360)")
+    p.add_argument(
+        "--samples", type=_count(GAIT_MIN_SAMPLES), default=360,
+        help=f"phase samples, at least {GAIT_MIN_SAMPLES} (default 360)",
+    )
     p.add_argument(
         "--method",
         choices=("auto", "analytic", "newton"),
@@ -384,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("target", help="emit the sampled target gait as CSV")
-    p.add_argument("--samples", type=int, default=360, help="phase samples (default 360)")
+    p.add_argument("--samples", type=_count(1), default=360, help="phase samples (default 360)")
     p.add_argument("--out", help="output CSV path (default: print to stdout)")
     p.set_defaults(func=_cmd_target)
 
@@ -398,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit one stage, or 'all' for the staged pipeline (default all)",
     )
     p.add_argument("--seed", type=int, default=0, help="multistart RNG seed")
-    p.add_argument("--multistarts", type=int, default=10, help="starts per stage")
-    p.add_argument("--maxiter", type=int, default=150, help="iterations per start")
+    p.add_argument("--multistarts", type=_count(1), default=10, help="starts per stage")
+    p.add_argument("--maxiter", type=_count(1), default=150, help="iterations per start")
     p.add_argument("--out", required=True, help="fit report JSON path")
     p.add_argument(
         "--out-mech",
@@ -418,9 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rank", action="store_true", help="rank all parameters")
     p.add_argument(
-        "--delta", type=float, default=0.025, help="rank perturbation (default 0.025)"
+        "--delta", type=_rank_delta, default=0.025,
+        help=f"rank perturbation, in (0, {RANK_DELTA_MAX}] (default 0.025)",
     )
-    p.add_argument("--samples", type=int, default=360, help="phase samples")
+    p.add_argument(
+        "--samples", type=_count(1), default=360,
+        help=f"phase samples, at least {GAIT_MIN_SAMPLES} for a family sweep",
+    )
     p.add_argument("--plot", help="write the family as an SVG to this path")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_sensitivity)

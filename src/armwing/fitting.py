@@ -16,8 +16,11 @@ Optimization runs a bounded, inequality-constrained local descent
 plus seeded uniform draws inside the box.  Its gradient 2 J^T r / N, the
 constraint Jacobian and the polish's residual Jacobian J are exact: one
 tangent pass of the solver (solver.sweep_tangents) differentiates the
-sweep along the moved parameters.  A max or min entry takes the derivative
-at its active sample; penalty entries get zero rows.  Starts are
+sweep along the moved parameters, running each step only on the
+parameters that move its read-set, so a stage pays for its side of the
+chain alone.  A max or min entry takes the derivative at its active
+sample; penalty entries, and entries no moved parameter reads
+(_constraint_reads), get zero rows.  Starts are
 independent, each on a private mechanism copy, and merge deterministically
 by (cost, index).
 Failed solves during the search contribute a fixed penalty per sample
@@ -43,7 +46,7 @@ from scipy.optimize import Bounds, NonlinearConstraint, least_squares, minimize
 
 from .errors import EmptyResidual, GridMismatch, NoFeasibleStart
 from .gait import TargetGait, phase_grid
-from .linkage import MechanismGraph
+from .linkage import MechanismGraph, _points
 from .solver import _one_design, sweep_series, sweep_tangents
 
 __all__ = [
@@ -283,6 +286,21 @@ def constraint_names(mech: MechanismGraph, samples: int = 360) -> list[str]:
     return names
 
 
+def _constraint_reads(mech: MechanismGraph) -> list[tuple[int, ...]]:
+    """The read-set of each _constraint_core entry, [ineq, h] in order: the
+    geom slots its value hangs on.  A margin or transmission entry reads
+    its dyad's read-set, a four-bar entry the slots of its loop's spans and
+    a symmetry entry its one slot; an entry without an analytic margin is a
+    step function and reads none.  A direction that moves no slot of an
+    entry's read-set gives that entry a zero Jacobian row."""
+    dyads = {step.closure: step.reads for step in mech.plan or ()}
+    loops = [dyads.get(cid, ()) for cid in mech.closures]
+    spans = []
+    for pairs in mech.fourbar_loops.values():
+        spans += [tuple(sorted(_points(*(slot for pair in pairs for slot in pair))))] * 2
+    return loops + spans + loops + [(slot,) for _, slot in mech._symmetry]
+
+
 def _constraint_core(
     mech: MechanismGraph,
     samples: int,
@@ -299,7 +317,8 @@ def _constraint_core(
     Given the sweep's ``tangents`` along the rows of ``dgeom`` (n, P), a
     third item is the Jacobian of the entries [ineq, h], shape (entries, n):
     a max or min entry takes the derivative at its active sample, and a
-    CONSTRAINT_PENALTY or Newton-only step entry gets a zero row.
+    CONSTRAINT_PENALTY or Newton-only step entry gets a zero row, as does
+    an entry that no row of ``dgeom`` moves (see _constraint_reads).
     """
     if series is None:
         series = sweep_series(mech, samples, strict=False)
@@ -308,11 +327,15 @@ def _constraint_core(
     jac = tangents is not None
     ineq = []
     rows = []  # with tangents, one derivative row per entry
+    if jac:
+        zero = np.zeros(len(dgeom))
+        moved = [np.any(dgeom.take(reads, axis=1)) for reads in _constraint_reads(mech)]
 
     def at_sample(key: str, cid: str, k: int | None) -> np.ndarray:
-        """The tangent of series[key][cid] at sample k; zero for k None."""
-        if k is None:
-            return np.zeros(len(dgeom))
+        """The tangent of series[key][cid] at sample k, for the entry built
+        next; zero for k None or an entry nothing moves."""
+        if k is None or not moved[len(rows)]:
+            return zero
         d = tangents[key][cid][:, k]
         return np.where(np.isfinite(d), d, 0.0)
 
@@ -337,7 +360,9 @@ def _constraint_core(
         s, p, q, l = sorted(spans)
         ineq.append(s + l - (p + q))
         ineq.append(crank - min(ground, coupler, rocker))
-        if jac:
+        if jac and not moved[len(rows)]:
+            rows += [zero, zero]
+        elif jac:
             dspans = [_span_tangent(mech.geom, pair, dgeom) for pair in pairs]
             ds, dp, dq, dl = (dspans[i] for i in sorted(range(4), key=spans.__getitem__))
             rows.append(ds + dl - (dp + dq))

@@ -21,7 +21,9 @@ every name the solver reads already resolved:
   margin reporting, and the Newton step order: the same walk with the
   free joint angles given and no dyads (``newton_steps``).  Each step is a
   record an executor runs without a lookup: a TreeStep, GearStep or
-  DyadStep carrying its links, joint angles and geom slots,
+  DyadStep carrying its links, joint angles and geom slots, and its
+  read-set, the geom slots its result depends on; ``tangent_steps`` are
+  the analytic steps the angle outputs, margins and transmissions read,
 * the closure gaps, the theta_s/theta_e angle outputs and the
   elbow/wingtip point outputs as (link, slot) reads, and the four-bar
   loop table: each loop that is a plain four-bar driven at a ground joint,
@@ -221,6 +223,12 @@ class LinkageSpec:
     description: str = ""
 
 
+# Every step record carries its read-set, ``reads``: the geom slots its
+# result depends on, sorted and closed over its inputs (the steps that
+# placed the bodies and set the joint angles it reads, and the driver
+# offset).  The free joint angles a Newton step may read are not slots.
+
+
 @dataclass(frozen=True)
 class TreeStep:
     """Place ``child`` from its placed ``parent`` through tree joint
@@ -233,6 +241,7 @@ class TreeStep:
     sign: float  # +1 when the child is the joint's b side (alpha is b minus a)
     anchor: int  # the parent's attachment
     local: int  # the child's attachment
+    reads: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -247,6 +256,7 @@ class GearStep:
     ratio: int  # geom slot of the ratio
     offset: int  # geom slot of offset_deg
     links: tuple[str, str] | None
+    reads: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -266,6 +276,7 @@ class DyadStep:
     m2: int  # link2 local point at hinge
     b2: int  # link2 local point at its outer joint
     sign: float  # circle intersection branch: +1 open, -1 crossed
+    reads: tuple[int, ...]
 
 
 class MechanismGraph:
@@ -275,7 +286,10 @@ class MechanismGraph:
     joints, the analytic and Newton step records and the dyad plan, the
     closure gaps and outputs as (link, slot) reads, the four-bar loop
     table, and the parameter and symmetry targets, all resolved to slots
-    of ``geom``.  ``geom`` is the one store of the numbers: the validated
+    of ``geom``.  Each step record carries its read-set, so a tangent pass
+    runs a step only on the directions that move it, and
+    ``tangent_steps`` lists the analytic steps a differentiated output
+    reads.  ``geom`` is the one store of the numbers: the validated
     records keep NaN in their numeric fields.  Graphs made by ``copy()``,
     ``with_parameters()`` or ``DesignVector.apply()`` share the topology and
     own a private ``geom``.  Solves never mutate a graph.  The constructor
@@ -297,6 +311,7 @@ class MechanismGraph:
         self.free_joints: list[str] = []
         self.steps: list[tuple] | None = None  # analytic solve order, (kind, record)
         self.plan: list[DyadStep] | None = None  # the dyads of steps
+        self.tangent_steps: list[tuple] | None = None  # the steps sweep_tangents reads
         self.newton_steps: list[tuple] = []  # tree and gear steps, free angles given
         self.gaps: list[tuple] = []  # per closure, its a-side and b-side (link, slot)
         self._angle_outputs: dict[str, tuple] = {}  # theta_s/e -> (table, key, sign, offset slot)
@@ -499,6 +514,7 @@ def _build(g: MechanismGraph) -> None:
     g.steps = _derive_plan(g, newton=False)
     if g.steps is not None:
         g.plan = [step for kind, step in g.steps if kind == "dyad"]
+        g.tangent_steps = _tangent_steps(g)
     _fourbar_loops(g)
     for _, container, key, _ in fields:  # geom is the one store from here on
         container[key] = math.nan
@@ -742,12 +758,16 @@ def _derive_plan(g: MechanismGraph, newton: bool) -> list[tuple] | None:
     is known or both links of its input joint are placed (gears are tried
     in id order).  A dyad is planned only when no tree or gear step is
     ready, so a gear-slaved link is never taken as a dyad unknown.  Steps
-    are ("tree", TreeStep), ("gear", GearStep) and ("dyad", DyadStep).
-    Given the free angles, only a gear coupling cycle can leave a link
-    unplaced; it raises SchemaError naming the couplings it holds back.
+    are ("tree", TreeStep), ("gear", GearStep) and ("dyad", DyadStep),
+    each with its read-set.  Given the free angles, only a gear coupling
+    cycle can leave a link unplaced; it raises SchemaError naming the
+    couplings it holds back.
     """
-    placed = {GROUND}
-    known = {g._spec.driver.joint, *(g.free_joints if newton else ())}
+    # The read-sets of the placed bodies and of the known joint angles.
+    placed: dict[str, frozenset] = {GROUND: frozenset()}
+    known = {g._spec.driver.joint: frozenset({g._driver_slot})}
+    if newton:
+        known.update(dict.fromkeys(g.free_joints, frozenset()))
     gears = sorted(g._spec.gear_couplings, key=lambda c: c.id)
     loops = [] if newton else list(g.closures)
 
@@ -756,32 +776,35 @@ def _derive_plan(g: MechanismGraph, newton: bool) -> list[tuple] | None:
             child = g.tree_child[jid]
             parent = g.tree_parent[child][1]
             if child not in placed and jid in known and parent in placed:
-                placed.add(child)
                 joint = g.joints[jid]
                 # The joint angle convention is b minus a; flip when the
                 # tree child happens to sit on the a side.
                 sign = 1.0 if joint.b[0] == child else -1.0
                 anchor = g._xy[parent, joint.attachment(parent)]
-                return "tree", TreeStep(jid, child, parent, sign, anchor,
-                                        g._xy[child, joint.attachment(child)])
+                local = g._xy[child, joint.attachment(child)]
+                reads = placed[parent] | known[jid] | _points(anchor, local)
+                placed[child] = reads
+                return "tree", TreeStep(jid, child, parent, sign, anchor, local, tuple(sorted(reads)))
         for coupling in gears:
             joint = g.joints[coupling.joint_in]
             links = (joint.a[0], joint.b[0])
-            if coupling.joint_in in known or set(links) <= placed:
+            if coupling.joint_in in known or set(links) <= placed.keys():
                 gears.remove(coupling)
-                step = GearStep(
-                    coupling.id, coupling.joint_in, coupling.joint_out,
-                    g._slots[f"gear:{coupling.id}.ratio"],
-                    g._slots[f"gear:{coupling.id}.offset_deg"],
-                    None if coupling.joint_in in known else links,
-                )
-                known.add(coupling.joint_out)
-                return "gear", step
+                ratio = g._slots[f"gear:{coupling.id}.ratio"]
+                offset = g._slots[f"gear:{coupling.id}.offset_deg"]
+                if coupling.joint_in in known:
+                    reads, links = known[coupling.joint_in], None
+                else:
+                    reads = placed[links[0]] | placed[links[1]]
+                reads = reads | {ratio, offset}
+                known[coupling.joint_out] = reads
+                return "gear", GearStep(coupling.id, coupling.joint_in, coupling.joint_out,
+                                        ratio, offset, links, tuple(sorted(reads)))
         for cid in loops:
             step = _plan_dyad(g, cid, placed)
             if step is not None:
                 loops.remove(cid)
-                placed.update((step.link1, step.link2))
+                placed[step.link1] = placed[step.link2] = frozenset(step.reads)
                 return "dyad", step
         return None
 
@@ -789,10 +812,17 @@ def _derive_plan(g: MechanismGraph, newton: bool) -> list[tuple] | None:
     if newton and gears:
         names = ", ".join(c.id for c in gears)
         raise SchemaError("gear_couplings", f"cyclic gear coupling dependency: {names}")
-    return steps if placed.issuperset(g.links) else None
+    return steps if placed.keys() >= g.links.keys() else None
 
 
-def _plan_dyad(g: MechanismGraph, cid: str, resolved: set[str]) -> DyadStep | None:
+def _points(*slots: int) -> frozenset:
+    """The geom slots of the points whose x sits at ``slots``: x and y."""
+    return frozenset(slots) | {slot + 1 for slot in slots}
+
+
+def _plan_dyad(g: MechanismGraph, cid: str, placed: dict) -> DyadStep | None:
+    """The dyad closing loop ``cid`` when exactly two of its links are
+    unplaced; ``placed`` maps each placed body to its read-set."""
     cycle = g.loops[cid]
     links_in_cycle: list[str] = []
     for jid in cycle:
@@ -800,7 +830,7 @@ def _plan_dyad(g: MechanismGraph, cid: str, resolved: set[str]) -> DyadStep | No
         for link_id in (joint.a[0], joint.b[0]):
             if link_id not in links_in_cycle:
                 links_in_cycle.append(link_id)
-    unresolved = [l for l in links_in_cycle if l not in resolved]
+    unresolved = [l for l in links_in_cycle if l not in placed]
     if len(unresolved) != 2:
         return None
     l1, l2 = unresolved
@@ -818,7 +848,7 @@ def _plan_dyad(g: MechanismGraph, cid: str, resolved: set[str]) -> DyadStep | No
             if jid == hinge:
                 continue
             joint = g.joints[jid]
-            if link_id in (joint.a[0], joint.b[0]) and joint.other(link_id) in resolved:
+            if link_id in (joint.a[0], joint.b[0]) and joint.other(link_id) in placed:
                 return joint
         return None
 
@@ -828,19 +858,59 @@ def _plan_dyad(g: MechanismGraph, cid: str, resolved: set[str]) -> DyadStep | No
         return None
     hinge_joint = g.joints[hinge]
     p_body, q_body = o1.other(l1), o2.other(l2)
+    p_ref = _read(g, p_body, o1.attachment(p_body))
+    q_ref = _read(g, q_body, o2.attachment(q_body))
+    a1 = g._xy[l1, o1.attachment(l1)]
+    m1 = g._xy[l1, hinge_joint.attachment(l1)]
+    m2 = g._xy[l2, hinge_joint.attachment(l2)]
+    b2 = g._xy[l2, o2.attachment(l2)]
+    reads = placed[p_body] | placed[q_body] | _points(p_ref[1], q_ref[1], a1, m1, m2, b2)
     return DyadStep(
         closure=cid,
         link1=l1,
         link2=l2,
         hinge=hinge,
-        p_ref=_read(g, p_body, o1.attachment(p_body)),
-        q_ref=_read(g, q_body, o2.attachment(q_body)),
-        a1=g._xy[l1, o1.attachment(l1)],
-        m1=g._xy[l1, hinge_joint.attachment(l1)],
-        m2=g._xy[l2, hinge_joint.attachment(l2)],
-        b2=g._xy[l2, o2.attachment(l2)],
+        p_ref=p_ref,
+        q_ref=q_ref,
+        a1=a1,
+        m1=m1,
+        m2=m2,
+        b2=b2,
         sign=1.0 if g.branch_of[cid] == "open" else -1.0,
+        reads=tuple(sorted(reads)),
     )
+
+
+def _tangent_steps(g: MechanismGraph) -> list[tuple]:
+    """The steps of ``g.steps`` that the angle outputs, the margins and the
+    transmissions read: every dyad, and what the outputs and dyads need,
+    found by walking the steps backwards from what they read."""
+    driver = g._spec.driver.joint
+    gear_out = {c.joint_out for c in g._spec.gear_couplings}
+    need: set[tuple[str, str]] = set()
+    for table, key, *_ in g._angle_outputs.values():
+        if table == "theta":
+            need.add(("theta", key))
+        elif key in gear_out:
+            need.add(("alpha", key))
+        elif key != driver:  # read as its b-side minus its a-side orientation
+            joint = g.joints[key]
+            need.update({("theta", joint.a[0]), ("theta", joint.b[0])})
+    live = []
+    for kind, step in reversed(g.steps):
+        if kind == "dyad":
+            need.update({("theta", step.p_ref[0]), ("theta", step.q_ref[0])})
+        elif kind == "tree" and ("theta", step.child) in need:
+            need.update({("theta", step.parent), ("alpha", step.joint)})
+        elif kind == "gear" and ("alpha", step.joint_out) in need:
+            if step.links is None:
+                need.add(("alpha", step.joint_in))
+            else:
+                need.update(("theta", link) for link in step.links)
+        else:
+            continue
+        live.append((kind, step))
+    return live[::-1]
 
 
 def _fourbar_loops(g: MechanismGraph) -> None:

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 PASS_SAMPLES = 8 * 361  # phase samples per batched sweep: 8 designs at 360
+RANK_DELTA_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,8 @@ def sensitivity_rank(
     no output depends on (score exactly 0) sort last.  ``delta`` must lie
     in (0, 0.1].  Its 2n scaled designs are swept in batched passes.
     """
-    if not 0.0 < delta <= 0.1:
-        raise ValueError(f"delta must be in (0, 0.1], got {delta!r}")
+    if not 0.0 < delta <= RANK_DELTA_MAX:
+        raise ValueError(f"delta must be in (0, {RANK_DELTA_MAX}], got {delta!r}")
     names = list(parameters) if parameters is not None else mech.parameter_names()
     lo, hi = 1.0 - delta, 1.0 + delta
     rows = _scaled_tips(mech, [(name, s) for name in names for s in (lo, hi)], samples)

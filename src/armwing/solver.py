@@ -18,9 +18,16 @@ over a phase grid and a batch of designs.  A placed link keeps its
 One forward-mode tangent pass, ``_tangents``, mirrors ``_run_steps`` step
 for step over a solved one-design pose.  It carries a leading axis of n
 directions in the slot space of ``geom`` (and, on a Newton pose, seeds on
-the free angles), and returns exact derivatives of every link angle and
-origin, the joint angles, the dyad margins and transmissions, and the
-closure gaps.  Its rules:
+the free angles), and returns exact derivatives of the link angles and
+origins, the joint angles, the dyad margins and transmissions, and the
+closure gaps.  It runs only what those outputs can read.  On an analytic
+pose that is ``tangent_steps``, the steps the angle outputs, margins and
+transmissions read (not the reference's digit gear and digit), and each
+step on the live rows alone: the directions that move a slot of the
+step's compiled read-set.  Every other row is an exact zero, never
+computed, and a step with no live row is skipped.  A Newton pose runs
+every step, since its closure gaps read them all, on every row: Newton
+solves one sample at a time, where fewer rows save nothing.  Its rules:
 
 * tree step: dtheta_child = dtheta_parent + sign dalpha, and the child's
   origin moves with the anchor, less the rotated local point's change;
@@ -80,6 +87,7 @@ __all__ = [
 
 NEWTON_TOL_MM = 1e-9
 NEWTON_MAX_ITER = 50
+GAIT_MIN_SAMPLES = 8
 TWO_PI = 2.0 * math.pi
 
 
@@ -193,6 +201,11 @@ class _Solution:
         out.steps = self.steps
         return out
 
+    def read(self, table: str, key: str) -> np.ndarray:
+        """The state table[key]: theta or origin of a link, alpha of a joint,
+        margin or transmission of a loop."""
+        return getattr(self, table)[key]
+
     def local(self, slot: int) -> np.ndarray:
         """The x and y of the point at ``slot``, stacked first, in its link's
         (or ground's) frame."""
@@ -291,9 +304,9 @@ def _gear_input(state, step):
     """The input angle of a gear step, or its tangent: the joint angle an
     earlier step set, else the b-side minus the a-side link orientation."""
     if step.links is None:
-        return state.alpha[step.joint_in]
+        return state.read("alpha", step.joint_in)
     a, b = step.links
-    return state.theta[b] - state.theta[a]
+    return state.read("theta", b) - state.read("theta", a)
 
 
 def _place_dyad(sol: _Solution, step) -> None:
@@ -342,48 +355,102 @@ def _complex(xy):
 
 
 class _Tangent:
-    """Directional derivatives of a one-design _Solution's state.
+    """Directional derivatives of a one-design _Solution's state, on live rows.
 
     The rows of ``dgeom`` (shape (n, P)) are n directions in the slot space
-    of ``geom``; every tangent has the primal's shape behind a leading axis
-    of n (a phase-independent one may keep a phase axis of 1).  Plane
-    vectors are complex, x + iy: rotating by theta is a product with
-    exp(i theta), so a world point origin + exp(i theta) local moves by
-    d origin + exp(i theta) (i local dtheta + d local).
+    of ``geom``.  On an analytic pose a tangent keeps only its live rows:
+    the directions that move a slot of the read-set of the step that made
+    it.  It has the primal's shape behind a leading axis of those rows (a
+    phase-independent one may keep a phase axis of 1), ``live[table, key]``
+    lists them, and every other row is an exact zero that is never
+    computed.  On a Newton pose every row is live: its closure gaps read
+    every step, and Newton solves one sample at a time, where fewer rows
+    save nothing.  ``read`` gives a tangent on ``rows``, the live rows of
+    the step being run, a superset of its own.  Plane vectors are complex,
+    x + iy: rotating by theta is a product with exp(i theta), so a world
+    point origin + exp(i theta) local moves by d origin + exp(i theta)
+    (i local dtheta + d local).
     """
 
-    def __init__(self, sol: _Solution, dgeom: np.ndarray):
+    def __init__(self, sol: _Solution, dgeom: np.ndarray, dfree=None):
         g = sol.graph
         _one_design(g, "a tangent pass")
         self.sol = sol
         self.n = len(dgeom)
+        self.every = np.arange(self.n)
+        self.moves = dgeom != 0.0 if sol.steps is g.steps else None
         pad = (1,) * sol.phi.ndim
         # Entry i is the point whose x sits in slot i: primal, then tangent.
         self.xy = sol.cols[:-1] + 1j * sol.cols[1:]
         self.dxy = (dgeom[:, :-1] + 1j * dgeom[:, 1:]).T.reshape((-1, self.n) + pad)
         self.dcols = dgeom.T.reshape(dgeom.shape[-1:] + (self.n,) + pad)
         self.turn = {k: c + 1j * s for k, (c, s) in sol.turn.items()}  # exp(i theta), primal
-        self.theta = {GROUND: 0.0}
+        self.theta: dict[str, np.ndarray] = {}
         self.origin: dict[str, np.ndarray] = {}
         self.alpha: dict[str, np.ndarray] = {}
         self.margin: dict[str, np.ndarray] = {}
         self.transmission: dict[str, np.ndarray] = {}
+        self.live: dict[tuple[str, str], np.ndarray] = {}
+        self.rows = self.rows_reading((g._driver_slot,))
+        self.write("alpha", g._spec.driver.joint, np.radians(self.dcol(g._driver_slot)))
+        for k, jid in enumerate(g.free_joints if dfree is not None else ()):
+            self.write("alpha", jid, dfree[..., k])  # a Newton pose: every row
+
+    def rows_reading(self, reads) -> np.ndarray:
+        """The rows that move a slot of ``reads``, ascending; ``every`` when
+        that is all of them, or on a Newton pose."""
+        if self.moves is None:
+            return self.every
+        rows = np.flatnonzero(self.moves.take(reads, axis=1).any(axis=1))
+        return self.every if len(rows) == self.n else rows
+
+    def write(self, table: str, key: str, value) -> None:
+        """Store a tangent computed on ``rows``."""
+        getattr(self, table)[key] = value
+        self.live[table, key] = self.rows
+
+    def read(self, table: str, key: str):
+        """The tangent table[key] on ``rows``; rows it lacks read as zero.
+        Ground does not move, and a joint angle no step set is its b-side
+        less its a-side link orientation, as in _Solution.finish."""
+        tangents = getattr(self, table)
+        if key not in tangents:
+            if table != "alpha":  # ground
+                return 0.0
+            joint = self.sol.graph.joints[key]
+            return self.read("theta", joint.b[0]) - self.read("theta", joint.a[0])
+        value, have = tangents[key], self.live[table, key]
+        if len(have) == len(self.rows):  # have is a subset of rows
+            return value
+        out = np.zeros((len(self.rows),) + value.shape[1:], value.dtype)
+        out[np.searchsorted(self.rows, have)] = value
+        return out
+
+    def dcol(self, slot: int) -> np.ndarray:
+        """Tangent of sol.cols[slot] on ``rows``."""
+        d = self.dcols[slot]
+        return d if self.rows is self.every else d[self.rows]
+
+    def local(self, slot: int) -> np.ndarray:
+        """Tangent of sol.local(slot) on ``rows``, complex."""
+        d = self.dxy[slot]
+        return d if self.rows is self.every else d[self.rows]
 
     def point_world(self, link_id: str, slot: int) -> np.ndarray:
-        """Tangent of sol.point_world, complex."""
+        """Tangent of sol.point_world on ``rows``, complex."""
         if link_id == GROUND:
-            return self.dxy[slot]
-        return self.origin[link_id] + self.turn[link_id] * (
-            1j * self.xy[slot] * self.theta[link_id] + self.dxy[slot]
+            return self.local(slot)
+        return self.read("origin", link_id) + self.turn[link_id] * (
+            1j * self.xy[slot] * self.read("theta", link_id) + self.local(slot)
         )
 
     def place(self, link_id: str, anchor, slot: int, dtheta) -> None:
         """Set a link's angle tangent, and its origin's, by origin = anchor -
         exp(i theta) local with ``anchor`` the tangent of the anchor."""
-        self.theta[link_id] = dtheta
-        self.origin[link_id] = anchor - self.turn[link_id] * (
-            1j * self.xy[slot] * dtheta + self.dxy[slot]
-        )
+        self.write("theta", link_id, dtheta)
+        self.write("origin", link_id, anchor - self.turn[link_id] * (
+            1j * self.xy[slot] * dtheta + self.local(slot)
+        ))
 
     def gaps(self) -> np.ndarray:
         """Tangent of sol.gap, the stacked closure gaps: (n, ..., 2*loops)."""
@@ -398,34 +465,48 @@ class _Tangent:
 
 def _tangents(sol: _Solution, dgeom: np.ndarray, dfree=None) -> _Tangent:
     """The forward-mode pass: ``sol``'s state differentiated along the rows
-    of ``dgeom`` by the rules of _run_steps, step for step over ``sol.steps``.
+    of ``dgeom`` by the rules of _run_steps, step for step.
 
-    ``dfree`` (shape (n, ..., nq)) seeds the free joint angles of a Newton
-    pose; without it they do not move.  Samples that failed in ``sol`` get
-    NaN tangents.
+    On an analytic pose it runs only ``tangent_steps``, each step on the
+    rows that move its read-set, and skips a step no row moves: its
+    tangents are exact zeros.  On a Newton pose, whose closure gaps read
+    every link, it runs all of ``sol.steps`` on every row.  ``dfree``
+    (shape (n, ..., nq)) seeds the free joint angles of a Newton pose;
+    without it they do not move.  Samples that failed in ``sol`` get NaN
+    tangents on the live rows.  Afterwards ``read`` gives every tangent on
+    all n rows.
     """
     g = sol.graph
-    t = _Tangent(sol, dgeom)
-    t.alpha[g._spec.driver.joint] = np.radians(t.dcols[g._driver_slot])
-    for k, jid in enumerate(g.free_joints if dfree is not None else ()):
-        t.alpha[jid] = dfree[..., k]
-    for kind, step in sol.steps:
-        if kind == "tree":
-            dtheta = t.theta[step.parent] + step.sign * t.alpha[step.joint]
+    t = _Tangent(sol, dgeom, dfree)
+    for kind, step in g.tangent_steps if sol.steps is g.steps else sol.steps:
+        t.rows = t.rows_reading(step.reads)
+        if not len(t.rows):
+            for table, key in _results(kind, step):
+                t.write(table, key, np.zeros((0,) + sol.ok.shape))
+        elif kind == "tree":
+            dtheta = t.read("theta", step.parent) + step.sign * t.read("alpha", step.joint)
             t.place(step.child, t.point_world(step.parent, step.anchor), step.local, dtheta)
         elif kind == "gear":
             # sol.alpha[joint_in] is the input value the primal step read.
-            t.alpha[step.joint_out] = (
-                t.dcols[step.ratio] * sol.alpha[step.joint_in]
+            t.write("alpha", step.joint_out, (
+                t.dcol(step.ratio) * sol.alpha[step.joint_in]
                 + sol.cols[step.ratio] * _gear_input(t, step)
-                + np.radians(t.dcols[step.offset])
-            )
+                + np.radians(t.dcol(step.offset))
+            ))
         else:
             _dyad_tangent(t, step)
-    for jid, joint in g.joints.items():
-        if jid not in t.alpha:
-            t.alpha[jid] = t.theta[joint.b[0]] - t.theta[joint.a[0]]
+    t.rows = t.every
     return t
+
+
+def _results(kind: str, step) -> list[tuple[str, str]]:
+    """The (table, key) of each tangent a step writes."""
+    if kind == "tree":
+        return [("theta", step.child), ("origin", step.child)]
+    if kind == "gear":
+        return [("alpha", step.joint_out)]
+    links = [(table, link) for table in ("theta", "origin") for link in (step.link1, step.link2)]
+    return links + [("margin", step.closure), ("transmission", step.closure)]
 
 
 def _dyad_tangent(t: _Tangent, step) -> None:
@@ -435,8 +516,8 @@ def _dyad_tangent(t: _Tangent, step) -> None:
     sol = t.sol
     v1 = t.xy[step.m1] - t.xy[step.a1]  # the legs, link-local
     v2 = t.xy[step.m2] - t.xy[step.b2]
-    dv1 = t.dxy[step.m1] - t.dxy[step.a1]
-    dv2 = t.dxy[step.m2] - t.dxy[step.b2]
+    dv1 = t.local(step.m1) - t.local(step.a1)
+    dv2 = t.local(step.m2) - t.local(step.b2)
     r1, r2 = abs(v1), abs(v2)
     r1dr1 = (v1.conjugate() * dv1).real
     r2dr2 = (v2.conjugate() * dv2).real
@@ -458,8 +539,8 @@ def _dyad_tangent(t: _Tangent, step) -> None:
         margin, trans = assembly_margin_and_transmission_tangent(
             d, r1, r2, dd, r1dr1 / r1, r2dr2 / r2
         )
-    t.margin[step.closure] = margin
-    t.transmission[step.closure] = trans
+    t.write("margin", step.closure, margin)
+    t.write("transmission", step.closure, trans)
     t.place(step.link1, dp, step.a1, dtheta1)
     t.place(step.link2, dq, step.b2, dtheta2)
 
@@ -497,18 +578,21 @@ def sweep_tangents(series: dict, dgeom) -> dict:
 
     Returns theta_s_deg and theta_e_deg, shape (n, N), and the per-loop
     margin and transmission dicts of (n, N) arrays (none on the Newton
-    route).  Failed samples carry NaN; unwrapping only adds constants, so
-    the angle tangents are those of the principal values.
+    route).  A direction that moves nothing an output reads gives it an
+    exact zero row; on the others, failed samples carry NaN.  Unwrapping
+    only adds constants, so the angle tangents are those of the principal
+    values.
     """
     sol = series["_solution"]
     g = sol.graph
     t = _design_tangents(sol, np.asarray(dgeom, dtype=float))
     shape = (t.n,) + sol.ok.shape
-    out = {"margin": t.margin, "transmission": t.transmission}
+    out = {key: {cid: t.read(key, cid) for cid in getattr(t, key)}
+           for key in ("margin", "transmission")}
     for name in ("theta_s", "theta_e"):
         table, key, sign, offset = g._angle_outputs[name]
-        raw = getattr(t, table)[key]
-        out[f"{name}_deg"] = np.broadcast_to(sign * np.degrees(raw) + t.dcols[offset], shape)
+        raw = t.read(table, key)
+        out[f"{name}_deg"] = np.broadcast_to(sign * np.degrees(raw) + t.dcol(offset), shape)
     return out
 
 
@@ -722,7 +806,7 @@ def sweep_series(
 
     for name in ("theta_s", "theta_e"):
         table, key, sign, offset = mech._angle_outputs[name]
-        raw = getattr(sol, table)[key]
+        raw = sol.read(table, key)
         if np.any(all_ok):
             raw = np.where(all_ok[..., None], np.unwrap(raw, axis=-1), raw)
         out[f"{name}_deg"] = sign * np.degrees(raw) + sol.cols[offset]
@@ -741,8 +825,10 @@ def sweep_gait(
     the failing phase in the message.  At least 8 samples are required.
     A batch of designs gives batched arrays and no configurations.
     """
-    if samples < 8:
-        raise ValueError(f"a gait sweep needs at least 8 samples, got {samples}")
+    if samples < GAIT_MIN_SAMPLES:
+        raise ValueError(
+            f"a gait sweep needs at least {GAIT_MIN_SAMPLES} samples, got {samples}"
+        )
     series = sweep_series(mech, samples, strict=True, method=method)
     sol = series["_solution"]
     sol.graph = mech.copy()

@@ -309,3 +309,31 @@ def test_validate_rejects_a_huge_integer_in_one_line(tmp_path: Path, capsys):
     assert out == ""
     assert err.startswith("error: SchemaError: ground_pivots[0].x")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["target", "--samples", "0"], "--samples"),
+        (["sweep", "--mech", REFERENCE_PATH, "--samples", "3"], "--samples"),
+        (["sensitivity", "--mech", REFERENCE_PATH, "--rank", "--samples", "0"], "--samples"),
+        (["sensitivity", "--mech", REFERENCE_PATH, "--rank", "--delta", "0"], "--delta"),
+        (["sensitivity", "--mech", REFERENCE_PATH, "--param", "crank_len",
+          "--range", "0.95:1.05:0.05", "--samples", "4"], "--samples"),
+        (["optimize", "--multistarts", "0"], "--multistarts"),
+        (["optimize", "--multistarts", "-3"], "--multistarts"),
+        (["optimize", "--maxiter", "0"], "--maxiter"),
+        (["optimize", "--maxiter", "-1"], "--maxiter"),
+    ],
+    ids=["target-samples", "sweep-samples", "rank-samples", "rank-delta", "family-samples",
+         "multistarts-0", "multistarts-neg", "maxiter-0", "maxiter-neg"],
+)
+def test_invalid_counts_are_usage_errors(capsys, tmp_path: Path, argv, flag):
+    if argv[0] == "optimize":
+        argv = argv + ["--mech", REFERENCE_PATH, "--targets", tmp_path / "t.csv",
+                       "--out", tmp_path / "r.json"]
+    with pytest.raises(SystemExit) as err:
+        cli.main([str(a) for a in argv])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -23,7 +23,7 @@ from armwing import (
     sweep_series,
     validate_mechanism,
 )
-from armwing.fitting import PENALTY_DEG
+from armwing.fitting import PENALTY_DEG, _constraint_reads, _StageProblem
 from armwing.gait import TargetGait
 from armwing.io import report_to_dict
 
@@ -260,3 +260,23 @@ def test_a_batch_of_designs_is_refused_with_a_clear_error(reference):
         evaluate_constraints(batch, samples=36)
     with pytest.raises(ValueError, match="not a batch"):
         DesignVector.from_mechanism(batch)
+
+
+def test_a_stage_differentiates_only_what_it_moves(reference):
+    """The radius stage moves no slot that the crank step or the humerus
+    dyad reads, the radius dyad on 11 of its 18 directions, and 6 of the 8
+    constraint entries not at all: their Jacobian rows are exact zeros.
+    No differentiated output reads gear_dg or the digit."""
+    kept = [(kind, getattr(step, "joint", None) or getattr(step, "closure", None) or step.id)
+            for kind, step in reference.tangent_steps]
+    assert kept == [("tree", "j1_drive"), ("gear", "gear_rc"), ("tree", "j0_rcrank"),
+                    ("dyad", "j4_wrist"), ("dyad", "j7_ctrl")]
+    problem = _StageProblem(reference, sample_targets(36), "radius", FitOptions())
+    moves = problem.dgeom != 0.0
+    rows = [int(np.count_nonzero(moves[:, step.reads].any(axis=1)))
+            for _, step in reference.tangent_steps]
+    assert rows == [0, 1, 3, 0, 11]
+    live = [bool(moves[:, list(reads)].any()) for reads in _constraint_reads(reference)]
+    assert live == [False, True, False, False, False, True, False, False]
+    jac = problem.constraint_jacobian(problem.x0)
+    assert not np.any(jac[~np.array(live)]) and np.all(np.any(jac[live], axis=1))
