@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import OrderedDict
@@ -187,16 +188,20 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _count(low: int):
-    """An argparse type: an integer of at least ``low``."""
+def _number(low: float = -math.inf, kind=float):
+    """An argparse type: a finite number, an integer with ``kind=int``, of
+    at least ``low``."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {low:g}, got {text}")
         return value
 
     return parse
@@ -216,7 +221,7 @@ def _parse_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("range must be min:max:step")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = (_number()(p) for p in parts)
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("range must satisfy min <= max, step > 0")
     count = int(round((hi - lo) / step))
@@ -388,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one configuration at a phase")
     p.add_argument("mech", help="mechanism JSON file")
-    p.add_argument("--phi", type=float, required=True, help="crank phase [deg]")
+    p.add_argument("--phi", type=_number(), required=True, help="crank phase [deg]")
     p.add_argument(
         "--method",
         choices=("auto", "analytic", "newton"),
@@ -401,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep a full wingbeat to trajectory CSV")
     p.add_argument("--mech", required=True, help="mechanism JSON file")
     p.add_argument(
-        "--samples", type=_count(GAIT_MIN_SAMPLES), default=360,
+        "--samples", type=_number(GAIT_MIN_SAMPLES, int), default=360,
         help=f"phase samples, at least {GAIT_MIN_SAMPLES} (default 360)",
     )
     p.add_argument(
@@ -414,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("target", help="emit the sampled target gait as CSV")
-    p.add_argument("--samples", type=_count(1), default=360, help="phase samples (default 360)")
+    p.add_argument("--samples", type=_number(1, int), default=360, help="phase samples (default 360)")
     p.add_argument("--out", help="output CSV path (default: print to stdout)")
     p.set_defaults(func=_cmd_target)
 
@@ -428,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit one stage, or 'all' for the staged pipeline (default all)",
     )
     p.add_argument("--seed", type=int, default=0, help="multistart RNG seed")
-    p.add_argument("--multistarts", type=_count(1), default=10, help="starts per stage")
-    p.add_argument("--maxiter", type=_count(1), default=150, help="iterations per start")
+    p.add_argument("--multistarts", type=_number(1, int), default=10, help="starts per stage")
+    p.add_argument("--maxiter", type=_number(1, int), default=150, help="iterations per start")
     p.add_argument("--out", required=True, help="fit report JSON path")
     p.add_argument(
         "--out-mech",
@@ -452,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"rank perturbation, in (0, {RANK_DELTA_MAX}] (default 0.025)",
     )
     p.add_argument(
-        "--samples", type=_count(1), default=360,
+        "--samples", type=_number(1, int), default=360,
         help=f"phase samples, at least {GAIT_MIN_SAMPLES} for a family sweep",
     )
     p.add_argument("--plot", help="write the family as an SVG to this path")
@@ -462,10 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("material", help="hinge material strain budget checks")
     p.add_argument("--check", action="store_true", help="run a strain budget check")
     p.add_argument("--list", action="store_true", help="list known materials")
-    p.add_argument("--strain", type=float, help="demanded strain [percent]")
+    p.add_argument("--strain", type=_number(0.0), help="demanded strain [percent]")
     p.add_argument("--material", help="material name, e.g. FLX9870")
     p.add_argument(
-        "--safety-factor", type=float, default=1.0, help="demand multiplier (>= 1)"
+        "--safety-factor", type=_number(1.0), default=1.0, help="demand multiplier (>= 1)"
     )
     p.add_argument(
         "--db",

@@ -2,7 +2,8 @@
 
 The fit minimizes the mean squared angle tracking error (degrees squared)
 between a swept mechanism and a target gait, subject to bounds and a
-constraint vector f_c (feasible iff every entry is <= 0):
+constraint vector f_c (feasible iff every entry is <= 0), laid out once at
+validation as the mechanism's ``constraints`` entries:
 
 * per-loop assemblability margin over the whole phase grid,
 * a Grashof full-rotation margin for each loop driven by a fully
@@ -19,8 +20,8 @@ tangent pass of the solver (solver.sweep_tangents) differentiates the
 sweep along the moved parameters, running each step only on the
 parameters that move its read-set, so a stage pays for its side of the
 chain alone.  A max or min entry takes the derivative at its active
-sample; penalty entries, and entries no moved parameter reads
-(_constraint_reads), get zero rows.  Starts are
+sample; penalty entries, and entries whose read-set no moved parameter
+reaches, get zero rows.  Starts are
 independent, each on a private mechanism copy, and merge deterministically
 by (cost, index).
 Failed solves during the search contribute a fixed penalty per sample
@@ -46,7 +47,7 @@ from scipy.optimize import Bounds, NonlinearConstraint, least_squares, minimize
 
 from .errors import EmptyResidual, GridMismatch, NoFeasibleStart
 from .gait import TargetGait, phase_grid
-from .linkage import MechanismGraph, _points
+from .linkage import MechanismGraph
 from .solver import _one_design, sweep_series, sweep_tangents
 
 __all__ = [
@@ -259,133 +260,85 @@ def _stage_jacobian(series: dict, tangents: dict, targets: TargetGait, stage: st
 # constraint vector
 
 
-def _span(geom: np.ndarray, pair) -> float:
-    """Distance between two attachments of one body (a link, or ground),
-    given as the slot pair of their x coordinates."""
-    i, j = pair
-    return float(np.hypot(*(geom[i : i + 2] - geom[j : j + 2])))
-
-
-def _span_tangent(geom: np.ndarray, pair, dgeom: np.ndarray) -> np.ndarray:
-    """The derivative of _span along each row of ``dgeom`` (n, P)."""
-    i, j = pair
-    delta = geom[i : i + 2] - geom[j : j + 2]
-    return (dgeom[:, i : i + 2] - dgeom[:, j : j + 2]) @ delta / np.hypot(*delta)
-
-
-def constraint_names(mech: MechanismGraph, samples: int = 360) -> list[str]:
+def constraint_names(mech: MechanismGraph) -> list[str]:
     """Entry names matching evaluate_constraints, in order."""
-    names = [f"assembly_margin[{cid}]" for cid in mech.closures]
-    for cid in mech.fourbar_loops:
-        names.append(f"grashof_margin[{cid}]")
-        names.append(f"crank_shortest[{cid}]")
-    names.extend(f"transmission_floor[{cid}]" for cid in mech.closures)
-    for sym, _ in mech._symmetry:
-        names.append(f"symmetry[{sym.name}]+")
-        names.append(f"symmetry[{sym.name}]-")
+    names = []
+    for entry in mech.constraints:
+        names += [entry.name + "+", entry.name + "-"] if entry.kind == "symmetry" else [entry.name]
     return names
-
-
-def _constraint_reads(mech: MechanismGraph) -> list[tuple[int, ...]]:
-    """The read-set of each _constraint_core entry, [ineq, h] in order: the
-    geom slots its value hangs on.  A margin or transmission entry reads
-    its dyad's read-set, a four-bar entry the slots of its loop's spans and
-    a symmetry entry its one slot; an entry without an analytic margin is a
-    step function and reads none.  A direction that moves no slot of an
-    entry's read-set gives that entry a zero Jacobian row."""
-    dyads = {step.closure: step.reads for step in mech.plan or ()}
-    loops = [dyads.get(cid, ()) for cid in mech.closures]
-    spans = []
-    for pairs in mech.fourbar_loops.values():
-        spans += [tuple(sorted(_points(*(slot for pair in pairs for slot in pair))))] * 2
-    return loops + spans + loops + [(slot,) for _, slot in mech._symmetry]
 
 
 def _constraint_core(
     mech: MechanismGraph,
-    samples: int,
-    series: dict | None = None,
+    series: dict,
     tangents: dict | None = None,
     dgeom: np.ndarray | None = None,
 ):
-    """(inequality entries, symmetry equality values h).
+    """The values of ``mech.constraints`` on a sweep: inequalities are
+    feasible at <= 0, symmetry equalities at h = 0.  Quantities undefined
+    because a loop never assembled become CONSTRAINT_PENALTY.
 
-    Inequality entries are feasible at <= 0; equalities are feasible at
-    h = 0.  All entries are finite: quantities undefined because a loop
-    never assembled are replaced by CONSTRAINT_PENALTY.
-
-    Given the sweep's ``tangents`` along the rows of ``dgeom`` (n, P), a
-    third item is the Jacobian of the entries [ineq, h], shape (entries, n):
-    a max or min entry takes the derivative at its active sample, and a
-    CONSTRAINT_PENALTY or Newton-only step entry gets a zero row, as does
-    an entry that no row of ``dgeom`` moves (see _constraint_reads).
+    Given the sweep's ``tangents`` along the rows of ``dgeom`` (n, P), the
+    values come with their Jacobian (entries, n): a max or min entry takes
+    the derivative at its active sample; a penalty or step-function entry,
+    and an entry whose read-set no row of ``dgeom`` moves, gets zeros.
     """
-    if series is None:
-        series = sweep_series(mech, samples, strict=False)
-    margin = series["margin"]
-    transmission = series["transmission"]
+    geom = mech.geom
+    floor = math.radians(MIN_TRANSMISSION_DEG)
+    assembled = -1.0 if bool(np.all(series["ok"])) else CONSTRAINT_PENALTY
     jac = tangents is not None
-    ineq = []
-    rows = []  # with tangents, one derivative row per entry
-    if jac:
-        zero = np.zeros(len(dgeom))
-        moved = [np.any(dgeom.take(reads, axis=1)) for reads in _constraint_reads(mech)]
-
-    def at_sample(key: str, cid: str, k: int | None) -> np.ndarray:
-        """The tangent of series[key][cid] at sample k, for the entry built
-        next; zero for k None or an entry nothing moves."""
-        if k is None or not moved[len(rows)]:
-            return zero
-        d = tangents[key][cid][:, k]
-        return np.where(np.isfinite(d), d, 0.0)
-
-    for cid in mech.closures:
-        m = margin.get(cid)
-        k = None
-        if m is None:
-            # No analytic margin (Newton-only topology): binary form.
-            ineq.append(-1.0 if bool(np.all(series["ok"])) else CONSTRAINT_PENALTY)
-        else:
-            m = np.asarray(m, dtype=float)
+    zero = np.zeros(len(dgeom)) if jac else None
+    values, rows = [], []
+    for entry in mech.constraints:
+        kind = entry.kind
+        k = None  # the active sample of a margin or transmission entry
+        if kind == "margin":
+            m = series["margin"][entry.closure]
             finite = np.isfinite(m)
             m = np.where(finite, m, CONSTRAINT_PENALTY)
             k = int(np.argmax(m))
-            ineq.append(float(m[k]))
+            values.append(float(m[k]))
             k = k if finite[k] else None
-        if jac:
-            rows.append(at_sample("margin", cid, k))
-    for pairs in mech.fourbar_loops.values():
-        spans = [_span(mech.geom, pair) for pair in pairs]
-        ground, crank, coupler, rocker = spans
-        s, p, q, l = sorted(spans)
-        ineq.append(s + l - (p + q))
-        ineq.append(crank - min(ground, coupler, rocker))
-        if jac and not moved[len(rows)]:
-            rows += [zero, zero]
-        elif jac:
-            dspans = [_span_tangent(mech.geom, pair, dgeom) for pair in pairs]
-            ds, dp, dq, dl = (dspans[i] for i in sorted(range(4), key=spans.__getitem__))
-            rows.append(ds + dl - (dp + dq))
-            rows.append(dspans[1] - dspans[min((0, 2, 3), key=spans.__getitem__)])
-    floor = math.radians(MIN_TRANSMISSION_DEG)
-    for cid in mech.closures:
-        t = transmission.get(cid)
-        k = None
-        if t is None:
-            ineq.append(-1.0 if bool(np.all(series["ok"])) else CONSTRAINT_PENALTY)
-        elif np.all(np.isfinite(t)):
-            k = int(np.argmin(t))
-            ineq.append(floor - float(t[k]))
+        elif kind == "transmission":
+            t = series["transmission"][entry.closure]
+            if np.all(np.isfinite(t)):
+                k = int(np.argmin(t))
+                values.append(floor - float(t[k]))
+            else:
+                values.append(CONSTRAINT_PENALTY)
+        elif kind == "assembled":
+            values.append(assembled)
+        elif kind == "symmetry":
+            values.append(geom[entry.slot] - entry.value)
+        else:  # a four-bar entry, a signed sum of its spans' lengths
+            deltas = [geom[i : i + 2] - geom[j : j + 2] for i, j in entry.spans]
+            spans = [float(np.hypot(*delta)) for delta in deltas]
+            if kind == "grashof":  # shortest + longest - (the other two)
+                s, p, q, l = sorted(range(4), key=spans.__getitem__)
+                signed = lambda v: v[s] + v[l] - (v[p] + v[q])
+            else:  # crank - the shortest other span
+                other = min((0, 2, 3), key=spans.__getitem__)
+                signed = lambda v: v[1] - v[other]
+            values.append(signed(spans))
+        if not jac:
+            continue
+        if kind == "symmetry":
+            row = dgeom[:, entry.slot]
+        elif not np.any(dgeom.take(entry.reads, axis=1)):
+            row = zero
+        elif kind in ("grashof", "crank"):  # d|delta| = d(delta) . delta / |delta|
+            row = signed([(dgeom[:, i : i + 2] - dgeom[:, j : j + 2]) @ delta / span
+                          for (i, j), delta, span in zip(entry.spans, deltas, spans)])
+        elif k is None:
+            row = zero
         else:
-            ineq.append(CONSTRAINT_PENALTY)
-        if jac:
-            rows.append(-at_sample("transmission", cid, k))
-    eq = [mech.geom[slot] - sym.value for sym, slot in mech._symmetry]
-    ineq, eq = np.asarray(ineq, dtype=float), np.asarray(eq, dtype=float)
+            d = tangents[kind][entry.closure][:, k]
+            row = np.where(np.isfinite(d), d, 0.0)
+        rows.append(-row if kind == "transmission" else row)
+    values = np.asarray(values, dtype=float)
     if not jac:
-        return ineq, eq
-    rows.extend(dgeom[:, slot] for _, slot in mech._symmetry)
-    return ineq, eq, np.array(rows).reshape(len(ineq) + len(eq), len(dgeom))
+        return values
+    return values, np.array(rows).reshape(len(values), len(dgeom))
 
 
 def evaluate_constraints(
@@ -402,11 +355,11 @@ def evaluate_constraints(
     _one_design(mech, "evaluate_constraints")
     if q is not None:
         mech = q.apply(mech)
-    ineq, eq = _constraint_core(mech, samples)
-    paired = np.empty(2 * len(eq))
-    paired[0::2] = eq
-    paired[1::2] = -eq
-    return np.concatenate([ineq, paired])
+    values = _constraint_core(mech, sweep_series(mech, samples, strict=False))
+    published = []
+    for entry, value in zip(mech.constraints, values):
+        published += [value, -value] if entry.kind == "symmetry" else [value]
+    return np.array(published)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +397,9 @@ class _StageProblem:
         self._x: np.ndarray | None = None
         self._point = None  # (cost, residuals, constraints, graph, series) at _x
         self._jac = None  # (residual Jacobian, constraint Jacobian) at _x
-        ineq0, eq0 = _constraint_core(mech, self.samples)
-        self.con_lb = np.concatenate(
-            [np.full(ineq0.shape, -np.inf), np.zeros(eq0.shape)]
-        )
-        self.con_ub = np.zeros(ineq0.size + eq0.size)
+        equality = np.array([entry.kind == "symmetry" for entry in mech.constraints], dtype=bool)
+        self.con_lb = np.where(equality, 0.0, -np.inf)
+        self.con_ub = np.zeros(equality.size)
 
     def _evaluate(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -457,9 +408,8 @@ class _StageProblem:
             m.geom[self.slots] = x
             series = sweep_series(m, self.samples, strict=False)
             resid = _stage_residuals(series, self.targets, self.stage)
-            ineq, eq = _constraint_core(m, self.samples, series=series)
             self._x = x.copy()
-            self._point = (cost(resid), resid, np.concatenate([ineq, eq]), m, series)
+            self._point = (cost(resid), resid, _constraint_core(m, series), m, series)
             self._jac = None
         return self._point
 
@@ -467,7 +417,7 @@ class _StageProblem:
         _, _, _, m, series = self._evaluate(x)
         if self._jac is None:
             tangents = sweep_tangents(series, self.dgeom)
-            _, _, con_jac = _constraint_core(m, self.samples, series, tangents, self.dgeom)
+            _, con_jac = _constraint_core(m, series, tangents, self.dgeom)
             resid_jac = _stage_jacobian(series, tangents, self.targets, self.stage)
             self._jac = (resid_jac, con_jac)
         return self._jac

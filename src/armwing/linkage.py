@@ -25,11 +25,11 @@ every name the solver reads already resolved:
   read-set, the geom slots its result depends on; ``tangent_steps`` are
   the analytic steps the angle outputs, margins and transmissions read,
 * the closure gaps, the theta_s/theta_e angle outputs and the
-  elbow/wingtip point outputs as (link, slot) reads, and the four-bar
-  loop table: each loop that is a plain four-bar driven at a ground joint,
-  as the slot pairs of its ground, crank, coupler and rocker spans
-  (``fourbar_loops``; the Grashof constraint entries read it),
-* the design parameter map: named scalars bound to geometry slots.
+  elbow/wingtip point outputs as (link, slot) reads,
+* the design parameter map: named scalars bound to geometry slots,
+* the fit's constraint vector (``constraints``): one ConstraintEntry per
+  entry, in vector order, each with the closure, four-bar spans or
+  symmetry slot it evaluates and its read-set.
 
 Angles are radians internally and counterclockwise from the body +x axis;
 the JSON document format keeps offsets in degrees (see io.py).  Lengths
@@ -69,6 +69,7 @@ __all__ = [
     "TreeStep",
     "GearStep",
     "DyadStep",
+    "ConstraintEntry",
     "MechanismGraph",
     "validate_mechanism",
     "mirror_mechanism",
@@ -279,15 +280,36 @@ class DyadStep:
     reads: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class ConstraintEntry:
+    """One entry of a fit's constraint vector [inequalities, symmetry
+    equalities], which fitting.py evaluates by ``kind``: 'margin' or
+    'transmission' of the dyad closing ``closure``; 'assembled', a step
+    function standing in for either when no dyad closes it; 'grashof' or
+    'crank' of the four-bar loop whose ground, crank, coupler and rocker
+    spans are the slot pairs ``spans``; or 'symmetry', geom[slot] = value.
+    ``reads`` are the geom slots the value hangs on: the dyad's read-set,
+    the points of the spans, the one slot, or none for a step function.
+    """
+
+    kind: str
+    name: str
+    closure: str | None = None
+    spans: tuple[tuple[int, int], ...] = ()
+    slot: int = -1
+    value: float = math.nan
+    reads: tuple[int, ...] = ()
+
+
 class MechanismGraph:
     """A validated mechanism: its topology and its geometry array.
 
     Validation compiles the topology once: the tree and loops, the free
     joints, the analytic and Newton step records and the dyad plan, the
-    closure gaps and outputs as (link, slot) reads, the four-bar loop
-    table, and the parameter and symmetry targets, all resolved to slots
-    of ``geom``.  Each step record carries its read-set, so a tangent pass
-    runs a step only on the directions that move it, and
+    closure gaps and outputs as (link, slot) reads, the parameter targets
+    and the fit's constraint entries, all resolved to slots of ``geom``.
+    Each step record carries its read-set, so a tangent pass runs a step
+    only on the directions that move it, and
     ``tangent_steps`` lists the analytic steps a differentiated output
     reads.  ``geom`` is the one store of the numbers: the validated
     records keep NaN in their numeric fields.  Graphs made by ``copy()``,
@@ -316,12 +338,11 @@ class MechanismGraph:
         self.gaps: list[tuple] = []  # per closure, its a-side and b-side (link, slot)
         self._angle_outputs: dict[str, tuple] = {}  # theta_s/e -> (table, key, sign, offset slot)
         self._point_outputs: dict[str, tuple] = {}  # elbow/wingtip -> (link, slot)
-        self.fourbar_loops: dict[str, tuple] = {}  # closure -> slot pairs of its four spans
         self.branch_of: dict[str, str] = {}
         self.home_pose: dict[str, float] = {}
         self.parameters: "OrderedDict[str, ParameterBinding]" = OrderedDict()
         self._targets: dict[str, int] = {}  # parameter name -> geom column
-        self._symmetry: list[tuple[SymmetryConstraint, int]] = []
+        self.constraints: tuple[ConstraintEntry, ...] = ()
         _build(self)
 
     @property
@@ -410,7 +431,7 @@ def validate_mechanism(spec: LinkageSpec) -> MechanismGraph:
 
     The structure is topology only: the tree and loops, the free joints,
     the analytic solve order (None when some loop needs Newton), the Newton
-    step order, the closure gaps and outputs, and the four-bar loop table,
+    step order, the closure gaps and outputs, and the constraint entries,
     compiled to geom slots.  Geometry changes never alter it.
 
     Raises SchemaError for malformed references, MissingDriver, OpenChain,
@@ -515,7 +536,7 @@ def _build(g: MechanismGraph) -> None:
     if g.steps is not None:
         g.plan = [step for kind, step in g.steps if kind == "dyad"]
         g.tangent_steps = _tangent_steps(g)
-    _fourbar_loops(g)
+    _constraints(g)
     for _, container, key, _ in fields:  # geom is the one store from here on
         container[key] = math.nan
 
@@ -726,13 +747,6 @@ def _parameter_map(g: MechanismGraph) -> None:
             )
         g.parameters[binding.name] = binding
         g._targets[binding.name] = slot
-    seen_sym: set[str] = set()
-    for sym in g._spec.symmetry:
-        if sym.name in seen_sym:
-            raise SchemaError(f"symmetry[{sym.name}]", "duplicate name")
-        seen_sym.add(sym.name)
-        target = _resolve_target(g, sym.target, f"symmetry[{sym.name}].target")
-        g._symmetry.append((sym, target))
 
 
 def _resolve_target(g: MechanismGraph, target: str, where: str) -> int:
@@ -913,15 +927,38 @@ def _tangent_steps(g: MechanismGraph) -> list[tuple]:
     return live[::-1]
 
 
-def _fourbar_loops(g: MechanismGraph) -> None:
-    """Tabulate the loops that are plain four-bars driven at a ground joint.
+def _constraints(g: MechanismGraph) -> None:
+    """Compile ``g.constraints``: an assembly margin per closure, the
+    four-bar entries, a transmission floor per closure, then the symmetry
+    equalities."""
+    dyads = {step.closure: step.reads for step in g.plan or ()}
+
+    def per_closure(kind: str, label: str) -> list[ConstraintEntry]:
+        return [ConstraintEntry(kind if cid in dyads else "assembled", f"{label}[{cid}]",
+                                cid, reads=dyads.get(cid, ()))
+                for cid in g.closures]
+
+    symmetry = {}
+    for sym in g._spec.symmetry:
+        where = f"symmetry[{sym.name}]"
+        if where in symmetry:
+            raise SchemaError(where, "duplicate name")
+        slot = _resolve_target(g, sym.target, f"{where}.target")
+        symmetry[where] = ConstraintEntry("symmetry", where, slot=slot, value=sym.value,
+                                          reads=(slot,))
+    g.constraints = (*per_closure("margin", "assembly_margin"), *_fourbar_entries(g),
+                     *per_closure("transmission", "transmission_floor"), *symmetry.values())
+
+
+def _fourbar_entries(g: MechanismGraph):
+    """The Grashof and crank entries of each loop that is a plain four-bar
+    driven at a ground joint.
 
     A qualifying loop has four joints, exactly two of them on ground, and
     three moving links each spanning two of the loop's joints.  Its crank
-    is the side link whose ground joint is driven or gear-slaved.  Each
-    entry maps the closure id to the slot pairs of the ground, crank,
-    coupler and rocker attachments; their distances are the equivalent
-    four-bar lengths.
+    is the side link whose ground joint is driven or gear-slaved.  Its
+    spans are the slot pairs of the ground, crank, coupler and rocker
+    attachments; their distances are the equivalent four-bar lengths.
     """
     driven = {g._spec.driver.joint, *(c.joint_out for c in g._spec.gear_couplings)}
     for cid in g.closures:
@@ -938,10 +975,11 @@ def _fourbar_loops(g: MechanismGraph) -> None:
         crank = cranks[-1].other(GROUND)
         rocker = next(j.other(GROUND) for j in ends[GROUND] if j is not cranks[-1])
         coupler = next(body for body in ends if body not in (GROUND, crank, rocker))
-        g.fourbar_loops[cid] = tuple(
-            tuple(g._xy[body, joint.attachment(body)] for joint in ends[body])
-            for body in (GROUND, crank, coupler, rocker)
-        )
+        spans = tuple(tuple(g._xy[body, joint.attachment(body)] for joint in ends[body])
+                      for body in (GROUND, crank, coupler, rocker))
+        reads = tuple(sorted(_points(*(slot for pair in spans for slot in pair))))
+        yield ConstraintEntry("grashof", f"grashof_margin[{cid}]", cid, spans, reads=reads)
+        yield ConstraintEntry("crank", f"crank_shortest[{cid}]", cid, spans, reads=reads)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,9 @@ def strain_budget_check(
     does not exceed the capacity.  ``margin_pct`` is capacity - demand, so
     a failing check reports a negative margin.
     """
-    if safety_factor < 1.0:
+    if not safety_factor >= 1.0:
         raise ValueError(f"safety factor must be >= 1, got {safety_factor!r}")
-    if strain_pct < 0.0:
+    if not strain_pct >= 0.0:
         raise ValueError(f"strain must be >= 0 percent, got {strain_pct!r}")
     demand = strain_pct * safety_factor
     capacity = mat.min_elongation_break_pct

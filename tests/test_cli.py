@@ -324,9 +324,22 @@ def test_validate_rejects_a_huge_integer_in_one_line(tmp_path: Path, capsys):
         (["optimize", "--multistarts", "-3"], "--multistarts"),
         (["optimize", "--maxiter", "0"], "--maxiter"),
         (["optimize", "--maxiter", "-1"], "--maxiter"),
+        (["solve", REFERENCE_PATH, "--phi", "nan"], "--phi"),
+        (["solve", REFERENCE_PATH, "--phi", "inf"], "--phi"),
+        (["solve", REFERENCE_PATH, "--phi", "ten"], "--phi"),
+        (["material", "--check", "--material", "FLX9870", "--strain", "43",
+          "--safety-factor", "0.5"], "--safety-factor"),
+        (["material", "--check", "--material", "FLX9870", "--strain", "43",
+          "--safety-factor", "nan"], "--safety-factor"),
+        (["material", "--check", "--material", "FLX9870", "--strain", "-5"], "--strain"),
+        (["material", "--check", "--material", "FLX9870", "--strain", "nan"], "--strain"),
+        (["sensitivity", "--mech", REFERENCE_PATH, "--param", "crank_len",
+          "--range", "0.95:inf:0.05"], "--range"),
     ],
     ids=["target-samples", "sweep-samples", "rank-samples", "rank-delta", "family-samples",
-         "multistarts-0", "multistarts-neg", "maxiter-0", "maxiter-neg"],
+         "multistarts-0", "multistarts-neg", "maxiter-0", "maxiter-neg", "phi-nan", "phi-inf",
+         "phi-text", "safety-factor-low", "safety-factor-nan", "strain-neg", "strain-nan",
+         "range-inf"],
 )
 def test_invalid_counts_are_usage_errors(capsys, tmp_path: Path, argv, flag):
     if argv[0] == "optimize":

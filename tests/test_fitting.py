@@ -12,6 +12,7 @@ from armwing import (
     NoFeasibleStart,
     NotAssemblable,
     ParameterBinding,
+    SymmetryConstraint,
     constraint_names,
     cost,
     evaluate_constraints,
@@ -23,9 +24,10 @@ from armwing import (
     sweep_series,
     validate_mechanism,
 )
-from armwing.fitting import PENALTY_DEG, _constraint_reads, _StageProblem
+from armwing.fitting import PENALTY_DEG, _StageProblem
 from armwing.gait import TargetGait
 from armwing.io import report_to_dict
+from test_solver import _geared_fivebar, _triad_sixbar
 
 FAST = FitOptions(seed=0, multistarts=2, maxiter=25)
 
@@ -119,6 +121,60 @@ def test_symmetry_equalities_appear_as_paired_entries(reference):
     assert values[-2] == -values[-1]
     # The shipped reference satisfies both equalities exactly.
     assert float(np.max(np.abs(values[-4:]))) == 0.0
+
+
+def _with_a_held_parameter(spec):
+    """``spec`` with its last ground pivot's x as a humerus parameter that
+    a symmetry equality holds in place, validated."""
+    pivot = spec.ground_pivots[-1]
+    target = f"pivot:{pivot.id}.x"
+    spec.parameters = [ParameterBinding("pivot_x", target, pivot.x - 1.0, pivot.x + 1.0, "humerus")]
+    spec.symmetry = [SymmetryConstraint("pivot_x_held", target, pivot.x)]
+    return validate_mechanism(spec)
+
+
+@pytest.mark.parametrize("name", ["reference", "demo", "triad", "geared-fivebar"])
+def test_one_table_lays_out_names_values_and_stage_bounds(name, reference, demo_fourbar,
+                                                          monkeypatch):
+    """The entries of mech.constraints, compiled at validation, give the
+    constraint vector's names, values (a symmetry equality h published as
+    the pair h, -h) and a stage's bounds in one order; a closure no dyad
+    closes gets step-function entries.  Building a stage problem sweeps
+    nothing."""
+    mech = {"reference": reference, "demo": demo_fourbar,
+            "triad": _with_a_held_parameter(_triad_sixbar()),
+            "geared-fivebar": _with_a_held_parameter(_geared_fivebar())}[name]
+    table = mech.constraints
+    dyads = {step.closure for step in mech.plan or ()}
+    for label, kind, entries in (("assembly_margin", "margin", table[:len(mech.closures)]),
+                                 ("transmission_floor", "transmission",
+                                  [e for e in table if e.name.startswith("transmission")])):
+        assert [e.name for e in entries] == [f"{label}[{cid}]" for cid in mech.closures]
+        assert [e.kind for e in entries] == [
+            kind if cid in dyads else "assembled" for cid in mech.closures]
+    symmetric = np.array([entry.kind == "symmetry" for entry in table])
+    assert np.count_nonzero(symmetric) == len(mech.spec.symmetry)
+    published = [(i, suffix) for i in range(len(table))
+                 for suffix in (("+", "-") if symmetric[i] else ("",))]
+    assert constraint_names(mech) == [table[i].name + suffix for i, suffix in published]
+
+    sweeps = []
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return sweep_series(*args, **kwargs)
+
+    monkeypatch.setattr("armwing.fitting.sweep_series", counted)
+    problem = _StageProblem(mech, sample_targets(12), "humerus", FitOptions())
+    assert sweeps == []
+    assert np.array_equal(problem.con_lb, np.where(symmetric, 0.0, -np.inf))
+    assert np.array_equal(problem.con_ub, np.zeros(len(table)))
+    values = problem.constraint_vector(problem.x0)
+    assert len(sweeps) == 1
+    expected = [-values[i] if suffix == "-" else values[i] for i, suffix in published]
+    assert np.array_equal(evaluate_constraints(mech, samples=12), expected)
+    jac = problem.constraint_jacobian(problem.x0)
+    assert jac.shape == (len(table), len(problem.move))
 
 
 def test_constraints_accept_a_candidate_design(reference):
@@ -276,7 +332,7 @@ def test_a_stage_differentiates_only_what_it_moves(reference):
     rows = [int(np.count_nonzero(moves[:, step.reads].any(axis=1)))
             for _, step in reference.tangent_steps]
     assert rows == [0, 1, 3, 0, 11]
-    live = [bool(moves[:, list(reads)].any()) for reads in _constraint_reads(reference)]
+    live = [bool(moves[:, list(entry.reads)].any()) for entry in reference.constraints]
     assert live == [False, True, False, False, False, True, False, False]
     jac = problem.constraint_jacobian(problem.x0)
     assert not np.any(jac[~np.array(live)]) and np.all(np.any(jac[live], axis=1))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,10 @@ def test_safety_factor_scales_the_demand():
         strain_budget_check(43.0, hinge, safety_factor=0.5)
     with pytest.raises(ValueError):
         strain_budget_check(-1.0, hinge)
+    with pytest.raises(ValueError):
+        strain_budget_check(math.nan, hinge)
+    with pytest.raises(ValueError):
+        strain_budget_check(43.0, hinge, safety_factor=math.nan)
 
 
 def test_get_material_lists_known_names():

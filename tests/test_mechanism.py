@@ -324,7 +324,7 @@ def test_copy_shares_topology_and_owns_every_geometry_record(reference):
     before = mechanism_to_dict(reference.spec)
     twin = reference.copy()
     tables = ("joints", "tree_order", "loops", "steps", "plan",
-              "newton_steps", "fourbar_loops", "parameters")
+              "newton_steps", "constraints", "parameters")
     for table in tables:
         assert getattr(twin, table) is getattr(reference, table)
     assert not np.shares_memory(twin.geom, reference.geom)
@@ -396,4 +396,5 @@ def test_reference_solve_order(reference):
         ("tree", "j6_rcrankpin"),
     ]
     # Only the humerus loop is a plain four-bar; the radius loop has five joints.
-    assert list(reference.fourbar_loops) == ["j4_wrist"]
+    fourbars = [entry.closure for entry in reference.constraints if entry.kind == "grashof"]
+    assert fourbars == ["j4_wrist"]

@@ -32,7 +32,7 @@ from armwing import (
     trajectory_csv_text,
     validate_mechanism,
 )
-from armwing.fitting import _constraint_core, _constraint_reads
+from armwing.fitting import _constraint_core
 from armwing.io import mechanism_to_dict
 from armwing.solver import _closure_jacobian, _forward, wrap_pi
 
@@ -236,7 +236,7 @@ def test_random_grashof_fourbars(lengths, branch):
     spec = fourbar_spec(*lengths, branch=branch)
     mech = validate_mechanism(spec)
     assert mech.plan is not None
-    assert "grashof_margin[j_wrist]" in constraint_names(mech, 72)
+    assert "grashof_margin[j_wrist]" in constraint_names(mech)
     analytic = sweep_series(mech, 72)
     newton = sweep_series(mech, 72, method="newton")
     gap = np.abs(wrap_pi(analytic["free"] - newton["free"]))
@@ -304,14 +304,14 @@ def _read_set_outputs(mech, series: dict) -> dict:
     for step in mech.plan:
         for key in ("margin", "transmission"):
             out[f"{key}[{step.closure}]"] = (series[key][step.closure], set(step.reads))
-    ineq, eq = _constraint_core(mech, len(series["phi"]), series=series)
-    entries, reads = np.concatenate([ineq, eq]), _constraint_reads(mech)
-    first = len(mech.closures)  # past the margin entries
-    for k, cid in enumerate(mech.fourbar_loops):  # the Grashof pair of a loop
-        i = first + 2 * k
-        out[f"spans[{cid}]"] = (entries[i : i + 2], set(reads[i]))
-    for k, (sym, _) in enumerate(mech._symmetry):
-        out[f"symmetry[{sym.name}]"] = (entries[len(ineq) + k], set(reads[len(ineq) + k]))
+    values, table = _constraint_core(mech, series), mech.constraints
+    for i, entry in enumerate(table):
+        if entry.kind == "grashof":  # with its crank entry: the loop's spans
+            pair = [j for j, other in enumerate(table)
+                    if other.kind in ("grashof", "crank") and other.closure == entry.closure]
+            out[f"spans[{entry.closure}]"] = (values[pair], {s for j in pair for s in table[j].reads})
+        elif entry.kind == "symmetry":
+            out[entry.name] = (values[i], set(entry.reads))
     return out
 
 
