@@ -47,6 +47,7 @@ from .svgplot import PlotSpec, Series, write_svg
 __all__ = ["main", "build_parser"]
 
 MATERIALS_ENV = "ARMWING_MATERIALS"
+RANGE_MAX_SCALES = 1000  # scales one --range may ask for, each a full sweep
 
 
 def _materials_db(arg_path: str | None):
@@ -224,8 +225,10 @@ def _parse_range(text: str) -> list[float]:
     lo, hi, step = (_number()(p) for p in parts)
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("range must satisfy min <= max, step > 0")
-    count = int(round((hi - lo) / step))
-    scales = [lo + k * step for k in range(count + 1)]
+    steps = (hi - lo) / step  # inf when the step is subnormal
+    if steps >= RANGE_MAX_SCALES - 0.5:  # more than the maximum once rounded
+        raise argparse.ArgumentTypeError(f"range gives more than {RANGE_MAX_SCALES} scales")
+    scales = [lo + k * step for k in range(round(steps) + 1)]
     return [1.0 if abs(s - 1.0) <= 1e-9 else s for s in scales]
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import Bounds, NonlinearConstraint, least_squares, minimize
 
-from .errors import EmptyResidual, GridMismatch, NoFeasibleStart
+from .errors import EmptyResidual, FittingError, GridMismatch, NoFeasibleStart
 from .gait import TargetGait, phase_grid
 from .linkage import MechanismGraph
 from .solver import _one_design, sweep_series, sweep_tangents
@@ -382,7 +382,7 @@ class _StageProblem:
         self.base = DesignVector.from_mechanism(mech)
         self.move = self.base.indices_for_stage(stage)
         if not self.move:
-            raise ValueError(f"no parameters tagged for stage {stage!r}")
+            raise FittingError(f"no parameters tagged for stage {stage!r}")
         self.mech = mech
         self.targets = targets
         self.stage = stage

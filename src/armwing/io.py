@@ -5,6 +5,10 @@ formatting.  A document that parses cleanly re-emits byte-identically on
 the second write (floats are printed with enough digits to survive the
 parse exactly).  Angles are degrees in every file; the solver's radians
 exist only in memory.
+
+``_RECORDS`` is the one definition of the mechanism document's record keys:
+parsing, emitting and the unknown-key check all read it, so a record's keys
+appear only there and in its dataclass.
 """
 
 from __future__ import annotations
@@ -58,68 +62,175 @@ TRAJECTORY_COLUMNS = (
     "tip_y_mm",
 )
 
-_TOP_LEVEL_KEYS = {
-    "format_version",
-    "name",
-    "description",
-    "links",
-    "ground_pivots",
-    "joints",
-    "driver",
-    "gear_couplings",
-    "outputs",
-    "branches",
-    "home_pose_deg",
-    "parameters",
-    "symmetry",
-}
-
 
 # ---------------------------------------------------------------------------
 # mechanism documents
 
+_REQUIRED = object()  # a field default: the key must be present
 
-def _finite(value, where: str) -> float:
-    """``value`` as a float; SchemaError when it has no finite float form."""
+# The one definition of the mechanism document's records: each section's
+# dataclass and its fields as (key, kind, default), in document order.  A
+# kind is str, int, float, "ref" (a "link:point" string) or "points" (a map
+# of [x, y] pairs); a None default leaves the key out while its value is None.
+_RECORDS = {
+    "links": (Link, (
+        ("id", str, _REQUIRED), ("points", "points", _REQUIRED), ("length", float, None),
+    )),
+    "ground_pivots": (GroundPivot, (
+        ("id", str, _REQUIRED), ("x", float, _REQUIRED), ("y", float, _REQUIRED),
+    )),
+    "joints": (Joint, (("id", str, _REQUIRED), ("a", "ref", _REQUIRED), ("b", "ref", _REQUIRED))),
+    "driver": (Driver, (("joint", str, _REQUIRED), ("sign", int, 1), ("offset_deg", float, 0.0))),
+    "gear_couplings": (GearCoupling, (
+        ("id", str, _REQUIRED), ("joint_in", str, _REQUIRED), ("joint_out", str, _REQUIRED),
+        ("ratio", float, _REQUIRED), ("offset_deg", float, 0.0),
+    )),
+    "outputs.angles": (AngleOutput, (  # the name is the record's key in the map
+        ("link", str, None), ("joint", str, None), ("sign", int, 1), ("offset_deg", float, 0.0),
+    )),
+    "parameters": (ParameterBinding, (
+        ("name", str, _REQUIRED), ("target", str, _REQUIRED), ("min", float, _REQUIRED),
+        ("max", float, _REQUIRED), ("stage", str, _REQUIRED),
+    )),
+    "symmetry": (SymmetryConstraint, (
+        ("name", str, _REQUIRED), ("target", str, _REQUIRED), ("value", float, _REQUIRED),
+    )),
+}
+# the keys each JSON object of the document may hold; "" is the top level
+_KEYS = {section: frozenset(f[0] for f in fields) for section, (_, fields) in _RECORDS.items()}
+_KEYS[""] = frozenset((
+    "format_version", "name", "description", "links", "ground_pivots", "joints", "driver",
+    "gear_couplings", "outputs", "branches", "home_pose_deg", "parameters", "symmetry",
+))
+_KEYS["outputs"] = frozenset(("angles", "points"))
+
+
+# A checker takes a JSON value with the place it sits in the document, the
+# enclosing path and its own key, and returns the parsed value.  It builds
+# the field path only to raise the SchemaError that names it.
+
+
+def _path(where: str, key) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _number(value, where: str, key) -> float:
+    """``value`` as a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(_path(where, key), "must be a number")
     try:
         out = float(value)
     except OverflowError:  # an integer beyond the float range
         out = math.inf
     if not math.isfinite(out):
-        raise SchemaError(where, "must be finite")
+        raise SchemaError(_path(where, key), "must be finite")
     return out
 
 
-def _expect(doc: dict, key: str, kind, where: str, default=_TOP_LEVEL_KEYS):
-    """Fetch doc[key] checking its JSON type; ``default`` sentinel = required."""
-    required = default is _TOP_LEVEL_KEYS
-    if key not in doc:
-        if required:
-            raise SchemaError(f"{where}.{key}" if where else key, "missing")
-        return default
-    value = doc[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{where}.{key}" if where else key, "must be a number")
-        return _finite(value, f"{where}.{key}" if where else key)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{where}.{key}" if where else key, "must be an integer")
-        return value
-    if not isinstance(value, kind):
-        raise SchemaError(
-            f"{where}.{key}" if where else key, f"must be {kind.__name__}"
-        )
+def _integer(value, where: str, key) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(_path(where, key), "must be an integer")
     return value
 
 
-def _point_ref(text, where: str) -> tuple[str, str]:
-    if not isinstance(text, str) or ":" not in text:
-        raise SchemaError(where, f"expected 'link:point' reference, got {text!r}")
-    link, _, point = text.partition(":")
-    if not link or not point:
-        raise SchemaError(where, f"expected 'link:point' reference, got {text!r}")
-    return link, point
+def _typed(kind):
+    def check(value, where: str, key):
+        if not isinstance(value, kind):
+            raise SchemaError(_path(where, key), f"must be {kind.__name__}")
+        return value
+
+    return check
+
+
+def _point_ref(text, where: str, key) -> tuple[str, str]:
+    if isinstance(text, str):
+        link, _, point = text.partition(":")
+        if link and point:
+            return link, point
+    raise SchemaError(_path(where, key), f"expected 'link:point' reference, got {text!r}")
+
+
+def _points(value, where: str, key) -> dict[str, np.ndarray]:
+    """A map of point name to [x, y]."""
+    where = _path(where, key)
+    if not isinstance(value, dict):
+        raise SchemaError(where, "must be dict")
+    points = {}
+    for name, xy in value.items():
+        if not isinstance(xy, list) or len(xy) != 2:
+            raise SchemaError(f"{where}.{name}", "must be [x, y]")
+        points[name] = np.array([_number(xy[0], where, name), _number(xy[1], where, name)])
+    return points
+
+
+# kind -> (checker, renderer of a parsed value as JSON)
+_KINDS = {
+    str: (_typed(str), str),
+    int: (_integer, int),
+    float: (_number, float),
+    "ref": (_point_ref, lambda ref: f"{ref[0]}:{ref[1]}"),
+    "points": (_points, lambda points: {
+        name: [float(xy[0]), float(xy[1])] for name, xy in points.items()
+    }),
+    list: (_typed(list), None),
+    dict: (_typed(dict), None),
+}
+
+
+def _known(doc: dict, section: str, where: str) -> dict:
+    """``doc`` when every key is one ``section`` defines, else SchemaError."""
+    keys = _KEYS[section]
+    if not doc.keys() <= keys:
+        raise SchemaError(_path(where, min(doc.keys() - keys)), "unknown key")
+    return doc
+
+
+def _expect(doc: dict, key: str, kind, where: str, default=_REQUIRED):
+    """doc[key] checked as ``kind``; ``default`` when it is absent."""
+    if key in doc:
+        return _KINDS[kind][0](doc[key], where, key)
+    if default is _REQUIRED:
+        raise SchemaError(_path(where, key), "missing")
+    return default
+
+
+def _map(raw: dict, kind, where: str) -> dict:
+    """The JSON object ``raw`` at ``where`` with each value checked as ``kind``."""
+    check = _KINDS[kind][0]
+    return {name: check(value, where, name) for name, value in raw.items()}
+
+
+def _record(raw, section: str, where: str, **values):
+    """One record of ``section`` parsed from the JSON object ``raw``;
+    ``values`` holds fields the document keeps outside the object."""
+    cls, fields = _RECORDS[section]
+    if not isinstance(raw, dict):
+        raise SchemaError(where, "must be an object")
+    _known(raw, section, where)
+    for key, kind, default in fields:  # _expect, with the common case inlined for speed
+        if key in raw:
+            values[key] = _KINDS[kind][0](raw[key], where, key)
+        else:
+            values[key] = _expect(raw, key, kind, where, default)
+    return cls(**values)
+
+
+def _records(doc: dict, section: str, default=_REQUIRED) -> list:
+    """The JSON list doc[section], each element parsed as one record."""
+    return [
+        _record(raw, section, f"{section}[{i}]")
+        for i, raw in enumerate(_expect(doc, section, list, "", default))
+    ]
+
+
+def _emit(record, section: str) -> dict:
+    """One record as a JSON object, keys in table order."""
+    out = {}
+    for key, kind, default in _RECORDS[section][1]:
+        value = getattr(record, key)
+        if value is not None or default is not None:
+            out[key] = _KINDS[kind][1](value)
+    return out
 
 
 def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
@@ -127,8 +238,9 @@ def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
 
     Raises MechanismSyntaxError (with line and column) when the text is not
     JSON, VersionError for a missing/unsupported format_version, and
-    SchemaError (naming the field path) for structural defects.  Validation
-    of the kinematic structure itself is validate_mechanism's job.
+    SchemaError (naming the field path) for structural defects, unknown
+    keys and null values among them.  Validation of the kinematic structure
+    itself is validate_mechanism's job.
     """
     try:
         doc = json.loads(text)
@@ -142,151 +254,26 @@ def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
             f"{source}: unsupported format_version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise SchemaError(sorted(unknown)[0], "unknown top-level key")
-
-    links = []
-    for i, raw in enumerate(_expect(doc, "links", list, "")):
-        where = f"links[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(where, "must be an object")
-        lid = _expect(raw, "id", str, where)
-        points_raw = _expect(raw, "points", dict, where)
-        points = {}
-        for pname, xy in points_raw.items():
-            if (
-                not isinstance(xy, list)
-                or len(xy) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in xy)
-            ):
-                raise SchemaError(f"{where}.points.{pname}", "must be [x, y]")
-            points[pname] = np.array([_finite(v, f"{where}.points.{pname}") for v in xy])
-        length = raw.get("length")
-        if length is not None:
-            length = _expect(raw, "length", float, where)
-        links.append(Link(id=lid, points=points, length=length))
-
-    pivots = []
-    for i, raw in enumerate(_expect(doc, "ground_pivots", list, "")):
-        where = f"ground_pivots[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(where, "must be an object")
-        pivots.append(
-            GroundPivot(
-                id=_expect(raw, "id", str, where),
-                x=_expect(raw, "x", float, where),
-                y=_expect(raw, "y", float, where),
-            )
-        )
-
-    joints = []
-    for i, raw in enumerate(_expect(doc, "joints", list, "")):
-        where = f"joints[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(where, "must be an object")
-        joints.append(
-            Joint(
-                id=_expect(raw, "id", str, where),
-                a=_point_ref(_expect(raw, "a", str, where), f"{where}.a"),
-                b=_point_ref(_expect(raw, "b", str, where), f"{where}.b"),
-            )
-        )
-
-    raw_driver = _expect(doc, "driver", dict, "")
-    driver = Driver(
-        joint=_expect(raw_driver, "joint", str, "driver"),
-        sign=_expect(raw_driver, "sign", int, "driver", default=1),
-        offset_deg=_expect(raw_driver, "offset_deg", float, "driver", default=0.0),
-    )
-
-    gears = []
-    for i, raw in enumerate(_expect(doc, "gear_couplings", list, "", default=[])):
-        where = f"gear_couplings[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(where, "must be an object")
-        gears.append(
-            GearCoupling(
-                id=_expect(raw, "id", str, where),
-                joint_in=_expect(raw, "joint_in", str, where),
-                joint_out=_expect(raw, "joint_out", str, where),
-                ratio=_expect(raw, "ratio", float, where),
-                offset_deg=_expect(raw, "offset_deg", float, where, default=0.0),
-            )
-        )
-
-    outputs = _expect(doc, "outputs", dict, "")
-    angle_outputs = []
-    for name, raw in _expect(outputs, "angles", dict, "outputs").items():
-        where = f"outputs.angles.{name}"
-        if not isinstance(raw, dict):
-            raise SchemaError(where, "must be an object")
-        angle_outputs.append(
-            AngleOutput(
-                name=name,
-                link=_expect(raw, "link", str, where, default=None),
-                joint=_expect(raw, "joint", str, where, default=None),
-                sign=_expect(raw, "sign", int, where, default=1),
-                offset_deg=_expect(raw, "offset_deg", float, where, default=0.0),
-            )
-        )
-    point_outputs = {}
-    for name, ref in _expect(outputs, "points", dict, "outputs").items():
-        point_outputs[name] = _point_ref(ref, f"outputs.points.{name}")
-
-    branches = {}
-    for jid, flag in _expect(doc, "branches", dict, "", default={}).items():
-        if not isinstance(flag, str):
-            raise SchemaError(f"branches.{jid}", "must be a string")
-        branches[jid] = flag
-
-    home = {}
-    for jid, angle in _expect(doc, "home_pose_deg", dict, "", default={}).items():
-        if isinstance(angle, bool) or not isinstance(angle, (int, float)):
-            raise SchemaError(f"home_pose_deg.{jid}", "must be a number")
-        home[jid] = _finite(angle, f"home_pose_deg.{jid}")
-
-    parameters = []
-    for i, raw in enumerate(_expect(doc, "parameters", list, "", default=[])):
-        where = f"parameters[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(where, "must be an object")
-        parameters.append(
-            ParameterBinding(
-                name=_expect(raw, "name", str, where),
-                target=_expect(raw, "target", str, where),
-                min=_expect(raw, "min", float, where),
-                max=_expect(raw, "max", float, where),
-                stage=_expect(raw, "stage", str, where),
-            )
-        )
-
-    symmetry = []
-    for i, raw in enumerate(_expect(doc, "symmetry", list, "", default=[])):
-        where = f"symmetry[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(where, "must be an object")
-        symmetry.append(
-            SymmetryConstraint(
-                name=_expect(raw, "name", str, where),
-                target=_expect(raw, "target", str, where),
-                value=_expect(raw, "value", float, where),
-            )
-        )
-
+    _known(doc, "", "")
+    outputs = _known(_expect(doc, "outputs", dict, ""), "outputs", "outputs")
     return LinkageSpec(
         name=_expect(doc, "name", str, "", default="mechanism"),
-        links=links,
-        ground_pivots=pivots,
-        joints=joints,
-        driver=driver,
-        gear_couplings=gears,
-        angle_outputs=angle_outputs,
-        point_outputs=point_outputs,
-        branches=branches,
-        home_pose_deg=home,
-        parameters=parameters,
-        symmetry=symmetry,
+        links=_records(doc, "links"),
+        ground_pivots=_records(doc, "ground_pivots"),
+        joints=_records(doc, "joints"),
+        driver=_record(_expect(doc, "driver", dict, ""), "driver", "driver"),
+        gear_couplings=_records(doc, "gear_couplings", default=[]),
+        angle_outputs=[
+            _record(raw, "outputs.angles", f"outputs.angles.{name}", name=name)
+            for name, raw in _expect(outputs, "angles", dict, "outputs").items()
+        ],
+        point_outputs=_map(_expect(outputs, "points", dict, "outputs"), "ref", "outputs.points"),
+        branches=_map(_expect(doc, "branches", dict, "", default={}), str, "branches"),
+        home_pose_deg=_map(
+            _expect(doc, "home_pose_deg", dict, "", default={}), float, "home_pose_deg"
+        ),
+        parameters=_records(doc, "parameters", default=[]),
+        symmetry=_records(doc, "symmetry", default=[]),
         description=_expect(doc, "description", str, "", default=""),
     )
 
@@ -304,95 +291,24 @@ def mechanism_to_dict(spec: LinkageSpec) -> OrderedDict:
     doc["name"] = spec.name
     if spec.description:
         doc["description"] = spec.description
-    doc["links"] = [
-        OrderedDict(
-            (("id", link.id),
-             ("points", OrderedDict(
-                 (name, [float(xy[0]), float(xy[1])])
-                 for name, xy in link.points.items()
-             )))
-            + ((("length", float(link.length)),) if link.length is not None else ())
-        )
-        for link in spec.links
-    ]
-    doc["ground_pivots"] = [
-        OrderedDict((("id", p.id), ("x", float(p.x)), ("y", float(p.y))))
-        for p in spec.ground_pivots
-    ]
-    doc["joints"] = [
-        OrderedDict(
-            (("id", j.id), ("a", f"{j.a[0]}:{j.a[1]}"), ("b", f"{j.b[0]}:{j.b[1]}"))
-        )
-        for j in spec.joints
-    ]
-    doc["driver"] = OrderedDict(
-        (
-            ("joint", spec.driver.joint),
-            ("sign", int(spec.driver.sign)),
-            ("offset_deg", float(spec.driver.offset_deg)),
-        )
-    )
+    doc["links"] = [_emit(link, "links") for link in spec.links]
+    doc["ground_pivots"] = [_emit(pivot, "ground_pivots") for pivot in spec.ground_pivots]
+    doc["joints"] = [_emit(joint, "joints") for joint in spec.joints]
+    doc["driver"] = _emit(spec.driver, "driver")
     if spec.gear_couplings:
-        doc["gear_couplings"] = [
-            OrderedDict(
-                (
-                    ("id", g.id),
-                    ("joint_in", g.joint_in),
-                    ("joint_out", g.joint_out),
-                    ("ratio", float(g.ratio)),
-                    ("offset_deg", float(g.offset_deg)),
-                )
-            )
-            for g in spec.gear_couplings
-        ]
-    angles = OrderedDict()
-    for out in spec.angle_outputs:
-        entry: OrderedDict = OrderedDict()
-        if out.link is not None:
-            entry["link"] = out.link
-        if out.joint is not None:
-            entry["joint"] = out.joint
-        entry["sign"] = int(out.sign)
-        entry["offset_deg"] = float(out.offset_deg)
-        angles[out.name] = entry
-    doc["outputs"] = OrderedDict(
-        (
-            ("angles", angles),
-            (
-                "points",
-                OrderedDict(
-                    (name, f"{ref[0]}:{ref[1]}")
-                    for name, ref in spec.point_outputs.items()
-                ),
-            ),
-        )
-    )
+        doc["gear_couplings"] = [_emit(g, "gear_couplings") for g in spec.gear_couplings]
+    doc["outputs"] = {
+        "angles": {out.name: _emit(out, "outputs.angles") for out in spec.angle_outputs},
+        "points": {name: _KINDS["ref"][1](ref) for name, ref in spec.point_outputs.items()},
+    }
     if spec.branches:
-        doc["branches"] = OrderedDict(sorted(spec.branches.items()))
+        doc["branches"] = dict(sorted(spec.branches.items()))
     if spec.home_pose_deg:
-        doc["home_pose_deg"] = OrderedDict(
-            (k, float(v)) for k, v in sorted(spec.home_pose_deg.items())
-        )
+        doc["home_pose_deg"] = {k: float(v) for k, v in sorted(spec.home_pose_deg.items())}
     if spec.parameters:
-        doc["parameters"] = [
-            OrderedDict(
-                (
-                    ("name", b.name),
-                    ("target", b.target),
-                    ("min", float(b.min)),
-                    ("max", float(b.max)),
-                    ("stage", b.stage),
-                )
-            )
-            for b in spec.parameters
-        ]
+        doc["parameters"] = [_emit(b, "parameters") for b in spec.parameters]
     if spec.symmetry:
-        doc["symmetry"] = [
-            OrderedDict(
-                (("name", s.name), ("target", s.target), ("value", float(s.value)))
-            )
-            for s in spec.symmetry
-        ]
+        doc["symmetry"] = [_emit(s, "symmetry") for s in spec.symmetry]
     return doc
 
 
@@ -444,8 +360,8 @@ def write_trajectory_csv(traj: GaitTrajectory, path: str | Path) -> None:
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read a trajectory CSV into column arrays keyed by header name.
 
-    The header must match the shared trajectory format exactly; phases must
-    be strictly increasing within [0, 360).
+    The header must match the shared trajectory format exactly; every cell
+    must be a finite number and phases strictly increasing within [0, 360).
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.splitlines() if line.strip()]
@@ -463,9 +379,12 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
         if len(cells) != len(TRAJECTORY_COLUMNS):
             raise SchemaError(f"row {i}", f"expected 7 columns, got {len(cells)}")
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise SchemaError(f"row {i}", str(exc)) from None
+        if not all(map(math.isfinite, row)):
+            raise SchemaError(f"row {i}", "cells must be finite")
+        rows.append(row)
     data = np.asarray(rows, dtype=float).reshape(-1, len(TRAJECTORY_COLUMNS))
     phi = data[:, 0]
     if np.any(phi < 0.0) or np.any(phi >= 360.0) or np.any(np.diff(phi) <= 0.0):

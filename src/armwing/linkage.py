@@ -590,9 +590,7 @@ def _spanning_tree(g: MechanismGraph) -> None:
                 used.add(jid)
                 g.closures.append(jid)
         if picked is None:
-            if not frontier - used:
-                break
-            continue
+            break
         jid, child = picked
         joint = g.joints[jid]
         parent = joint.other(child)

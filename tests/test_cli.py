@@ -311,6 +311,32 @@ def test_validate_rejects_a_huge_integer_in_one_line(tmp_path: Path, capsys):
     assert err.count("\n") == 1
 
 
+def test_validate_rejects_a_misspelt_key_in_one_line(tmp_path: Path, capsys):
+    doc = json.loads(REFERENCE_PATH.read_text())
+    gear = doc["gear_couplings"][0]
+    gear["offset_dge"] = gear.pop("offset_deg")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", bad)
+    assert code == 1
+    assert out == ""
+    assert err == "error: SchemaError: gear_couplings[0].offset_dge: unknown key\n"
+
+
+def test_optimize_stage_without_parameters_is_a_fitting_error(tmp_path: Path, capsys):
+    # The demo four-bar tags no radius parameters, so `--stage all` cannot
+    # run its radius stage.
+    target_csv = tmp_path / "target.csv"
+    run(capsys, "target", "--samples", "60", "--out", target_csv)
+    code, _, err = run(
+        capsys, "optimize", "--mech", DEMO_PATH, "--targets", target_csv,
+        "--multistarts", "1", "--maxiter", "2", "--out", tmp_path / "fit.json",
+    )
+    assert code == 1
+    assert err == "error: FittingError: no parameters tagged for stage 'radius'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.csv"]
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -335,11 +361,14 @@ def test_validate_rejects_a_huge_integer_in_one_line(tmp_path: Path, capsys):
         (["material", "--check", "--material", "FLX9870", "--strain", "nan"], "--strain"),
         (["sensitivity", "--mech", REFERENCE_PATH, "--param", "crank_len",
           "--range", "0.95:inf:0.05"], "--range"),
+        # 200001 scales: over the maximum, yet cheap to list if the check were gone
+        (["sensitivity", "--mech", REFERENCE_PATH, "--param", "crank_len",
+          "--range", "0.9:1.1:1e-6", "--samples", "4"], "--range"),
     ],
     ids=["target-samples", "sweep-samples", "rank-samples", "rank-delta", "family-samples",
          "multistarts-0", "multistarts-neg", "maxiter-0", "maxiter-neg", "phi-nan", "phi-inf",
          "phi-text", "safety-factor-low", "safety-factor-nan", "strain-neg", "strain-nan",
-         "range-inf"],
+         "range-inf", "range-huge"],
 )
 def test_invalid_counts_are_usage_errors(capsys, tmp_path: Path, argv, flag):
     if argv[0] == "optimize":

@@ -129,6 +129,11 @@ def test_trajectory_header_and_rows_validated(tmp_path: Path):
     )
     with pytest.raises(SchemaError):
         read_trajectory_csv(bad)
+    for cell in ("nan", "inf", "-inf"):
+        bad.write_text(",".join(TRAJECTORY_COLUMNS) + f"\n0,{cell},0,0,0,0,0\n")
+        with pytest.raises(SchemaError) as err:
+            read_trajectory_csv(bad)
+        assert err.value.field == "row 2"
 
 
 def test_targets_from_trajectory_reconstructs_the_exact_grid(
@@ -194,6 +199,60 @@ def test_angle_output_reference_must_be_a_string():
     with pytest.raises(SchemaError) as err:
         parse_mechanism_text(json.dumps(doc))
     assert err.value.field == "outputs.angles.theta_s.link"
+
+
+def _rename(record: dict, key: str, misspelt: str) -> None:
+    record[misspelt] = record.pop(key)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc["links"][0].update(lenght=30.0), "links[0].lenght"),
+        (lambda doc: _rename(doc["ground_pivots"][1], "y", "yy"), "ground_pivots[1].yy"),
+        (lambda doc: _rename(doc["joints"][2], "b", "B"), "joints[2].B"),
+        (lambda doc: _rename(doc["driver"], "offset_deg", "offest_deg"), "driver.offest_deg"),
+        (
+            lambda doc: _rename(doc["gear_couplings"][0], "offset_deg", "offset_dge"),
+            "gear_couplings[0].offset_dge",
+        ),
+        (
+            lambda doc: _rename(doc["outputs"]["angles"]["theta_e"], "sign", "sgn"),
+            "outputs.angles.theta_e.sgn",
+        ),
+        (lambda doc: _rename(doc["outputs"], "points", "point"), "outputs.point"),
+        (lambda doc: _rename(doc["parameters"][3], "stage", "stages"), "parameters[3].stages"),
+        (lambda doc: _rename(doc["symmetry"][1], "value", "val"), "symmetry[1].val"),
+    ],
+    ids=["links", "ground_pivots", "joints", "driver", "gear_couplings", "outputs_angles",
+         "outputs", "parameters", "symmetry"],
+)
+def test_misspelt_keys_name_their_path(edit, field):
+    doc = _reference_doc()
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        parse_mechanism_text(json.dumps(doc))
+    assert err.value.field == field
+    assert err.value.detail == "unknown key"
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc["links"][0].update(length=None), "links[0].length"),
+        (
+            lambda doc: doc["outputs"]["angles"]["theta_s"].update(link=None),
+            "outputs.angles.theta_s.link",
+        ),
+    ],
+    ids=["link_length", "angle_output_link"],
+)
+def test_null_values_are_rejected(edit, field):
+    doc = _reference_doc()
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        parse_mechanism_text(json.dumps(doc))
+    assert err.value.field == field
 
 
 def test_non_finite_numbers_name_their_field():
