@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArmwingError
-from .fitting import FitOptions, optimize_armwing, optimize_stage
+from .fitting import STAGE_CHOICES, FitOptions, optimize_armwing, optimize_stage
 from .gait import phase_grid, sample_targets
 from .io import (
     parse_mechanism_file,
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="target trajectory CSV")
     p.add_argument(
         "--stage",
-        choices=("humerus", "radius", "all"),
+        choices=STAGE_CHOICES,
         default="all",
         help="fit one stage, or 'all' for the staged pipeline (default all)",
     )
@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--label", action="append", help="legend label (repeatable)")
     p.add_argument(
-        "--scale", action="append", type=float,
+        "--scale", action="append", type=_number(),
         help="family scale for coloring (repeatable)",
     )
     p.add_argument("--title", help="plot title")

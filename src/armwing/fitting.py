@@ -31,8 +31,11 @@ while the margin entries push it back.
 Stages: 'humerus' fits the shoulder-drive parameters against the shoulder
 target, 'radius' fits the elbow-drive parameters against the elbow target,
 'all' fits both parameter groups against both angle series at once.  The
-staged driver optimize_armwing runs humerus then radius; stage-1 values
-are excluded from the stage-2 design vector, so they stay bit-identical.
+staged driver optimize_armwing runs optimize_stage for humerus then radius,
+always in that order; stage-1 values are excluded from the stage-2 design
+vector, so they stay bit-identical.  Every report's
+constraint_violation_max is _StageProblem.violation, max(0, worst entry);
+the staged report takes it and its costs from a stage-'all' problem.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ __all__ = [
     "optimize_armwing",
 ]
 
-STAGE_CHOICES = ("humerus", "radius", "all")
+STAGE_ORDER = ("humerus", "radius")  # the staged fit's stages, in run order
+STAGE_CHOICES = STAGE_ORDER + ("all",)
 PENALTY_DEG = 1e3
 CONSTRAINT_PENALTY = 1e6
 FEASIBILITY_TOL = 1e-6
@@ -128,10 +132,7 @@ class DesignVector:
         return replace(self, values=np.asarray(values, dtype=float))
 
     def indices_for_stage(self, stage: str) -> list[int]:
-        if stage == "all":
-            wanted = ("humerus", "radius")
-        else:
-            wanted = (stage,)
+        wanted = STAGE_ORDER if stage == "all" else (stage,)
         return [i for i, s in enumerate(self.stages) if s in wanted]
 
 
@@ -520,7 +521,9 @@ def optimize_stage(
     Runs options.multistarts independent local solves (the nominal design
     first, then seeded uniform draws in the bound box), keeps the feasible
     result of least cost (ties broken by start index), and reports every
-    start.  Raises NoFeasibleStart when no start ends feasible; a winner
+    start.  A nominal design that already tracks the targets feasibly is
+    its own single start, "initial design already optimal", and nothing
+    descends.  Raises NoFeasibleStart when no start ends feasible; a winner
     that stopped on the iteration budget is flagged 'budget_exhausted',
     not raised.
     """
@@ -532,46 +535,27 @@ def optimize_stage(
     problem = _StageProblem(mech, targets, stage, options)
     initial_cost = problem.objective(problem.x0)
 
+    # Each outcome is (x, cost, iterations, message, budget-limited, polished).
     if initial_cost <= 1e-12 and problem.feasible(problem.x0):
         # Already tracking the target; nothing to descend.
-        return FitReport(
-            stage=stage,
-            initial_cost=initial_cost,
-            final_cost=initial_cost,
-            iterations=0,
-            winner_start=0,
-            constraint_violation_max=problem.violation(problem.x0),
-            design=problem.base,
-            starts=(
-                StartRecord(
-                    index=0,
-                    cost=initial_cost,
-                    feasible=True,
-                    iterations=0,
-                    polished=False,
-                    message="initial design already optimal",
-                ),
-            ),
-            incumbent_history=((0, initial_cost),),
-            seed=options.seed,
-            multistarts=1,
-            samples=problem.samples,
-        )
-
-    rng = np.random.default_rng(options.seed)
-    k = max(1, int(options.multistarts))
-    starts = [problem.x0]
-    if k > 1:
-        u = rng.uniform(size=(k - 1, len(problem.move)))
-        starts.extend(problem.lower + u * (problem.upper - problem.lower))
+        outcomes = [(problem.x0, initial_cost, 0, "initial design already optimal", False, False)]
+    else:
+        rng = np.random.default_rng(options.seed)
+        k = max(1, int(options.multistarts))
+        starts = [problem.x0]
+        if k > 1:
+            u = rng.uniform(size=(k - 1, len(problem.move)))
+            starts.extend(problem.lower + u * (problem.upper - problem.lower))
+        # A generator, so each start is checked for feasibility before the
+        # next one moves the problem's last-point memo.
+        outcomes = (_run_start(problem, x0) for x0 in starts)
 
     records: list[StartRecord] = []
     incumbent: tuple[float, int] | None = None
     incumbent_x = None
     history: list[tuple[int, float]] = []
     budget_flags: set[int] = set()
-    for index, x0 in enumerate(starts):
-        x, final, iterations, message, budget, polished = _run_start(problem, x0)
+    for index, (x, final, iterations, message, budget, polished) in enumerate(outcomes):
         feasible = problem.feasible(x)
         records.append(
             StartRecord(
@@ -593,79 +577,68 @@ def optimize_stage(
 
     if incumbent is None:
         raise NoFeasibleStart(
-            f"none of {k} starts produced a feasible {stage} design"
+            f"none of {len(records)} starts produced a feasible {stage} design"
         )
     final_cost, winner = incumbent
-    flags = []
-    if winner in budget_flags:
-        flags.append("budget_exhausted")
-
     values = problem.base.values.copy()
     values[problem.move] = incumbent_x
-    design = problem.base.with_values(values)
-    violation = problem.violation(incumbent_x)
     return FitReport(
         stage=stage,
         initial_cost=initial_cost,
         final_cost=final_cost,
         iterations=records[winner].iterations,
         winner_start=winner,
-        constraint_violation_max=violation,
-        design=design,
+        constraint_violation_max=problem.violation(incumbent_x),
+        design=problem.base.with_values(values),
         starts=tuple(records),
         incumbent_history=tuple(history),
-        flags=tuple(flags),
+        flags=("budget_exhausted",) if winner in budget_flags else (),
         seed=options.seed,
-        multistarts=k,
+        multistarts=len(records),
         samples=problem.samples,
     )
+
+
+def _closing_point(mech: MechanismGraph, targets: TargetGait, options: FitOptions):
+    """(cost, constraint violation) of a design over both stages: one sweep."""
+    problem = _StageProblem(mech, targets, "all", options)
+    return problem.objective(problem.x0), problem.violation(problem.x0)
 
 
 def optimize_armwing(
     mech: MechanismGraph,
     targets: TargetGait,
     options: FitOptions | None = None,
-    order: tuple[str, str] = ("humerus", "radius"),
 ) -> FitReport:
     """Staged fit: shoulder-drive parameters first, then elbow-drive.
 
     Stage 1 fits humerus-tagged parameters against the shoulder target;
     stage 2 starts from that result with the humerus entries excluded from
     its design vector (frozen bit-exactly) and fits radius-tagged
-    parameters against the elbow target.  Forcing the reverse order is
-    supported for comparison but warns: the elbow chain rides on the
-    shoulder chain, so fitting it first optimizes against geometry the
-    humerus stage will then move underneath it.
+    parameters against the elbow target.  The order is fixed: the elbow
+    chain rides on the shoulder chain.  Both stages must have tagged
+    parameters, which is checked before either runs (FittingError).
+
+    The staged report's initial and final costs and its constraint
+    violation are those of a stage-'all' problem at the input design and
+    at the fitted one: the same definitions every stage report uses.
     """
     if options is None:
         options = FitOptions()
-    if sorted(order) != ["humerus", "radius"]:
-        raise ValueError(f"order must permute ('humerus', 'radius'), got {order!r}")
-    flags: list[str] = []
-    if order != ("humerus", "radius"):
-        warnings.warn(
-            "fitting the radius stage before the humerus stage optimizes the "
-            "elbow against geometry the humerus fit will then change; expect "
-            "a worse combined result",
-            stacklevel=2,
-        )
-        flags.append("stage_order_warning")
+    _check_grid(targets, None)
+    tagged = {binding.stage for binding in mech.parameters.values()}
+    for stage in STAGE_ORDER:
+        if stage not in tagged:
+            raise FittingError(f"no parameters tagged for stage {stage!r}")
 
-    initial_cost = cost(residuals(mech, targets, "all", flagged=True))
+    initial_cost, _ = _closing_point(mech, targets, options)
     current = mech
     stage_reports: "OrderedDict[str, FitReport]" = OrderedDict()
-    for stage in order:
+    for stage in STAGE_ORDER:
         report = optimize_stage(current, targets, stage, options)
         stage_reports[stage] = report
         current = report.design.apply(mech)
-    final_design = stage_reports[order[-1]].design
-    final_cost = cost(residuals(current, targets, "all", flagged=True))
-    violation = float(
-        np.max(evaluate_constraints(current, samples=len(targets.phi)))
-    )
-    for stage in order:
-        if "budget_exhausted" in stage_reports[stage].flags:
-            flags.append(f"budget_exhausted:{stage}")
+    final_cost, violation = _closing_point(current, targets, options)
     return FitReport(
         stage="staged",
         initial_cost=initial_cost,
@@ -673,9 +646,10 @@ def optimize_armwing(
         iterations=sum(r.iterations for r in stage_reports.values()),
         winner_start=-1,
         constraint_violation_max=violation,
-        design=final_design,
+        design=stage_reports[STAGE_ORDER[-1]].design,
         stage_reports=stage_reports,
-        flags=tuple(flags),
+        flags=tuple(f"budget_exhausted:{stage}" for stage in STAGE_ORDER
+                    if "budget_exhausted" in stage_reports[stage].flags),
         seed=options.seed,
         multistarts=options.multistarts,
         samples=len(targets.phi),

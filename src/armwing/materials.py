@@ -16,6 +16,7 @@ is used as a screen; full continuum FEA is out of scope.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -149,10 +150,15 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
 
     Returns an insertion-ordered name -> MaterialSpec mapping.  Raises
     VersionError on a missing/unsupported format_version and SchemaError
-    on malformed entries.
+    on a file that is not a JSON object or on malformed entries.
     """
     src = Path(path) if path is not None else default_materials_path()
-    doc = json.loads(src.read_text())
+    try:
+        doc = json.loads(src.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise SchemaError(str(src), f"not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(str(src), f"top level must be an object, not {type(doc).__name__}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(
@@ -160,7 +166,10 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
             f"(expected {FORMAT_VERSION})"
         )
     out: dict[str, MaterialSpec] = {}
-    for i, entry in enumerate(doc.get("materials", [])):
+    entries = doc.get("materials", [])
+    if not isinstance(entries, list):
+        raise SchemaError("materials", f"must be a list, not {type(entries).__name__}")
+    for i, entry in enumerate(entries):
         where = f"materials[{i}]"
         try:
             name = entry["name"]
@@ -168,8 +177,13 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
             brk = tuple(float(v) for v in entry["elongation_break_pct"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(where, f"bad entry: {exc}") from None
+        if not isinstance(name, str):
+            raise SchemaError(f"{where}.name", f"must be a string, got {name!r}")
         if len(shore) != 2 or len(brk) != 2:
             raise SchemaError(where, "shore_a and elongation_break_pct need 2 values")
+        for key, band in (("shore_a", shore), ("elongation_break_pct", brk)):
+            if not all(map(math.isfinite, band)):
+                raise SchemaError(f"{where}.{key}", f"values must be finite, got {list(band)}")
         if not brk[0] > 0.0 or brk[1] < brk[0]:
             raise SchemaError(where, "elongation band must be positive, low <= high")
         if name in out:
@@ -177,10 +191,9 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
         model = None
         raw_model = entry.get("model")
         if raw_model is not None:
-            if raw_model.get("type") != "mooney-rivlin":
-                raise SchemaError(
-                    f"{where}.model", f"unknown model type {raw_model.get('type')!r}"
-                )
+            kind = raw_model.get("type") if isinstance(raw_model, dict) else raw_model
+            if kind != "mooney-rivlin":
+                raise SchemaError(f"{where}.model", f"unknown model type {kind!r}")
             try:
                 model = MooneyRivlin(
                     c10_mpa=float(raw_model["c10_mpa"]),
@@ -189,6 +202,9 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{where}.model", f"bad constants: {exc}") from None
+            for key in ("c10_mpa", "c01_mpa"):
+                if not math.isfinite(getattr(model, key)):
+                    raise SchemaError(f"{where}.model.{key}", "must be finite")
             if not 0.0 < model.poisson <= 0.5:
                 raise SchemaError(
                     f"{where}.model.poisson", "Poisson ratio must be in (0, 0.5]"

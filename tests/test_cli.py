@@ -256,6 +256,15 @@ def test_material_env_var_database(tmp_path: Path, capsys, monkeypatch):
     assert "capacity 50%" in out
 
 
+def test_material_list_of_a_bad_database_is_an_error(tmp_path: Path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    code, out, err = run(capsys, "material", "--list", "--db", path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: SchemaError: {path}: top level must be an object, not list\n"
+
+
 def test_plot_overlays_two_trajectories(tmp_path: Path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -323,14 +332,19 @@ def test_validate_rejects_a_misspelt_key_in_one_line(tmp_path: Path, capsys):
     assert err == "error: SchemaError: gear_couplings[0].offset_dge: unknown key\n"
 
 
-def test_optimize_stage_without_parameters_is_a_fitting_error(tmp_path: Path, capsys):
+def test_optimize_stage_without_parameters_is_a_fitting_error(tmp_path: Path, capsys,
+                                                              monkeypatch):
     # The demo four-bar tags no radius parameters, so `--stage all` cannot
-    # run its radius stage.
+    # run its radius stage, and it fails before the humerus stage descends.
+    def never(*args, **kwargs):
+        raise AssertionError("no stage may run")
+
+    monkeypatch.setattr("armwing.fitting.minimize", never)
     target_csv = tmp_path / "target.csv"
     run(capsys, "target", "--samples", "60", "--out", target_csv)
     code, _, err = run(
         capsys, "optimize", "--mech", DEMO_PATH, "--targets", target_csv,
-        "--multistarts", "1", "--maxiter", "2", "--out", tmp_path / "fit.json",
+        "--out", tmp_path / "fit.json",
     )
     assert code == 1
     assert err == "error: FittingError: no parameters tagged for stage 'radius'\n"
@@ -364,11 +378,13 @@ def test_optimize_stage_without_parameters_is_a_fitting_error(tmp_path: Path, ca
         # 200001 scales: over the maximum, yet cheap to list if the check were gone
         (["sensitivity", "--mech", REFERENCE_PATH, "--param", "crank_len",
           "--range", "0.9:1.1:1e-6", "--samples", "4"], "--range"),
+        (["plot", "--csv", REFERENCE_PATH, "--out", "p.svg", "--scale", "nan"], "--scale"),
+        (["plot", "--csv", REFERENCE_PATH, "--out", "p.svg", "--scale", "inf"], "--scale"),
     ],
     ids=["target-samples", "sweep-samples", "rank-samples", "rank-delta", "family-samples",
          "multistarts-0", "multistarts-neg", "maxiter-0", "maxiter-neg", "phi-nan", "phi-inf",
          "phi-text", "safety-factor-low", "safety-factor-nan", "strain-neg", "strain-nan",
-         "range-inf", "range-huge"],
+         "range-inf", "range-huge", "scale-nan", "scale-inf"],
 )
 def test_invalid_counts_are_usage_errors(capsys, tmp_path: Path, argv, flag):
     if argv[0] == "optimize":

@@ -292,22 +292,37 @@ def test_radius_stage_cannot_move_the_shoulder_series(reference):
     assert np.array_equal(base, after)
 
 
-def test_reverse_stage_order_warns_and_is_flagged(reference):
-    targets = sample_targets(360)
-    # A starved iteration budget can leave trust-constr mid-barrier at an
-    # infeasible point, so give the stages room to settle back.
-    options = FitOptions(seed=0, multistarts=1, maxiter=12, polish=False)
-    with pytest.warns(UserWarning, match="radius stage before"):
-        report = optimize_armwing(reference, targets, options,
-                                  order=("radius", "humerus"))
-    assert "stage_order_warning" in report.flags
-    assert list(report.stage_reports) == ["radius", "humerus"]
+def test_an_optimal_nominal_design_is_its_own_single_start(demo_fourbar, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an optimal nominal design needs no descent")
+
+    monkeypatch.setattr("armwing.fitting.minimize", never)
+    report = optimize_stage(demo_fourbar, targets_of(demo_fourbar), "humerus",
+                            FitOptions(multistarts=3))
+    assert [s.message for s in report.starts] == ["initial design already optimal"]
+    assert report.multistarts == 1
+    assert report.flags == ()
+    assert report.constraint_violation_max == 0.0
+    assert report.final_cost == report.initial_cost
+    assert np.array_equal(report.design.values, DesignVector.from_mechanism(demo_fourbar).values)
 
 
-def test_order_must_permute_the_two_stages(reference):
-    targets = sample_targets(360)
-    with pytest.raises(ValueError):
-        optimize_armwing(reference, targets, FAST, order=("humerus", "humerus"))
+def test_staged_violation_is_the_stage_measure(reference):
+    """Without symmetry entries every constraint of the reference is a
+    strict inequality, negative when feasible: the staged report still
+    gives max(0, worst entry), as its stage reports do."""
+    spec = reference.spec
+    spec.symmetry = []
+    mech = validate_mechanism(spec)
+    targets = sample_targets(90)
+    report = optimize_armwing(mech, targets,
+                              FitOptions(seed=0, multistarts=1, maxiter=5, polish=False))
+    fitted = report.design.apply(mech)
+    assert np.max(evaluate_constraints(fitted, samples=90)) < 0.0
+    assert report.constraint_violation_max == 0.0
+    closing = _StageProblem(fitted, targets, "all", FitOptions())
+    assert report.constraint_violation_max == closing.violation(closing.x0)
+    assert report.final_cost == closing.objective(closing.x0)
 
 
 def test_a_batch_of_designs_is_refused_with_a_clear_error(reference):

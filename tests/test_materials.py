@@ -187,3 +187,49 @@ def test_custom_database_path(tmp_path: Path):
     assert list(db) == ["softgoo"]
     assert db["softgoo"].model == MooneyRivlin(0.1, 0.01, 0.49)
     assert strain_budget_check(250.0, db["softgoo"]).passed
+
+
+def _one_material(**overrides) -> dict:
+    entry = {"name": "softgoo", "shore_a": [20.0, 30.0], "elongation_break_pct": [300.0, 400.0]}
+    entry.update(overrides)
+    return {"format_version": 1, "materials": [entry]}
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("{not json", "not a JSON document"),
+        ("[1, 2]", "top level must be an object"),
+        ('{"format_version": 1, "materials": {"name": "x"}}', "materials: must be a list"),
+        (json.dumps(_one_material(name=["x"])), "materials[0].name"),
+        (json.dumps(_one_material(elongation_break_pct=[100.0, math.nan])),
+         "materials[0].elongation_break_pct"),
+        (json.dumps(_one_material(shore_a=[-math.inf, 30.0])), "materials[0].shore_a"),
+        (json.dumps(_one_material(model={"type": "mooney-rivlin", "c10_mpa": math.nan,
+                                         "c01_mpa": 0.01, "poisson": 0.49})),
+         "materials[0].model.c10_mpa"),
+        (json.dumps(_one_material(model={"type": "mooney-rivlin", "c10_mpa": 0.1,
+                                         "c01_mpa": math.inf, "poisson": 0.49})),
+         "materials[0].model.c01_mpa"),
+        (json.dumps(_one_material(model="mooney-rivlin")), "materials[0].model"),
+    ],
+    ids=["invalid-json", "list-top-level", "materials-not-a-list",
+         "name-not-a-string", "nan-elongation", "inf-shore", "nan-c10", "inf-c01",
+         "model-not-an-object"],
+)
+def test_malformed_database_is_a_schema_error(tmp_path: Path, text, where):
+    path = tmp_path / "db.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_materials(path)
+    assert where in str(err.value)
+
+
+def test_database_is_read_as_utf8(tmp_path: Path):
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps(_one_material(description="Shore 20–30 A, ±5 %"),
+                               ensure_ascii=False), encoding="utf-8")
+    assert load_materials(path)["softgoo"].description == "Shore 20–30 A, ±5 %"
+    path.write_bytes(b'{"format_version": 1, "materials": [], "note": "caf\xe9"}')
+    with pytest.raises(SchemaError, match="not a JSON document"):
+        load_materials(path)
