@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="fit one stage, or 'all' for the staged pipeline (default all)",
     )
-    p.add_argument("--seed", type=int, default=0, help="multistart RNG seed")
+    p.add_argument("--seed", type=_number(0, int), default=0, help="multistart RNG seed")
     p.add_argument("--multistarts", type=_number(1, int), default=10, help="starts per stage")
     p.add_argument("--maxiter", type=_number(1, int), default=150, help="iterations per start")
     p.add_argument("--out", required=True, help="fit report JSON path")

@@ -17,13 +17,13 @@ Optimization runs a bounded, inequality-constrained local descent
 plus seeded uniform draws inside the box.  Its gradient 2 J^T r / N, the
 constraint Jacobian and the polish's residual Jacobian J are exact: one
 tangent pass of the solver (solver.sweep_tangents) differentiates the
-sweep along the moved parameters, running each step only on the
-parameters that move its read-set, so a stage pays for its side of the
-chain alone.  A max or min entry takes the derivative at its active
-sample; penalty entries, and entries whose read-set no moved parameter
-reaches, get zero rows.  Starts are
-independent, each on a private mechanism copy, and merge deterministically
-by (cost, index).
+sweep along the moved parameters a fit can read, decided once per stage,
+and skips each step none of them moves, so a stage pays for its side of
+the chain alone; the other moved parameters get zero tangents.  A max or
+min entry takes the derivative at its active sample; penalty entries,
+and entries whose read-set no moved parameter reaches, get zero rows.
+Starts are independent, each on a private mechanism copy, and merge
+deterministically by (cost, index).
 Failed solves during the search contribute a fixed penalty per sample
 instead of aborting, so the search can skirt the assemblability boundary
 while the margin entries push it back.
@@ -376,7 +376,11 @@ class _StageProblem:
     needs no bounds check.  A last-point memo keeps the sweep at the latest
     x: the cost, residual and constraint values at one x share one sweep,
     and their Jacobians share one tangent pass over it, seeded with a unit
-    direction on each moved parameter's slot.
+    direction on each ``live`` parameter's slot: the moved parameters
+    whose slot a fit reads (the driver or an angle-output offset, or a slot
+    in the read-set of a tangent step or a constraint entry; every one on
+    a mechanism with no plan).  The others get zero tangents without a
+    pass.
     """
 
     def __init__(self, mech, targets, stage, options: FitOptions):
@@ -395,6 +399,12 @@ class _StageProblem:
         self.slots = [mech._targets[self.base.names[i]] for i in self.move]
         self.dgeom = np.zeros((len(self.move), mech.geom.size))
         self.dgeom[range(len(self.move)), self.slots] = 1.0
+        self.live = list(range(len(self.move)))
+        if mech.tangent_steps is not None:
+            reads = {mech._driver_slot, *(out[-1] for out in mech._angle_outputs.values())}
+            reads.update(*(step.reads for _, step in mech.tangent_steps),
+                         *(entry.reads for entry in mech.constraints))
+            self.live = [k for k in self.live if self.slots[k] in reads]
         self._x: np.ndarray | None = None
         self._point = None  # (cost, residuals, constraints, graph, series) at _x
         self._jac = None  # (residual Jacobian, constraint Jacobian) at _x
@@ -417,11 +427,20 @@ class _StageProblem:
     def _jacobians(self, x: np.ndarray):
         _, _, _, m, series = self._evaluate(x)
         if self._jac is None:
-            tangents = sweep_tangents(series, self.dgeom)
+            tangents = self._pad(sweep_tangents(series, self.dgeom[self.live]))
             _, con_jac = _constraint_core(m, series, tangents, self.dgeom)
             resid_jac = _stage_jacobian(series, tangents, self.targets, self.stage)
             self._jac = (resid_jac, con_jac)
         return self._jac
+
+    def _pad(self, tangent):
+        """A tangent on the live directions, on all moved ones: zero rows
+        for the rest.  Margins and transmissions are dicts of them."""
+        if isinstance(tangent, dict):
+            return {key: self._pad(value) for key, value in tangent.items()}
+        out = np.zeros((len(self.move),) + tangent.shape[1:])
+        out[self.live] = tangent
+        return out
 
     def objective(self, x) -> float:
         return self._evaluate(x)[0]
@@ -621,7 +640,8 @@ def optimize_armwing(
 
     The staged report's initial and final costs and its constraint
     violation are those of a stage-'all' problem at the input design and
-    at the fitted one: the same definitions every stage report uses.
+    at the fitted one: the same definitions every stage report uses.  Its
+    ``multistarts`` is the most starts either stage ran.
     """
     if options is None:
         options = FitOptions()
@@ -651,6 +671,6 @@ def optimize_armwing(
         flags=tuple(f"budget_exhausted:{stage}" for stage in STAGE_ORDER
                     if "budget_exhausted" in stage_reports[stage].flags),
         seed=options.seed,
-        multistarts=options.multistarts,
+        multistarts=max(r.multistarts for r in stage_reports.values()),
         samples=len(targets.phi),
     )

@@ -308,9 +308,9 @@ class MechanismGraph:
     joints, the analytic and Newton step records and the dyad plan, the
     closure gaps and outputs as (link, slot) reads, the parameter targets
     and the fit's constraint entries, all resolved to slots of ``geom``.
-    Each step record carries its read-set, so a tangent pass runs a step
-    only on the directions that move it, and
-    ``tangent_steps`` lists the analytic steps a differentiated output
+    Each step record carries its read-set, so a tangent pass skips a step
+    no direction moves and a fit passes only the directions it can read,
+    and ``tangent_steps`` lists the analytic steps a differentiated output
     reads.  ``geom`` is the one store of the numbers: the validated
     records keep NaN in their numeric fields.  Graphs made by ``copy()``,
     ``with_parameters()`` or ``DesignVector.apply()`` share the topology and

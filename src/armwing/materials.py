@@ -184,6 +184,9 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
         for key, band in (("shore_a", shore), ("elongation_break_pct", brk)):
             if not all(map(math.isfinite, band)):
                 raise SchemaError(f"{where}.{key}", f"values must be finite, got {list(band)}")
+        if not 0.0 <= shore[0] <= shore[1] <= 100.0:
+            raise SchemaError(f"{where}.shore_a",
+                              f"need 0 <= low <= high <= 100, got {list(shore)}")
         if not brk[0] > 0.0 or brk[1] < brk[0]:
             raise SchemaError(where, "elongation band must be positive, low <= high")
         if name in out:

@@ -20,14 +20,13 @@ for step over a solved one-design pose.  It carries a leading axis of n
 directions in the slot space of ``geom`` (and, on a Newton pose, seeds on
 the free angles), and returns exact derivatives of the link angles and
 origins, the joint angles, the dyad margins and transmissions, and the
-closure gaps.  It runs only what those outputs can read.  On an analytic
-pose that is ``tangent_steps``, the steps the angle outputs, margins and
-transmissions read (not the reference's digit gear and digit), and each
-step on the live rows alone: the directions that move a slot of the
-step's compiled read-set.  Every other row is an exact zero, never
-computed, and a step with no live row is skipped.  A Newton pose runs
-every step, since its closure gaps read them all, on every row: Newton
-solves one sample at a time, where fewer rows save nothing.  Its rules:
+closure gaps.  Every step it runs, it runs on all n rows.  On an analytic
+pose it runs ``tangent_steps``, the steps the angle outputs, margins and
+transmissions read (not the reference's digit gear and digit), less any
+step whose compiled read-set no direction moves: its results are exact
+zeros.  Which directions to pass is the caller's choice; a fit passes
+only the parameters it can read (fitting._StageProblem).  A Newton pose
+runs every step, since its closure gaps read them all.  Its rules:
 
 * tree step: dtheta_child = dtheta_parent + sign dalpha, and the child's
   origin moves with the anchor, less the rotated local point's change;
@@ -355,18 +354,13 @@ def _complex(xy):
 
 
 class _Tangent:
-    """Directional derivatives of a one-design _Solution's state, on live rows.
+    """Directional derivatives of a one-design _Solution's state.
 
     The rows of ``dgeom`` (shape (n, P)) are n directions in the slot space
-    of ``geom``.  On an analytic pose a tangent keeps only its live rows:
-    the directions that move a slot of the read-set of the step that made
-    it.  It has the primal's shape behind a leading axis of those rows (a
-    phase-independent one may keep a phase axis of 1), ``live[table, key]``
-    lists them, and every other row is an exact zero that is never
-    computed.  On a Newton pose every row is live: its closure gaps read
-    every step, and Newton solves one sample at a time, where fewer rows
-    save nothing.  ``read`` gives a tangent on ``rows``, the live rows of
-    the step being run, a superset of its own.  Plane vectors are complex,
+    of ``geom``.  A tangent has the primal's shape behind a leading axis of
+    all n rows (a phase-independent one may keep a phase axis of 1), or is
+    the scalar 0.0 for a result of a step the pass skipped, which no row
+    moves.  Ground does not move either.  Plane vectors are complex,
     x + iy: rotating by theta is a product with exp(i theta), so a world
     point origin + exp(i theta) local moves by d origin + exp(i theta)
     (i local dtheta + d local).
@@ -377,8 +371,6 @@ class _Tangent:
         _one_design(g, "a tangent pass")
         self.sol = sol
         self.n = len(dgeom)
-        self.every = np.arange(self.n)
-        self.moves = dgeom != 0.0 if sol.steps is g.steps else None
         pad = (1,) * sol.phi.ndim
         # Entry i is the point whose x sits in slot i: primal, then tangent.
         self.xy = sol.cols[:-1] + 1j * sol.cols[1:]
@@ -387,70 +379,39 @@ class _Tangent:
         self.turn = {k: c + 1j * s for k, (c, s) in sol.turn.items()}  # exp(i theta), primal
         self.theta: dict[str, np.ndarray] = {}
         self.origin: dict[str, np.ndarray] = {}
-        self.alpha: dict[str, np.ndarray] = {}
+        self.alpha = {g._spec.driver.joint: np.radians(self.dcols[g._driver_slot])}
         self.margin: dict[str, np.ndarray] = {}
         self.transmission: dict[str, np.ndarray] = {}
-        self.live: dict[tuple[str, str], np.ndarray] = {}
-        self.rows = self.rows_reading((g._driver_slot,))
-        self.write("alpha", g._spec.driver.joint, np.radians(self.dcol(g._driver_slot)))
         for k, jid in enumerate(g.free_joints if dfree is not None else ()):
-            self.write("alpha", jid, dfree[..., k])  # a Newton pose: every row
-
-    def rows_reading(self, reads) -> np.ndarray:
-        """The rows that move a slot of ``reads``, ascending; ``every`` when
-        that is all of them, or on a Newton pose."""
-        if self.moves is None:
-            return self.every
-        rows = np.flatnonzero(self.moves.take(reads, axis=1).any(axis=1))
-        return self.every if len(rows) == self.n else rows
-
-    def write(self, table: str, key: str, value) -> None:
-        """Store a tangent computed on ``rows``."""
-        getattr(self, table)[key] = value
-        self.live[table, key] = self.rows
+            self.alpha[jid] = dfree[..., k]
 
     def read(self, table: str, key: str):
-        """The tangent table[key] on ``rows``; rows it lacks read as zero.
-        Ground does not move, and a joint angle no step set is its b-side
-        less its a-side link orientation, as in _Solution.finish."""
+        """The tangent table[key].  Ground reads as 0.0, and a joint angle
+        no step set is its b-side less its a-side link orientation, as in
+        _Solution.finish."""
         tangents = getattr(self, table)
-        if key not in tangents:
-            if table != "alpha":  # ground
-                return 0.0
-            joint = self.sol.graph.joints[key]
-            return self.read("theta", joint.b[0]) - self.read("theta", joint.a[0])
-        value, have = tangents[key], self.live[table, key]
-        if len(have) == len(self.rows):  # have is a subset of rows
-            return value
-        out = np.zeros((len(self.rows),) + value.shape[1:], value.dtype)
-        out[np.searchsorted(self.rows, have)] = value
-        return out
-
-    def dcol(self, slot: int) -> np.ndarray:
-        """Tangent of sol.cols[slot] on ``rows``."""
-        d = self.dcols[slot]
-        return d if self.rows is self.every else d[self.rows]
-
-    def local(self, slot: int) -> np.ndarray:
-        """Tangent of sol.local(slot) on ``rows``, complex."""
-        d = self.dxy[slot]
-        return d if self.rows is self.every else d[self.rows]
+        if key in tangents:
+            return tangents[key]
+        if table != "alpha":  # ground
+            return 0.0
+        joint = self.sol.graph.joints[key]
+        return self.read("theta", joint.b[0]) - self.read("theta", joint.a[0])
 
     def point_world(self, link_id: str, slot: int) -> np.ndarray:
-        """Tangent of sol.point_world on ``rows``, complex."""
+        """Tangent of sol.point_world, complex."""
         if link_id == GROUND:
-            return self.local(slot)
+            return self.dxy[slot]
         return self.read("origin", link_id) + self.turn[link_id] * (
-            1j * self.xy[slot] * self.read("theta", link_id) + self.local(slot)
+            1j * self.xy[slot] * self.read("theta", link_id) + self.dxy[slot]
         )
 
     def place(self, link_id: str, anchor, slot: int, dtheta) -> None:
         """Set a link's angle tangent, and its origin's, by origin = anchor -
         exp(i theta) local with ``anchor`` the tangent of the anchor."""
-        self.write("theta", link_id, dtheta)
-        self.write("origin", link_id, anchor - self.turn[link_id] * (
-            1j * self.xy[slot] * dtheta + self.local(slot)
-        ))
+        self.theta[link_id] = dtheta
+        self.origin[link_id] = anchor - self.turn[link_id] * (
+            1j * self.xy[slot] * dtheta + self.dxy[slot]
+        )
 
     def gaps(self) -> np.ndarray:
         """Tangent of sol.gap, the stacked closure gaps: (n, ..., 2*loops)."""
@@ -465,37 +426,35 @@ class _Tangent:
 
 def _tangents(sol: _Solution, dgeom: np.ndarray, dfree=None) -> _Tangent:
     """The forward-mode pass: ``sol``'s state differentiated along the rows
-    of ``dgeom`` by the rules of _run_steps, step for step.
+    of ``dgeom`` by the rules of _run_steps, step for step, on every row.
 
-    On an analytic pose it runs only ``tangent_steps``, each step on the
-    rows that move its read-set, and skips a step no row moves: its
-    tangents are exact zeros.  On a Newton pose, whose closure gaps read
-    every link, it runs all of ``sol.steps`` on every row.  ``dfree``
-    (shape (n, ..., nq)) seeds the free joint angles of a Newton pose;
-    without it they do not move.  Samples that failed in ``sol`` get NaN
-    tangents on the live rows.  Afterwards ``read`` gives every tangent on
-    all n rows.
+    On an analytic pose it runs only ``tangent_steps``, and skips a step
+    whose read-set no row moves: its results are 0.0.  On a Newton pose,
+    whose closure gaps read every link, it runs all of ``sol.steps``.
+    ``dfree`` (shape (n, ..., nq)) seeds the free joint angles of a Newton
+    pose; without it they do not move.  Samples that failed in ``sol`` get
+    NaN tangents on every row of a step that runs.
     """
     g = sol.graph
     t = _Tangent(sol, dgeom, dfree)
-    for kind, step in g.tangent_steps if sol.steps is g.steps else sol.steps:
-        t.rows = t.rows_reading(step.reads)
-        if not len(t.rows):
+    analytic = sol.steps is g.steps
+    moved = np.any(dgeom != 0.0, axis=0)  # per slot
+    for kind, step in g.tangent_steps if analytic else sol.steps:
+        if analytic and not moved.take(step.reads).any():
             for table, key in _results(kind, step):
-                t.write(table, key, np.zeros((0,) + sol.ok.shape))
+                getattr(t, table)[key] = 0.0
         elif kind == "tree":
             dtheta = t.read("theta", step.parent) + step.sign * t.read("alpha", step.joint)
             t.place(step.child, t.point_world(step.parent, step.anchor), step.local, dtheta)
         elif kind == "gear":
             # sol.alpha[joint_in] is the input value the primal step read.
-            t.write("alpha", step.joint_out, (
-                t.dcol(step.ratio) * sol.alpha[step.joint_in]
+            t.alpha[step.joint_out] = (
+                t.dcols[step.ratio] * sol.alpha[step.joint_in]
                 + sol.cols[step.ratio] * _gear_input(t, step)
-                + np.radians(t.dcol(step.offset))
-            ))
+                + np.radians(t.dcols[step.offset])
+            )
         else:
             _dyad_tangent(t, step)
-    t.rows = t.every
     return t
 
 
@@ -516,8 +475,8 @@ def _dyad_tangent(t: _Tangent, step) -> None:
     sol = t.sol
     v1 = t.xy[step.m1] - t.xy[step.a1]  # the legs, link-local
     v2 = t.xy[step.m2] - t.xy[step.b2]
-    dv1 = t.local(step.m1) - t.local(step.a1)
-    dv2 = t.local(step.m2) - t.local(step.b2)
+    dv1 = t.dxy[step.m1] - t.dxy[step.a1]
+    dv2 = t.dxy[step.m2] - t.dxy[step.b2]
     r1, r2 = abs(v1), abs(v2)
     r1dr1 = (v1.conjugate() * dv1).real
     r2dr2 = (v2.conjugate() * dv2).real
@@ -539,8 +498,8 @@ def _dyad_tangent(t: _Tangent, step) -> None:
         margin, trans = assembly_margin_and_transmission_tangent(
             d, r1, r2, dd, r1dr1 / r1, r2dr2 / r2
         )
-    t.write("margin", step.closure, margin)
-    t.write("transmission", step.closure, trans)
+    t.margin[step.closure] = margin
+    t.transmission[step.closure] = trans
     t.place(step.link1, dp, step.a1, dtheta1)
     t.place(step.link2, dq, step.b2, dtheta2)
 
@@ -578,21 +537,22 @@ def sweep_tangents(series: dict, dgeom) -> dict:
 
     Returns theta_s_deg and theta_e_deg, shape (n, N), and the per-loop
     margin and transmission dicts of (n, N) arrays (none on the Newton
-    route).  A direction that moves nothing an output reads gives it an
-    exact zero row; on the others, failed samples carry NaN.  Unwrapping
-    only adds constants, so the angle tangents are those of the principal
-    values.
+    route).  An output whose read-set no direction moves is an exact zero.
+    Otherwise a direction that moves nothing the output reads gives it a
+    zero row at the assembled samples, and failed samples carry NaN on
+    every row.  Unwrapping only adds constants, so the angle tangents are
+    those of the principal values.
     """
     sol = series["_solution"]
     g = sol.graph
     t = _design_tangents(sol, np.asarray(dgeom, dtype=float))
     shape = (t.n,) + sol.ok.shape
-    out = {key: {cid: t.read(key, cid) for cid in getattr(t, key)}
+    out = {key: {cid: np.broadcast_to(value, shape) for cid, value in getattr(t, key).items()}
            for key in ("margin", "transmission")}
     for name in ("theta_s", "theta_e"):
         table, key, sign, offset = g._angle_outputs[name]
         raw = t.read(table, key)
-        out[f"{name}_deg"] = np.broadcast_to(sign * np.degrees(raw) + t.dcol(offset), shape)
+        out[f"{name}_deg"] = np.broadcast_to(sign * np.degrees(raw) + t.dcols[offset], shape)
     return out
 
 

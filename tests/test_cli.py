@@ -263,6 +263,11 @@ def test_material_list_of_a_bad_database_is_an_error(tmp_path: Path, capsys):
     assert code == 1
     assert out == ""
     assert err == f"error: SchemaError: {path}: top level must be an object, not list\n"
+    entry = {"name": "x", "shore_a": [70, -60], "elongation_break_pct": [100, 200]}
+    path.write_text(json.dumps({"format_version": 1, "materials": [entry]}), encoding="utf-8")
+    code, out, err = run(capsys, "material", "--list", "--db", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: SchemaError: materials[0].shore_a: ")
 
 
 def test_plot_overlays_two_trajectories(tmp_path: Path, capsys):
@@ -364,6 +369,7 @@ def test_optimize_stage_without_parameters_is_a_fitting_error(tmp_path: Path, ca
         (["optimize", "--multistarts", "-3"], "--multistarts"),
         (["optimize", "--maxiter", "0"], "--maxiter"),
         (["optimize", "--maxiter", "-1"], "--maxiter"),
+        (["optimize", "--seed", "-1"], "--seed"),
         (["solve", REFERENCE_PATH, "--phi", "nan"], "--phi"),
         (["solve", REFERENCE_PATH, "--phi", "inf"], "--phi"),
         (["solve", REFERENCE_PATH, "--phi", "ten"], "--phi"),
@@ -382,7 +388,8 @@ def test_optimize_stage_without_parameters_is_a_fitting_error(tmp_path: Path, ca
         (["plot", "--csv", REFERENCE_PATH, "--out", "p.svg", "--scale", "inf"], "--scale"),
     ],
     ids=["target-samples", "sweep-samples", "rank-samples", "rank-delta", "family-samples",
-         "multistarts-0", "multistarts-neg", "maxiter-0", "maxiter-neg", "phi-nan", "phi-inf",
+         "multistarts-0", "multistarts-neg", "maxiter-0", "maxiter-neg", "seed-negative",
+         "phi-nan", "phi-inf",
          "phi-text", "safety-factor-low", "safety-factor-nan", "strain-neg", "strain-nan",
          "range-inf", "range-huge", "scale-nan", "scale-inf"],
 )

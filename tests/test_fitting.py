@@ -24,9 +24,10 @@ from armwing import (
     sweep_series,
     validate_mechanism,
 )
-from armwing.fitting import PENALTY_DEG, _StageProblem
+from armwing.fitting import PENALTY_DEG, _constraint_core, _stage_jacobian, _StageProblem
 from armwing.gait import TargetGait
 from armwing.io import report_to_dict
+from armwing.solver import _results, _tangents, sweep_tangents
 from test_solver import _geared_fivebar, _triad_sixbar
 
 FAST = FitOptions(seed=0, multistarts=2, maxiter=25)
@@ -307,6 +308,12 @@ def test_an_optimal_nominal_design_is_its_own_single_start(demo_fourbar, monkeyp
     assert np.array_equal(report.design.values, DesignVector.from_mechanism(demo_fourbar).values)
 
 
+def test_a_staged_report_counts_the_starts_that_ran(reference):
+    report = optimize_armwing(reference, targets_of(reference, 90), FitOptions(multistarts=4))
+    assert [r.multistarts for r in report.stage_reports.values()] == [1, 1]
+    assert report.multistarts == 1
+
+
 def test_staged_violation_is_the_stage_measure(reference):
     """Without symmetry entries every constraint of the reference is a
     strict inequality, negative when feasible: the staged report still
@@ -333,21 +340,73 @@ def test_a_batch_of_designs_is_refused_with_a_clear_error(reference):
         DesignVector.from_mechanism(batch)
 
 
-def test_a_stage_differentiates_only_what_it_moves(reference):
-    """The radius stage moves no slot that the crank step or the humerus
-    dyad reads, the radius dyad on 11 of its 18 directions, and 6 of the 8
-    constraint entries not at all: their Jacobian rows are exact zeros.
-    No differentiated output reads gear_dg or the digit."""
+# The moved parameters of each reference stage that nothing a fit reads depends on.
+DEAD = {
+    "humerus": ["mem_anchor_x", "mem_anchor_y"],
+    "radius": ["radius_len", "radius_tip_y", "digit_len", "digit_tip_y", "digit_ratio",
+               "digit_phase"],
+}
+
+
+def test_a_stage_differentiates_only_what_it_moves(reference, demo_fourbar):
+    """A stage differentiates only its live directions: 12 of 14 in the
+    humerus stage, 12 of 18 in the radius stage, 24 of 32 in 'all', and all
+    3 of the demo's; a symmetry equality on mem_anchor_x makes it live.
+    Dead columns of both Jacobians are exact zeros.  The radius pass skips
+    the crank step and the humerus dyad, and 6 of the 8 constraint entries
+    get exact zero rows.  No differentiated output reads gear_dg or the
+    digit."""
     kept = [(kind, getattr(step, "joint", None) or getattr(step, "closure", None) or step.id)
             for kind, step in reference.tangent_steps]
     assert kept == [("tree", "j1_drive"), ("gear", "gear_rc"), ("tree", "j0_rcrank"),
                     ("dyad", "j4_wrist"), ("dyad", "j7_ctrl")]
-    problem = _StageProblem(reference, sample_targets(36), "radius", FitOptions())
+    targets = sample_targets(36)
+    cases = [(reference, "humerus", DEAD["humerus"]), (reference, "radius", DEAD["radius"]),
+             (reference, "all", DEAD["humerus"] + DEAD["radius"]), (demo_fourbar, "humerus", [])]
+    held = reference.spec
+    held.symmetry = [*held.symmetry, SymmetryConstraint(
+        "mem_held", "point:humerus.mem.x", reference.get_parameter("mem_anchor_x"))]
+    cases.append((validate_mechanism(held), "humerus", ["mem_anchor_y"]))
+    for mech, stage, dead in cases:
+        problem = _StageProblem(mech, targets, stage, FitOptions())
+        names = [problem.base.names[i] for i in problem.move]
+        assert [name for k, name in enumerate(names) if k not in problem.live] == dead
+        columns = [name in dead for name in names]
+        for jac in problem._jacobians(problem.x0):
+            assert not np.any(jac[:, columns])
+
+    problem = _StageProblem(reference, targets, "radius", FitOptions())
+    sol = sweep_series(reference, 36)["_solution"]
+    t = _tangents(sol, problem.dgeom[problem.live])
+    skipped = [label for label, (kind, step) in zip(kept, reference.tangent_steps)
+               if all(np.ndim(getattr(t, table)[key]) == 0 for table, key in _results(kind, step))]
+    assert skipped == [("tree", "j1_drive"), ("dyad", "j4_wrist")]
     moves = problem.dgeom != 0.0
-    rows = [int(np.count_nonzero(moves[:, step.reads].any(axis=1)))
-            for _, step in reference.tangent_steps]
-    assert rows == [0, 1, 3, 0, 11]
     live = [bool(moves[:, list(entry.reads)].any()) for entry in reference.constraints]
     assert live == [False, True, False, False, False, True, False, False]
     jac = problem.constraint_jacobian(problem.x0)
     assert not np.any(jac[~np.array(live)]) and np.all(np.any(jac[live], axis=1))
+
+
+@pytest.mark.parametrize("name, stage", [("reference", "humerus"), ("reference", "radius"),
+                                         ("reference", "all"), ("demo", "humerus")])
+def test_live_directions_give_the_full_pass_jacobians(name, stage, reference, demo_fourbar):
+    """A stage's Jacobians from its live directions equal those from one
+    pass over every moved direction, bit for bit once -0.0 reads as +0.0,
+    at x0 and at four box points, some of which fail to assemble."""
+    mech = reference if name == "reference" else demo_fourbar
+    targets = sample_targets(36)
+    problem = _StageProblem(mech, targets, stage, FitOptions())
+    rng = np.random.default_rng(1)
+    span = problem.upper - problem.lower
+    points = [problem.x0] + [problem.lower + rng.uniform(size=span.size) * span for _ in range(4)]
+    assembled = []
+    for x in points:
+        _, _, _, m, series = problem._evaluate(x)
+        full = sweep_tangents(series, problem.dgeom)
+        want = (_stage_jacobian(series, full, targets, stage),
+                _constraint_core(m, series, full, problem.dgeom)[1])
+        for got, expected in zip(problem._jacobians(x), want):
+            assert np.array_equal(got + 0.0, expected + 0.0)
+        assembled.append(bool(np.all(series["ok"])))
+    assert assembled[0] and not all(assembled)

@@ -205,6 +205,8 @@ def _one_material(**overrides) -> dict:
         (json.dumps(_one_material(elongation_break_pct=[100.0, math.nan])),
          "materials[0].elongation_break_pct"),
         (json.dumps(_one_material(shore_a=[-math.inf, 30.0])), "materials[0].shore_a"),
+        (json.dumps(_one_material(shore_a=[70.0, -60.0])), "materials[0].shore_a"),
+        (json.dumps(_one_material(shore_a=[90.0, 110.0])), "materials[0].shore_a"),
         (json.dumps(_one_material(model={"type": "mooney-rivlin", "c10_mpa": math.nan,
                                          "c01_mpa": 0.01, "poisson": 0.49})),
          "materials[0].model.c10_mpa"),
@@ -214,7 +216,8 @@ def _one_material(**overrides) -> dict:
         (json.dumps(_one_material(model="mooney-rivlin")), "materials[0].model"),
     ],
     ids=["invalid-json", "list-top-level", "materials-not-a-list",
-         "name-not-a-string", "nan-elongation", "inf-shore", "nan-c10", "inf-c01",
+         "name-not-a-string", "nan-elongation", "inf-shore", "reversed-shore",
+         "shore-over-100", "nan-c10", "inf-c01",
          "model-not-an-object"],
 )
 def test_malformed_database_is_a_schema_error(tmp_path: Path, text, where):
