@@ -4,8 +4,10 @@ their exact derivatives with respect to the design.
 Two solve routes share the same mechanism graph and one step executor,
 ``_run_steps``, which places links by the tree, gear and dyad step records
 compiled at validation (links, joints and geom slots resolved), vectorized
-over a phase grid and a batch of designs.  A placed link keeps its
-(cos theta, sin theta), which every later point read reuses:
+over a phase grid and a batch of designs.  Plane points are complex,
+x + iy, and a placed link keeps exp(i theta) and its origin, so a point on
+it is origin + exp(i theta) local, one product that every later point read
+and the tangent pass reuse:
 
 * the analytic route runs ``steps`` from the driven angle (dyads built
   with the circle-intersection construction; exact to machine precision,
@@ -79,7 +81,6 @@ __all__ = [
     "sweep_gait",
     "sweep_series",
     "sweep_tangents",
-    "assembly_report",
     "NEWTON_TOL_MM",
     "NEWTON_MAX_ITER",
 ]
@@ -157,16 +158,9 @@ def wrap_pi(angle):
     return np.pi - a
 
 
-def _rotate(turn, v):
-    """Rotate the x, y of ``v`` (stacked first) by ``turn`` = (cos, sin);
-    x, y onto the last axis."""
-    c, s = turn
-    return np.stack([c * v[0] - s * v[1], s * v[0] + c * v[1]], axis=-1)
-
-
 class _Solution:
     """Dense solved state of a graph's designs over a scalar phase or a phase
-    grid: arrays of shape batch + phase shape (+ (2,) for world points)."""
+    grid: arrays of shape batch + phase shape, plane points complex x + iy."""
 
     def __init__(self, graph: MechanismGraph, phi):
         self.graph = graph
@@ -176,10 +170,12 @@ class _Solution:
         # broadcast over the phase axes (a plain scalar for one design).
         pad = (1,) * self.phi.ndim if batch else ()
         self.cols = graph.geom.T.reshape(graph.geom.shape[-1:] + batch + pad)
+        # Entry i is the point whose x sits in slot i, in its link's frame.
+        self.xy = self.cols[:-1] + 1j * self.cols[1:]
         shape = batch + self.phi.shape
         self.theta = {GROUND: np.zeros(shape)}
-        self.turn: dict[str, tuple] = {}  # link -> (cos theta, sin theta)
-        self.origin = {GROUND: np.zeros(shape + (2,))}
+        self.turn: dict[str, np.ndarray] = {}  # link -> exp(i theta)
+        self.origin: dict[str, np.ndarray] = {}  # link -> its frame's origin, world
         self.alpha: dict[str, np.ndarray] = {}
         self.ok = np.ones(shape, dtype=bool)
         self.margin: dict[str, np.ndarray] = {}
@@ -192,9 +188,8 @@ class _Solution:
         """One sample (int) or a range of samples (slice) of a grid solution."""
         at = (slice(None),) * (self.graph.geom.ndim - 1) + (index,)  # phase axis
         out = _Solution(self.graph, self.phi[index])
-        for name in ("theta", "origin", "alpha", "margin", "transmission"):
+        for name in ("theta", "turn", "origin", "alpha", "margin", "transmission"):
             setattr(out, name, {k: v[at] for k, v in getattr(self, name).items()})
-        out.turn = {k: (c[at], s[at]) for k, (c, s) in self.turn.items()}
         for name in ("ok", "gap", "residual"):
             setattr(out, name, getattr(self, name)[at])
         out.steps = self.steps
@@ -205,23 +200,18 @@ class _Solution:
         margin or transmission of a loop."""
         return getattr(self, table)[key]
 
-    def local(self, slot: int) -> np.ndarray:
-        """The x and y of the point at ``slot``, stacked first, in its link's
-        (or ground's) frame."""
-        return self.cols[slot : slot + 2]
-
     def point_world(self, link_id: str, slot: int) -> np.ndarray:
-        local = self.local(slot)
-        if link_id == GROUND:  # x, y onto the last axis
-            return self.origin[GROUND] + local.transpose((*range(1, local.ndim), 0))
-        return self.origin[link_id] + _rotate(self.turn[link_id], local)
+        """The world point at ``slot`` of a link, or of ground, complex."""
+        if link_id == GROUND:
+            return self.xy[slot]
+        return self.origin[link_id] + self.turn[link_id] * self.xy[slot]
 
     def place(self, link_id: str, theta, anchor, slot: int) -> None:
         """Set a link's orientation and its origin, so that its point at
         ``slot`` lands on the world point ``anchor``."""
         self.theta[link_id] = theta
-        self.turn[link_id] = turn = (np.cos(theta), np.sin(theta))
-        self.origin[link_id] = anchor - _rotate(turn, self.local(slot))
+        self.turn[link_id] = turn = np.cos(theta) + 1j * np.sin(theta)
+        self.origin[link_id] = anchor - turn * self.xy[slot]
 
     def finish(self):
         """Fill unset joint angles from link orientations, the closure gaps
@@ -230,11 +220,27 @@ class _Solution:
         for jid, joint in g.joints.items():
             if jid not in self.alpha:
                 self.alpha[jid] = self.theta[joint.b[0]] - self.theta[joint.a[0]]
-        self.gap = np.empty(self.ok.shape + (2 * len(g.gaps),))
-        for i, (a, b) in enumerate(g.gaps):
-            self.gap[..., 2 * i : 2 * i + 2] = self.point_world(*a) - self.point_world(*b)
+        self.gap = _closure_gaps(self, g.gaps, self.ok.shape)
         self.residual = np.sqrt(np.sum(self.gap * self.gap, axis=-1))
         return self
+
+
+def _closure_gaps(state, gaps, shape: tuple) -> np.ndarray:
+    """point_world(a) - point_world(b) for each closure (a, b) in ``gaps``,
+    of a _Solution or, as tangents, of a _Tangent: shape + (2*loops,), the
+    x and y of each loop side by side."""
+    out = np.empty(shape + (len(gaps),), dtype=complex)
+    for i, (a, b) in enumerate(gaps):
+        out[..., i] = state.point_world(*a) - state.point_world(*b)
+    return out.view(float)
+
+
+def _plane(z, shape: tuple) -> np.ndarray:
+    """Complex points as float (x, y) on a last axis, broadcast to ``shape``
+    (a ground point is one value for every sample)."""
+    out = np.empty(shape + (1,), dtype=complex)
+    out[..., 0] = z
+    return out.view(float)
 
 
 def _raise_first_failure(sol: _Solution) -> None:
@@ -310,26 +316,26 @@ def _gear_input(state, step):
 
 def _place_dyad(sol: _Solution, step) -> None:
     """Place a dyad's two links by intersecting circles about its anchors."""
-    a1 = sol.local(step.a1)
-    b2 = sol.local(step.b2)
-    v1 = sol.local(step.m1) - a1
-    v2 = sol.local(step.m2) - b2
-    r1 = np.hypot(v1[0], v1[1])
-    r2 = np.hypot(v2[0], v2[1])
+    v1 = sol.xy[step.m1] - sol.xy[step.a1]  # the legs, link-local
+    v2 = sol.xy[step.m2] - sol.xy[step.b2]
+    r1 = np.hypot(v1.real, v1.imag)
+    r2 = np.hypot(v2.real, v2.imag)
     if ((r1 <= 0.0) | (r2 <= 0.0)).any():
         raise NonPositiveLength(f"dyad leg through joint {step.hinge!r} has zero length")
     p = sol.point_world(*step.p_ref)
     q = sol.point_world(*step.q_ref)
+    pxy = _plane(p, sol.ok.shape)
+    qxy = _plane(q, sol.ok.shape)
     with np.errstate(invalid="ignore"):
-        hinge, _h, d = circle_circle(p, r1, q, r2, step.sign)
+        hinge, _h, d = circle_circle(pxy, r1, qxy, r2, step.sign)
         margin, trans = assembly_margin_and_transmission(d, r1, r2)
     bad = ~np.isfinite(hinge[..., 0])
     sol.margin[step.closure] = margin
     sol.transmission[step.closure] = np.where(bad, np.nan, trans)
     sol.ok &= ~bad
-    theta1 = np.arctan2(hinge[..., 1] - p[..., 1], hinge[..., 0] - p[..., 0])
+    theta1 = np.arctan2(hinge[..., 1] - pxy[..., 1], hinge[..., 0] - pxy[..., 0])
     theta1 = theta1 - _leg_angle(v1)
-    theta2 = np.arctan2(hinge[..., 1] - q[..., 1], hinge[..., 0] - q[..., 0])
+    theta2 = np.arctan2(hinge[..., 1] - qxy[..., 1], hinge[..., 0] - qxy[..., 0])
     theta2 = theta2 - _leg_angle(v2)
     sol.place(step.link1, theta1, p, step.a1)
     sol.place(step.link2, theta2, q, step.b2)
@@ -341,16 +347,11 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)
 def _leg_angle(v) -> np.ndarray:
     """A link-local leg's direction per design, by math.atan2: numpy's
     vector arctan2 loop can differ from libm in the last bit."""
-    return np.asarray(_atan2(v[1], v[0]), dtype=float)
+    return np.asarray(_atan2(v.imag, v.real), dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # tangent pass
-
-
-def _complex(xy):
-    """Plane vectors on the last axis as complex numbers x + iy."""
-    return xy[..., 0] + 1j * xy[..., 1]
 
 
 class _Tangent:
@@ -360,8 +361,8 @@ class _Tangent:
     of ``geom``.  A tangent has the primal's shape behind a leading axis of
     all n rows (a phase-independent one may keep a phase axis of 1), or is
     the scalar 0.0 for a result of a step the pass skipped, which no row
-    moves.  Ground does not move either.  Plane vectors are complex,
-    x + iy: rotating by theta is a product with exp(i theta), so a world
+    moves.  Ground does not move either.  The pass reads the primal's own
+    complex plane state, ``sol.xy`` and ``sol.turn`` = exp(i theta): a world
     point origin + exp(i theta) local moves by d origin + exp(i theta)
     (i local dtheta + d local).
     """
@@ -372,11 +373,9 @@ class _Tangent:
         self.sol = sol
         self.n = len(dgeom)
         pad = (1,) * sol.phi.ndim
-        # Entry i is the point whose x sits in slot i: primal, then tangent.
-        self.xy = sol.cols[:-1] + 1j * sol.cols[1:]
+        # Entry i moves the point whose x sits in slot i, as in sol.xy.
         self.dxy = (dgeom[:, :-1] + 1j * dgeom[:, 1:]).T.reshape((-1, self.n) + pad)
         self.dcols = dgeom.T.reshape(dgeom.shape[-1:] + (self.n,) + pad)
-        self.turn = {k: c + 1j * s for k, (c, s) in sol.turn.items()}  # exp(i theta), primal
         self.theta: dict[str, np.ndarray] = {}
         self.origin: dict[str, np.ndarray] = {}
         self.alpha = {g._spec.driver.joint: np.radians(self.dcols[g._driver_slot])}
@@ -398,30 +397,26 @@ class _Tangent:
         return self.read("theta", joint.b[0]) - self.read("theta", joint.a[0])
 
     def point_world(self, link_id: str, slot: int) -> np.ndarray:
-        """Tangent of sol.point_world, complex."""
+        """Tangent of sol.point_world."""
         if link_id == GROUND:
             return self.dxy[slot]
-        return self.read("origin", link_id) + self.turn[link_id] * (
-            1j * self.xy[slot] * self.read("theta", link_id) + self.dxy[slot]
+        sol = self.sol
+        return self.read("origin", link_id) + sol.turn[link_id] * (
+            1j * sol.xy[slot] * self.read("theta", link_id) + self.dxy[slot]
         )
 
     def place(self, link_id: str, anchor, slot: int, dtheta) -> None:
         """Set a link's angle tangent, and its origin's, by origin = anchor -
         exp(i theta) local with ``anchor`` the tangent of the anchor."""
+        sol = self.sol
         self.theta[link_id] = dtheta
-        self.origin[link_id] = anchor - self.turn[link_id] * (
-            1j * self.xy[slot] * dtheta + self.dxy[slot]
+        self.origin[link_id] = anchor - sol.turn[link_id] * (
+            1j * sol.xy[slot] * dtheta + self.dxy[slot]
         )
 
     def gaps(self) -> np.ndarray:
-        """Tangent of sol.gap, the stacked closure gaps: (n, ..., 2*loops)."""
-        g = self.sol.graph
-        out = np.empty((self.n,) + self.sol.ok.shape + (2 * len(g.gaps),))
-        for i, (a, b) in enumerate(g.gaps):
-            gap = self.point_world(*a) - self.point_world(*b)
-            out[..., 2 * i] = gap.real
-            out[..., 2 * i + 1] = gap.imag
-        return out
+        """Tangent of sol.gap: (n, ..., 2*loops)."""
+        return _closure_gaps(self, self.sol.graph.gaps, (self.n,) + self.sol.ok.shape)
 
 
 def _tangents(sol: _Solution, dgeom: np.ndarray, dfree=None) -> _Tangent:
@@ -473,19 +468,19 @@ def _dyad_tangent(t: _Tangent, step) -> None:
     |H - q| = r2, so (H - p).(dH - dp) = r1 dr1 and (H - q).(dH - dq) =
     r2 dr2: one 2x2 solve per sample, determinant cross(H - p, H - q)."""
     sol = t.sol
-    v1 = t.xy[step.m1] - t.xy[step.a1]  # the legs, link-local
-    v2 = t.xy[step.m2] - t.xy[step.b2]
+    v1 = sol.xy[step.m1] - sol.xy[step.a1]  # the legs, link-local
+    v2 = sol.xy[step.m2] - sol.xy[step.b2]
     dv1 = t.dxy[step.m1] - t.dxy[step.a1]
     dv2 = t.dxy[step.m2] - t.dxy[step.b2]
     r1, r2 = abs(v1), abs(v2)
     r1dr1 = (v1.conjugate() * dv1).real
     r2dr2 = (v2.conjugate() * dv2).real
-    p = _complex(sol.point_world(*step.p_ref))
-    q = _complex(sol.point_world(*step.q_ref))
+    p = sol.point_world(*step.p_ref)
+    q = sol.point_world(*step.q_ref)
     dp = t.point_world(*step.p_ref)
     dq = t.point_world(*step.q_ref)
-    u = t.turn[step.link1] * v1  # H - p
-    w = t.turn[step.link2] * v2  # H - q
+    u = sol.turn[step.link1] * v1  # H - p
+    w = sol.turn[step.link2] * v2  # H - q
     rhs1 = r1dr1 + (u.conjugate() * dp).real  # (H - p).dH
     rhs2 = r2dr2 + (w.conjugate() * dq).real  # (H - q).dH
     delta = q - p
@@ -643,8 +638,8 @@ def _configuration(graph, sol: _Solution) -> Configuration:
     joint_angles = {jid: float(sol.alpha[jid]) for jid in graph.joints}
     points: dict[str, tuple[float, float]] = {}
     for (link_id, pname), slot in graph._xy.items():
-        w = sol.local(slot) if link_id == GROUND else sol.point_world(link_id, slot)
-        points[f"{link_id}:{pname}"] = (float(w[0]), float(w[1]))
+        w = sol.point_world(link_id, slot)
+        points[f"{link_id}:{pname}"] = (float(w.real), float(w.imag))
     for name, ref in graph._spec.point_outputs.items():
         key = f"{ref[0]}:{ref[1]}"
         points[name] = points[key]
@@ -770,8 +765,8 @@ def sweep_series(
         if np.any(all_ok):
             raw = np.where(all_ok[..., None], np.unwrap(raw, axis=-1), raw)
         out[f"{name}_deg"] = sign * np.degrees(raw) + sol.cols[offset]
-    out["elbow"] = sol.point_world(*mech._point_outputs["elbow"])
-    out["tip"] = sol.point_world(*mech._point_outputs["wingtip"])
+    out["elbow"] = _plane(sol.point_world(*mech._point_outputs["elbow"]), sol.ok.shape)
+    out["tip"] = _plane(sol.point_world(*mech._point_outputs["wingtip"]), sol.ok.shape)
     out["_solution"] = sol
     return out
 
@@ -803,23 +798,3 @@ def sweep_gait(
         max_step_rad=series["max_step_rad"],
         residual_max=np.max(series["residual"], axis=-1)[()],
     )
-
-
-def assembly_report(mech: MechanismGraph, samples: int = 360) -> dict:
-    """Non-raising assembly survey over the phase grid.
-
-    Returns {'phi', 'ok', 'margin', 'transmission'}; margins are mm
-    (negative when the loop closes), transmission angles radians folded to
-    (0, pi/2], NaN where the loop never assembled.  Requires a mechanism
-    with an analytic plan.
-    """
-    if mech.plan is None:
-        raise ValueError("assembly_report requires an analytic solve plan")
-    phi = phase_grid(samples)
-    sol = _solve_analytic(mech, phi)
-    return {
-        "phi": phi,
-        "ok": sol.ok,
-        "margin": sol.margin,
-        "transmission": sol.transmission,
-    }

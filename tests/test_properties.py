@@ -1,9 +1,10 @@
 """Randomized invariants: parameter application on the shipped designs, one
 design at a time and in batches, batched sensitivity ranking against a
 one-design-at-a-time scorer, byte round trips of mechanism and trajectory
-files, the solve routes and mirror symmetry of random Grashof four-bars,
-the Newton Jacobian against central differences of the forward pass, and
-the compiled read-sets against the outputs they claim to bound."""
+files, rigid bodies and closed joints in every swept pose, the solve
+routes and mirror symmetry of random Grashof four-bars, the Newton Jacobian
+against central differences of the forward pass, and the compiled
+read-sets against the outputs they claim to bound."""
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from armwing import (
 )
 from armwing.fitting import _constraint_core
 from armwing.io import mechanism_to_dict
-from armwing.solver import _closure_jacobian, _forward, wrap_pi
+from armwing.solver import NEWTON_TOL_MM, _closure_jacobian, _forward, wrap_pi
 
 from conftest import DEMO_PATH, REFERENCE_PATH
 from test_solver import _geared_fivebar, _triad_sixbar
@@ -213,6 +214,41 @@ def test_trajectory_csv_round_trips_byte_for_byte(path, data, samples):
         tip_path=np.column_stack([columns["tip_x_mm"], columns["tip_y_mm"]]),
     )
     assert trajectory_csv_text(reread) == text
+
+
+def _assert_rigid(mech, config) -> None:
+    """The two attachment points of every joint coincide, and every pair of
+    points on one body (a link, or ground) lies at its distance in the
+    body's own frame."""
+    world = config.points
+    for joint in mech.spec.joints:
+        a, b = (np.array(world[f"{body}:{point}"]) for body, point in (joint.a, joint.b))
+        assert float(np.hypot(*(a - b))) <= NEWTON_TOL_MM, joint.id
+    bodies = {link.id: link.points for link in mech.spec.links}
+    bodies["ground"] = {p.id: np.array([p.x, p.y]) for p in mech.spec.ground_pivots}
+    for body, points in bodies.items():
+        names = sorted(points)
+        for i, p in enumerate(names):
+            for q in names[i + 1 :]:
+                local = float(np.hypot(*(points[p] - points[q])))
+                swept = float(np.hypot(*np.subtract(world[f"{body}:{p}"], world[f"{body}:{q}"])))
+                assert abs(swept - local) <= 1e-9, (body, p, q)
+
+
+@pytest.mark.parametrize("path", [REFERENCE_PATH, DEMO_PATH], ids=lambda p: p.stem)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), samples=st.sampled_from([8, 12, 36]))
+def test_swept_poses_are_rigid_and_closed(path, data, samples):
+    mech = data.draw(_designs_and_mirrors(path), label="design")
+    for config in sweep_gait(mech, samples).configurations:
+        _assert_rigid(mech, config)
+
+
+def test_newton_poses_of_the_triad_are_rigid_and_closed():
+    mech = validate_mechanism(_triad_sixbar())
+    assert mech.plan is None
+    for config in sweep_gait(mech, 36).configurations[::6]:
+        _assert_rigid(mech, config)
 
 
 @st.composite

@@ -17,7 +17,6 @@ from armwing import (
     NotAssemblable,
     ParameterBinding,
     SchemaError,
-    assembly_report,
     evaluate_constraints,
     fourbar_spec,
     mirror_mechanism,
@@ -26,6 +25,7 @@ from armwing import (
     solve_fourbar,
     sweep_gait,
     sweep_series,
+    trajectory_csv_text,
     validate_mechanism,
 )
 from armwing.gait import phase_grid
@@ -114,6 +114,36 @@ def test_mirrored_sweep_reflects_the_tip_path(reference):
     assert float(np.max(np.abs(mirrored.tip_path[:, 1] - base.tip_path[:, 1]))) <= 1e-9
 
 
+def test_point_output_on_a_ground_pivot_keeps_its_shape():
+    spec = fourbar_spec(60.0, 15.0, 55.0, 50.0)
+    spec.point_outputs["elbow"] = ("ground", "D")
+    mech = validate_mechanism(spec)
+    series = sweep_series(mech, 12)
+    assert series["elbow"].shape == (12, 2) and series["elbow"].dtype == np.float64
+    assert np.all(series["elbow"] == [60.0, 0.0])
+    batch = mech.copy()
+    batch.geom = np.stack([mech.geom, mech.geom])
+    assert sweep_series(batch, 12)["elbow"].shape == (2, 12, 2)
+    assert len(trajectory_csv_text(sweep_gait(mech, 12)).splitlines()) == 13
+
+
+def test_dyad_between_two_ground_pivots_keeps_the_sample_axis():
+    """A rigid dyad hung from two ground pivots is placed the same at every
+    sample, and its results still carry the sample axis."""
+    spec = fourbar_spec(60.0, 15.0, 55.0, 50.0)
+    spec.ground_pivots += [GroundPivot("E", 0.0, 40.0), GroundPivot("F", 30.0, 40.0)]
+    spec.links += [Link("s1", {"a": np.array([0.0, 0.0]), "h": np.array([20.0, 0.0])}),
+                   Link("s2", {"b": np.array([0.0, 0.0]), "h": np.array([20.0, 0.0])})]
+    spec.joints += [Joint("j_e", ("ground", "E"), ("s1", "a")),
+                    Joint("j_f", ("ground", "F"), ("s2", "b")),
+                    Joint("j_h", ("s1", "h"), ("s2", "h"))]
+    series = sweep_series(validate_mechanism(spec), 12)
+    for table in ("margin", "transmission"):
+        assert series[table]["j_h"].shape == (12,)
+        assert np.all(series[table]["j_h"] == series[table]["j_h"][0])
+    assert series["residual"].shape == (12,) and float(np.max(series["residual"])) <= 1e-9
+
+
 def test_strict_sweep_names_the_failing_phase(reference):
     stretched = reference.with_parameters({"crank_len": 31.0})
     with pytest.raises(NotAssemblable) as err:
@@ -126,15 +156,16 @@ def test_non_strict_sweep_masks_failures(reference):
     series = sweep_series(stretched, 360, strict=False)
     ok = series["ok"]
     assert not np.all(ok) and np.any(ok)
-    report = assembly_report(stretched, 360)
-    assert np.array_equal(report["ok"], ok)
+    # A sample fails exactly where some loop's transmission is NaN.
+    trans = np.stack([np.asarray(t) for t in series["transmission"].values()])
+    assert np.array_equal(np.all(np.isfinite(trans), axis=0), ok)
     # Failed samples show a positive assembly margin in some loop.
-    margins = np.stack([np.asarray(m) for m in report["margin"].values()])
+    margins = np.stack([np.asarray(m) for m in series["margin"].values()])
     assert np.all(np.nanmax(margins[:, ~ok], axis=0) > 0.0)
 
 
 def test_assembly_report_on_a_healthy_mechanism(reference):
-    report = assembly_report(reference, 180)
+    report = sweep_series(reference, 180, strict=False)
     assert bool(np.all(report["ok"]))
     for margin in report["margin"].values():
         assert float(np.max(margin)) < 0.0

@@ -140,7 +140,7 @@ def test_newton_tangents_follow_the_implicit_function_rule(spec):
                 np.array(
                     [
                         [sol.theta[link] for link in mech.links]
-                        + [complex(*sol.origin[link]) for link in mech.links]
+                        + [complex(sol.origin[link]) for link in mech.links]
                         for sol in (
                             _root(_at(mech, mech.geom + sign * row), phi, _free_vector(mech, pose))
                             for row in step
