@@ -324,13 +324,14 @@ def write_mechanism_file(spec: LinkageSpec, path: str | Path) -> None:
 
 def _csv_text(phi, shoulder_deg, elbow_deg, elbow_path, tip_path) -> str:
     """Trajectory CSV text: the header plus one row per sample, each value
-    %.12g; the one writer of the format."""
+    %.12g; the one writer of the format.  The columns stack into one float
+    table, and each row formats as Python floats with one format string."""
     if len(phi) == 0:
         raise ValueError("cannot write an empty trajectory")
-    columns = (np.degrees(phi), shoulder_deg, elbow_deg, *np.transpose(elbow_path),
-               *np.transpose(tip_path))
+    table = np.column_stack((np.degrees(phi), shoulder_deg, elbow_deg, elbow_path, tip_path))
+    row = ",".join(["%.12g"] * len(TRAJECTORY_COLUMNS))
     lines = [",".join(TRAJECTORY_COLUMNS)]
-    lines.extend(",".join("%.12g" % v for v in row) for row in zip(*columns))
+    lines.extend(row % tuple(values) for values in table.tolist())
     return "\n".join(lines) + "\n"
 
 

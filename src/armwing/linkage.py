@@ -38,7 +38,6 @@ are millimetres.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -347,16 +346,11 @@ class MechanismGraph:
 
     @property
     def spec(self) -> LinkageSpec:
-        """This design as a LinkageSpec: its geometry records are built from
-        ``geom`` on every read, its other records are the graph's own."""
+        """This design as a LinkageSpec, built on every read: a copy of the
+        graph's records (see _copy_spec) with its geometry read from ``geom``."""
         if self.geom.ndim != 1:
             raise ValueError("a batch of designs has no single spec")
-        spec = self._spec
-        records = ("links", "ground_pivots", "gear_couplings", "angle_outputs")
-        out = replace(spec, driver=replace(spec.driver),
-                      **{kind: [replace(r) for r in getattr(spec, kind)] for kind in records})
-        for link in out.links:
-            link.points = {name: np.empty(2) for name in link.points}
+        out = _copy_spec(self._spec)
         for (_, container, key, _), value in zip(_fields(out), self.geom.tolist()):
             container[key] = value
         return out
@@ -437,10 +431,31 @@ def validate_mechanism(spec: LinkageSpec) -> MechanismGraph:
     Raises SchemaError for malformed references, MissingDriver, OpenChain,
     OverConstrained, NonPositiveLength, DanglingOutput or ZeroRatio as the
     corresponding defect is found.  The argument is not retained; the
-    returned graph owns a deep copy, and graphs derived from it share its
-    topology and never validate again.
+    returned graph owns a copy that shares no mutable object with it (see
+    _copy_spec), and graphs derived from it share its topology and never
+    validate again.
     """
-    return MechanismGraph(copy.deepcopy(spec))
+    return MechanismGraph(_copy_spec(spec))
+
+
+def _copy_spec(spec: LinkageSpec) -> LinkageSpec:
+    """A copy of ``spec`` that shares no mutable object with it: a shallow
+    copy of every record, new lists and dicts for its containers, and for
+    each link a new point dict of copied float points.  What the records
+    still share are strings, numbers and tuples of strings."""
+    records = ("ground_pivots", "joints", "gear_couplings", "angle_outputs",
+               "parameters", "symmetry")
+    return replace(
+        spec,
+        links=[replace(link, points={name: np.array(xy, dtype=float)
+                                     for name, xy in link.points.items()})
+               for link in spec.links],
+        driver=None if spec.driver is None else replace(spec.driver),
+        point_outputs=dict(spec.point_outputs),
+        branches=dict(spec.branches),
+        home_pose_deg=dict(spec.home_pose_deg),
+        **{kind: [replace(r) for r in getattr(spec, kind)] for kind in records},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -995,7 +1010,7 @@ def mirror_mechanism(mech: MechanismGraph) -> MechanismGraph:
     sign flips.  Parameter bounds on negated fields swap and negate so the
     bound semantics survive the reflection.
     """
-    spec = copy.deepcopy(mech.spec)
+    spec = mech.spec  # built on this read, so it is the mirror's own
     marker = " (mirrored)"
     if spec.name.endswith(marker):
         spec.name = spec.name[: -len(marker)]

@@ -185,9 +185,16 @@ class _Solution:
         self.steps: list[tuple] = []  # the step list that placed the links
 
     def __getitem__(self, index) -> "_Solution":
-        """One sample (int) or a range of samples (slice) of a grid solution."""
+        """One sample (int) or a range of samples (slice) of a grid solution.
+
+        It shares this solution's geometry columns ``cols`` and ``xy``; a
+        sample of a batch drops their phase axis of length 1."""
         at = (slice(None),) * (self.graph.geom.ndim - 1) + (index,)  # phase axis
-        out = _Solution(self.graph, self.phi[index])
+        out = object.__new__(_Solution)
+        out.graph, out.phi = self.graph, self.phi[index]
+        out.cols, out.xy = self.cols, self.xy
+        if out.phi.ndim < self.phi.ndim and self.graph.geom.ndim > 1:
+            out.cols, out.xy = self.cols[..., 0], self.xy[..., 0]
         for name in ("theta", "turn", "origin", "alpha", "margin", "transmission"):
             setattr(out, name, {k: v[at] for k, v in getattr(self, name).items()})
         for name in ("ok", "gap", "residual"):
@@ -244,7 +251,10 @@ def _plane(z, shape: tuple) -> np.ndarray:
 
 
 def _raise_first_failure(sol: _Solution) -> None:
-    """Raise, with its phase, the first failed sample of the first failing dyad."""
+    """Raise, with its phase, the first failed sample of the first failing
+    dyad: one whose transmission is NaN or below COLLINEAR_TOL_RAD."""
+    if all(np.all(t >= COLLINEAR_TOL_RAD) for t in sol.transmission.values()):
+        return  # every dyad closed, away from collinear (NaN compares false)
     phi = np.atleast_1d(np.broadcast_to(sol.phi, sol.ok.shape))
     for step in sol.graph.plan:
         trans = np.atleast_1d(sol.transmission[step.closure])

@@ -96,6 +96,9 @@ def _data_range(values: list[np.ndarray], explicit) -> tuple[float, float]:
 def render_svg(plot: PlotSpec) -> str:
     """Render the plot to an SVG string.
 
+    Each series maps to pixels as whole arrays and draws as polylines of
+    "x,y" pairs at two decimals, split wherever a sample is not finite.
+
     Raises ValueError when no series are given and GridMismatch when the
     overlaid series do not share one sample count.
     """
@@ -171,10 +174,13 @@ def render_svg(plot: PlotSpec) -> str:
         s = plot.series[i]
         color = _series_color(s.scale)
         width_px = 2.0 if s.scale == 1.0 else 1.3
+        # sx and sy map whole arrays with the float operations they apply to
+        # one sample, so each coordinate is the double a per-sample call gives.
+        finite = (np.isfinite(s.x) & np.isfinite(s.y)).tolist()
         pts = []
-        for xv, yv in zip(s.x, s.y):
-            if np.isfinite(xv) and np.isfinite(yv):
-                pts.append(f"{sx(xv):.2f},{sy(yv):.2f}")
+        for keep, u, v in zip(finite, sx(s.x).tolist(), sy(s.y).tolist()):
+            if keep:
+                pts.append("%.2f,%.2f" % (u, v))
             elif pts:
                 out.append(
                     f'<polyline points="{" ".join(pts)}" fill="none" '

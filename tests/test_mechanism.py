@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -29,10 +29,13 @@ from armwing import (
     fourbar_spec,
     gear_couple,
     mirror_mechanism,
+    parse_mechanism_file,
     solve_configuration,
     validate_mechanism,
 )
 from armwing.io import mechanism_to_dict
+
+from conftest import REFERENCE_PATH
 
 
 def plain_spec():
@@ -347,13 +350,66 @@ def test_copy_shares_topology_and_owns_every_geometry_record(reference):
     assert mechanism_to_dict(twin.spec) == moved
 
 
+def _changed(value):
+    """A different value of the same kind; None becomes a number."""
+    if isinstance(value, str):
+        return value + "!"
+    if isinstance(value, tuple):
+        return value[::-1]
+    return 1.0 if value is None else -value + 1.0
+
+
+def _scramble(spec) -> None:
+    """Change every field of every record of ``spec`` and every link point
+    in place, then empty each of its lists and dicts."""
+    records = [*spec.links, *spec.ground_pivots, *spec.joints, spec.driver,
+               *spec.gear_couplings, *spec.angle_outputs, *spec.parameters, *spec.symmetry]
+    for record in records:
+        for f in dataclasses.fields(record):
+            value = getattr(record, f.name)
+            if isinstance(value, dict):  # a link's points
+                for xy in value.values():
+                    xy += 1.0
+                value.clear()
+            else:
+                setattr(record, f.name, _changed(value))
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, (list, dict)):
+            value.clear()
+        elif isinstance(value, str):
+            setattr(spec, f.name, _changed(value))
+    spec.driver = None
+
+
+def test_a_graph_shares_no_mutable_object_with_any_spec():
+    # validate_mechanism's argument
+    spec = parse_mechanism_file(REFERENCE_PATH)
+    before = mechanism_to_dict(spec)
+    graph = validate_mechanism(spec)
+    assert mechanism_to_dict(spec) == before  # the NaN validation writes lands in its copy
+    assert mechanism_to_dict(graph.spec) == before
+    values = graph.parameter_values()
+    _scramble(spec)
+    assert mechanism_to_dict(graph.spec) == before
+    assert graph.parameter_values() == values
+    # the spec a graph hands out
+    _scramble(graph.spec)
+    assert mechanism_to_dict(graph.spec) == before
+    # mirror_mechanism's argument, down to its own records and geometry
+    mirrored = mirror_mechanism(graph)
+    mirrored_before = mechanism_to_dict(mirrored.spec)
+    _scramble(graph._spec)
+    graph.geom += 1.0
+    assert mechanism_to_dict(mirrored.spec) == mirrored_before
+
+
 def test_derived_graphs_never_revalidate(reference, monkeypatch):
     def rederive(*args, **kwargs):
         raise AssertionError("mechanism re-derived after validation")
 
     monkeypatch.setattr(armwing.linkage, "_build", rederive)
-    no_deepcopy = types.SimpleNamespace(deepcopy=rederive)
-    monkeypatch.setattr(armwing.linkage, "copy", no_deepcopy)
+    monkeypatch.setattr(armwing.linkage, "_copy_spec", rederive)
     moved = reference.with_parameters({"crank_len": 16.0})
     assert moved.get_parameter("crank_len") == 16.0
     moved.set_parameter("crank_len", 15.0)

@@ -1,25 +1,30 @@
 """Randomized invariants: parameter application on the shipped designs, one
 design at a time and in batches, batched sensitivity ranking against a
 one-design-at-a-time scorer, byte round trips of mechanism and trajectory
-files, rigid bodies and closed joints in every swept pose, the solve
-routes and mirror symmetry of random Grashof four-bars, the Newton Jacobian
-against central differences of the forward pass, and the compiled
+files, the bytes of trajectory CSV and SVG polylines against per-value
+reference formulas, rigid bodies and closed joints in every swept pose, the
+solve routes and mirror symmetry of random Grashof four-bars, the Newton
+Jacobian against central differences of the forward pass, and the compiled
 read-sets against the outputs they claim to bound."""
 
 from __future__ import annotations
 
 import functools
 import json
+import math
+import re
 import tempfile
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from armwing import (
+    PlotSpec,
+    Series,
     constraint_names,
     evaluate_constraints,
     fourbar_spec,
@@ -27,6 +32,7 @@ from armwing import (
     parse_mechanism_file,
     parse_mechanism_text,
     read_trajectory_csv,
+    render_svg,
     sensitivity_rank,
     sweep_gait,
     sweep_series,
@@ -34,8 +40,9 @@ from armwing import (
     validate_mechanism,
 )
 from armwing.fitting import _constraint_core
-from armwing.io import mechanism_to_dict
+from armwing.io import TRAJECTORY_COLUMNS, _csv_text, mechanism_to_dict
 from armwing.solver import NEWTON_TOL_MM, _closure_jacobian, _forward, wrap_pi
+from armwing.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _data_range
 
 from conftest import DEMO_PATH, REFERENCE_PATH
 from test_solver import _geared_fivebar, _triad_sixbar
@@ -214,6 +221,82 @@ def test_trajectory_csv_round_trips_byte_for_byte(path, data, samples):
         tip_path=np.column_stack([columns["tip_x_mm"], columns["tip_y_mm"]]),
     )
     assert trajectory_csv_text(reread) == text
+
+
+# Values that stress %.12g and %.2f: signed zeros, subnormals, the largest
+# doubles (whose differences overflow) and the non-finite ones.
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+                1.7976931348623157e308, -1e308, 1e-300)
+_values = st.one_of(st.floats(-1e3, 1e3), st.floats(), st.sampled_from(_EDGE_FLOATS))
+
+
+def _csv_reference(phi, shoulder_deg, elbow_deg, elbow_path, tip_path) -> str:
+    """Trajectory CSV as written one np.float64 at a time."""
+    columns = (np.degrees(phi), shoulder_deg, elbow_deg, *np.transpose(elbow_path),
+               *np.transpose(tip_path))
+    lines = [",".join(TRAJECTORY_COLUMNS)]
+    lines.extend(",".join("%.12g" % v for v in row) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.lists(_values, min_size=7, max_size=7), min_size=1, max_size=12))
+def test_csv_text_matches_per_value_formatting(rows):
+    table = np.array(rows, dtype=float)
+    columns = (table[:, 0], table[:, 1], table[:, 2], table[:, 3:5], table[:, 5:7])
+    with np.errstate(all="ignore"):  # np.degrees overflows near 1e308
+        assert _csv_text(*columns) == _csv_reference(*columns)
+
+
+def _polylines_reference(x, y, x_range, y_range, width: int, height: int) -> list[str]:
+    """The points of each polyline of one series, mapped and formatted one
+    sample at a time and split at non-finite samples."""
+    x_lo, x_hi = _data_range([x], x_range)
+    y_lo, y_hi = _data_range([y], y_range)
+    px_lo, px_hi = _MARGIN_L, float(width) - _MARGIN_R
+    py_lo, py_hi = float(height) - _MARGIN_B, _MARGIN_T
+
+    def sx(v):
+        return px_lo + (v - x_lo) / (x_hi - x_lo) * (px_hi - px_lo)
+
+    def sy(v):
+        return py_lo + (v - y_lo) / (y_hi - y_lo) * (py_hi - py_lo)
+
+    lines, pts = [], []
+    for xv, yv in zip(x, y):
+        if np.isfinite(xv) and np.isfinite(yv):
+            pts.append(f"{sx(xv):.2f},{sy(yv):.2f}")
+        elif pts:
+            lines.append(" ".join(pts))
+            pts = []
+    if pts:
+        lines.append(" ".join(pts))
+    return lines
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    points=st.lists(st.tuples(_values, _values), min_size=2, max_size=40),
+    x_range=st.none() | st.tuples(st.floats(-1e3, 0.0), st.floats(1.0, 1e3)),
+    y_range=st.none() | st.tuples(st.floats(-1e3, 0.0), st.floats(1.0, 1e3)),
+    size=st.sampled_from([(720, 480), (333, 201)]),
+)
+@example(  # non-finite samples first, in a run, alone and last
+    points=[(_NAN, 1.0), (_INF, 2.0), (0.5, 3.0), (1.5, -_INF), (2.5, _NAN), (3.5, 4.0),
+            (4.5, 5.0), (-_INF, 6.0), (5.5, 7.0), (6.5, _NAN)],
+    x_range=None, y_range=None, size=(720, 480),
+)
+def test_svg_polylines_match_per_point_formatting(points, x_range, y_range, size):
+    x, y = (np.array(v, dtype=float) for v in zip(*points))
+    plot = PlotSpec(title="t", x_label="x", y_label="y", series=[Series("s", x, y)],
+                    width=size[0], height=size[1], x_range=x_range, y_range=y_range)
+    with np.errstate(all="ignore"):  # spans near 1e308 overflow
+        svg = render_svg(plot)
+        want = _polylines_reference(x, y, x_range, y_range, *size)
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == want
 
 
 def _assert_rigid(mech, config) -> None:
