@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArmwingError
+from .errors import ArmwingError, SchemaError
 from .fitting import STAGE_CHOICES, FitOptions, optimize_armwing, optimize_stage
 from .gait import phase_grid, sample_targets
 from .io import (
@@ -348,6 +348,8 @@ def _cmd_plot(args) -> int:
     series = []
     for i, path in enumerate(args.csv):
         data = read_trajectory_csv(path)
+        if len(data["phi_deg"]) < 2:
+            raise SchemaError(str(path), "a plotted trajectory needs at least 2 rows")
         label = labels[i] if i < len(labels) else Path(path).stem
         scale = scales[i] if i < len(scales) else 1.0
         if args.series == "tip":

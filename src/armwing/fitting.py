@@ -12,18 +12,21 @@ validation as the mechanism's ``constraints`` entries:
 * the mechanism's declared symmetry equalities, published as paired
   inequalities (h <= 0 and -h <= 0).
 
-Optimization runs a bounded, inequality-constrained local descent
-(scipy's trust-constr) from several starting points: the nominal design
-plus seeded uniform draws inside the box.  Its gradient 2 J^T r / N, the
-constraint Jacobian and the polish's residual Jacobian J are exact: one
-tangent pass of the solver (solver.sweep_tangents) differentiates the
-sweep along the moved parameters a fit can read, decided once per stage,
-and skips each step none of them moves, so a stage pays for its side of
-the chain alone; the other moved parameters get zero tangents.  A max or
-min entry takes the derivative at its active sample; penalty entries,
-and entries whose read-set no moved parameter reaches, get zero rows.
-Starts are independent, each on a private mechanism copy, and merge
-deterministically by (cost, index).
+Optimization runs a bounded, constrained local descent (scipy's SLSQP;
+Kraft, DFVLR-FB 88-28, 1988) from several starting points: the nominal
+design, then the best of a few seeded uniform draws inside the box, each
+screened by one batched sweep.  A descent moves the stage's live
+parameters, the moved parameters a fit can read, decided once per stage;
+the others keep their start values.  It sees the constraint entries those
+parameters move, and returns the least-cost feasible point it evaluated.
+Its gradient 2 J^T r / N, the constraint Jacobian and the polish's
+residual Jacobian J are exact: one tangent pass of the solver
+(solver.sweep_tangents) differentiates the sweep along the live
+parameters and skips each step none of them moves, so a stage pays for
+its side of the chain alone.  A max or min entry takes the derivative at
+its active sample; penalty entries, and entries whose read-set no live
+parameter reaches, get zero rows.  Starts are independent, each on a
+private mechanism copy, and merge deterministically by (cost, index).
 Failed solves during the search contribute a fixed penalty per sample
 instead of aborting, so the search can skirt the assemblability boundary
 while the margin entries push it back.
@@ -46,11 +49,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import Bounds, NonlinearConstraint, least_squares, minimize
+from scipy.optimize import least_squares, minimize
 
 from .errors import EmptyResidual, FittingError, GridMismatch, NoFeasibleStart
 from .gait import TargetGait, phase_grid
 from .linkage import MechanismGraph
+from .sensitivity import PASS_SAMPLES
 from .solver import _one_design, sweep_series, sweep_tangents
 
 __all__ = [
@@ -72,6 +76,7 @@ PENALTY_DEG = 1e3
 CONSTRAINT_PENALTY = 1e6
 FEASIBILITY_TOL = 1e-6
 MIN_TRANSMISSION_DEG = 10.0
+SCREEN_DRAWS = 4  # screened candidates per random start
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +242,12 @@ def _stage_parts(series: dict, targets: TargetGait, stage: str):
 
 
 def _stage_residuals(series: dict, targets: TargetGait, stage: str) -> np.ndarray:
-    """The stage's angle errors of a sweep; failed samples get PENALTY_DEG."""
+    """The stage's angle errors of a sweep; failed samples get PENALTY_DEG.
+    A batched sweep gives a row per design."""
     return np.concatenate([
         np.where(bad, PENALTY_DEG, diff) if np.any(bad) else diff
         for _, diff, bad in _stage_parts(series, targets, stage)
-    ])
+    ], axis=-1)
 
 
 def _stage_jacobian(series: dict, tangents: dict, targets: TargetGait, stage: str):
@@ -368,19 +374,24 @@ def evaluate_constraints(
 
 
 class _StageProblem:
-    """Objective/constraint adapters over the movable subvector.
+    """Objective/constraint adapters over the moved subvector.
 
-    A trial x is one write into the moved parameters' geom slots of a
-    graph copy; x is always inside the box (trust-constr keeps its bounds
-    feasible, least_squares works inside them, _run_start clips), so it
-    needs no bounds check.  A last-point memo keeps the sweep at the latest
-    x: the cost, residual and constraint values at one x share one sweep,
-    and their Jacobians share one tangent pass over it, seeded with a unit
-    direction on each ``live`` parameter's slot: the moved parameters
-    whose slot a fit reads (the driver or an angle-output offset, or a slot
-    in the read-set of a tangent step or a constraint entry; every one on
-    a mechanism with no plan).  The others get zero tangents without a
-    pass.
+    A trial x holds every moved parameter.  It is one write into their geom
+    slots of a graph copy; x is always inside the box (every trial point
+    is clipped to it), so it needs no bounds check.  A last-point memo
+    keeps the sweep at the latest x: the cost, residual and constraint
+    values at one x share one sweep, and their Jacobians share one tangent
+    pass over it, seeded with a unit direction on each ``live`` parameter's
+    slot: the moved parameters whose slot a fit reads (the driver or an
+    angle-output offset, or a slot in the read-set of a tangent step or a
+    constraint entry; every one on a mechanism with no plan).  Jacobians
+    have a column per live parameter; the others are dead, and the descent
+    leaves them at their start values.
+
+    The descent sees the live entries of the constraint vector: those whose
+    read-set meets a live slot, split into the inequalities ``ineq_rows``
+    and the symmetry equalities ``eq_rows``.  The others cannot move in
+    the stage; ``violation`` and ``feasible`` still check every entry.
     """
 
     def __init__(self, mech, targets, stage, options: FitOptions):
@@ -397,20 +408,22 @@ class _StageProblem:
         self.upper = self.base.upper[self.move]
         self.x0 = self.base.values[self.move]
         self.slots = [mech._targets[self.base.names[i]] for i in self.move]
-        self.dgeom = np.zeros((len(self.move), mech.geom.size))
-        self.dgeom[range(len(self.move)), self.slots] = 1.0
         self.live = list(range(len(self.move)))
         if mech.tangent_steps is not None:
             reads = {mech._driver_slot, *(out[-1] for out in mech._angle_outputs.values())}
             reads.update(*(step.reads for _, step in mech.tangent_steps),
                          *(entry.reads for entry in mech.constraints))
             self.live = [k for k in self.live if self.slots[k] in reads]
+        live_slots = [self.slots[k] for k in self.live]
+        self.dgeom = np.zeros((len(self.live), mech.geom.size))
+        self.dgeom[range(len(self.live)), live_slots] = 1.0
+        self.symmetric = np.array([e.kind == "symmetry" for e in mech.constraints], dtype=bool)
+        moved = [i for i, e in enumerate(mech.constraints) if set(e.reads) & set(live_slots)]
+        self.eq_rows = [i for i in moved if self.symmetric[i]]
+        self.ineq_rows = [i for i in moved if not self.symmetric[i]]
         self._x: np.ndarray | None = None
         self._point = None  # (cost, residuals, constraints, graph, series) at _x
         self._jac = None  # (residual Jacobian, constraint Jacobian) at _x
-        equality = np.array([entry.kind == "symmetry" for entry in mech.constraints], dtype=bool)
-        self.con_lb = np.where(equality, 0.0, -np.inf)
-        self.con_ub = np.zeros(equality.size)
 
     def _evaluate(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -425,28 +438,33 @@ class _StageProblem:
         return self._point
 
     def _jacobians(self, x: np.ndarray):
+        """(residual Jacobian, constraint Jacobian) at x, a column per live
+        parameter; the constraint Jacobian has a row per entry."""
         _, _, _, m, series = self._evaluate(x)
         if self._jac is None:
-            tangents = self._pad(sweep_tangents(series, self.dgeom[self.live]))
+            tangents = sweep_tangents(series, self.dgeom)
             _, con_jac = _constraint_core(m, series, tangents, self.dgeom)
             resid_jac = _stage_jacobian(series, tangents, self.targets, self.stage)
             self._jac = (resid_jac, con_jac)
         return self._jac
 
-    def _pad(self, tangent):
-        """A tangent on the live directions, on all moved ones: zero rows
-        for the rest.  Margins and transmissions are dicts of them."""
-        if isinstance(tangent, dict):
-            return {key: self._pad(value) for key, value in tangent.items()}
-        out = np.zeros((len(self.move),) + tangent.shape[1:])
-        out[self.live] = tangent
-        return out
+    def embed(self, x0: np.ndarray):
+        """The map from a live subvector z to a trial x: x0 with z, clipped
+        to the box, in its live entries."""
+        lower, upper = self.lower[self.live], self.upper[self.live]
+
+        def full(z):
+            x = np.array(x0, dtype=float)
+            x[self.live] = np.clip(z, lower, upper)
+            return x
+
+        return full
 
     def objective(self, x) -> float:
         return self._evaluate(x)[0]
 
     def gradient(self, x) -> np.ndarray:
-        """d(cost)/dx = 2 J^T r / N."""
+        """d(cost)/dx over the live parameters: 2 J^T r / N."""
         resid = self._evaluate(x)[1]
         return 2.0 * (self._jacobians(x)[0].T @ resid) / resid.size
 
@@ -463,39 +481,89 @@ class _StageProblem:
         return self._jacobians(x)[1]
 
     def violation(self, x) -> float:
-        ineq_eq = self._evaluate(x)[2]
-        over = np.maximum(ineq_eq - self.con_ub, 0.0)
-        under = np.maximum(self.con_lb - ineq_eq, 0.0)
-        return float(np.max(np.concatenate([over, under]), initial=0.0))
+        """max(0, worst entry), a symmetry equality h counting as |h|."""
+        values = self._evaluate(x)[2]
+        return float(np.max(np.concatenate([values, -values[self.symmetric]]), initial=0.0))
 
     def feasible(self, x) -> bool:
         return self.violation(x) <= FEASIBILITY_TOL
 
 
+def _screened_starts(problem: _StageProblem, rng, k: int) -> list[np.ndarray]:
+    """k starts: the nominal design, then the k - 1 best of SCREEN_DRAWS *
+    (k - 1) candidates drawn uniformly in the box on the live parameters.
+
+    Each candidate gets one non-strict sweep, in batched passes of at most
+    PASS_SAMPLES phase samples on the design axis (one design a pass on the
+    Newton route), and the ranking is (failed samples, stage cost, draw
+    index): candidates that assemble everywhere come first, then the least
+    failing ones.
+    """
+    live = problem.live
+    count = SCREEN_DRAWS * (k - 1)
+    lower, upper = problem.lower[live], problem.upper[live]
+    candidates = np.tile(problem.x0, (count, 1))
+    candidates[:, live] = lower + rng.uniform(size=(count, len(live))) * (upper - lower)
+    names = [problem.base.names[problem.move[j]] for j in live]
+    batched = problem.mech.plan is not None
+    per_pass = max(1, PASS_SAMPLES // (problem.samples + 1)) if batched else 1
+    keys = []
+    for first in range(0, count, per_pass):
+        chunk = candidates[first : first + per_pass, live]
+        columns = chunk.T if batched else chunk[0]
+        design = problem.mech.with_parameters(dict(zip(names, columns)))
+        series = sweep_series(design, problem.samples, strict=False)
+        resid = _stage_residuals(series, problem.targets, problem.stage).reshape(len(chunk), -1)
+        failed = np.count_nonzero(~series["ok"].reshape(len(chunk), -1), axis=1)
+        keys.extend((int(f), cost(r), first + b) for b, (f, r) in enumerate(zip(failed, resid)))
+        del series  # one pass's solution in memory at a time
+    return [problem.x0] + [candidates[index] for *_, index in sorted(keys)[: k - 1]]
+
+
 def _run_start(problem: _StageProblem, x0: np.ndarray):
-    """One local descent; returns (x, true cost, iterations, status msg)."""
+    """One SLSQP descent over the live subvector from the box point x0.
+
+    Returns (x, true cost, iterations, status message, budget-limited,
+    polished).  x is the least-cost feasible point the descent evaluated,
+    or its last point when it evaluated none: SLSQP walks an infeasible
+    path and may stop there on its budget.  The polish then starts from x.
+    """
     opts = problem.options
-    nlc = NonlinearConstraint(
-        problem.constraint_vector,
-        problem.con_lb,
-        problem.con_ub,
-        jac=problem.constraint_jacobian,
-    )
+    full = problem.embed(x0)
+    best: tuple[float, np.ndarray | None] = (math.inf, None)
+
+    def objective(z) -> float:
+        nonlocal best
+        x = full(z)
+        value = problem.objective(x)
+        if value < best[0] and problem.feasible(x):
+            best = (value, x)
+        return value
+
+    # SLSQP takes equalities as h = 0 and inequalities as g >= 0.
+    constraints = [
+        {"type": kind,
+         "fun": lambda z, rows=rows, sign=sign: sign * problem.constraint_vector(full(z))[rows],
+         "jac": lambda z, rows=rows, sign=sign: sign * problem.constraint_jacobian(full(z))[rows]}
+        for kind, rows, sign in (("eq", problem.eq_rows, 1.0), ("ineq", problem.ineq_rows, -1.0))
+        if rows
+    ]
+    live = problem.live
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy chatters near bound-active points
         result = minimize(
-            problem.objective,
-            np.clip(x0, problem.lower, problem.upper),
-            method="trust-constr",
-            jac=problem.gradient,
-            bounds=Bounds(problem.lower, problem.upper, keep_feasible=True),
-            constraints=[nlc],
-            options={"maxiter": opts.maxiter, "gtol": 1e-10, "xtol": 1e-12},
+            objective,
+            x0[live],
+            method="SLSQP",
+            jac=lambda z: problem.gradient(full(z)),
+            bounds=list(zip(problem.lower[live], problem.upper[live])),
+            constraints=constraints,
+            options={"maxiter": opts.maxiter},
         )
-    x = np.clip(result.x, problem.lower, problem.upper)
-    iterations = int(result.niter)
+    x = best[1] if best[1] is not None else full(result.x)
+    iterations = int(result.nit)
     message = str(result.message)
-    budget = int(result.status) == 0  # trust-constr: 0 means maxiter reached
+    budget = int(result.status) == 9  # SLSQP: 9 means the iteration limit
     polished = False
     if opts.polish:
         x_new = _polish(problem, x)
@@ -505,25 +573,28 @@ def _run_start(problem: _StageProblem, x0: np.ndarray):
 
 
 def _polish(problem: _StageProblem, x: np.ndarray) -> np.ndarray | None:
-    """Bound-constrained least-squares refinement, accepted only when it
-    strictly improves the cost and keeps the constraint vector feasible."""
+    """Bound-constrained least-squares refinement of the live subvector,
+    accepted only when it strictly improves the cost and keeps the
+    constraint vector feasible."""
     before = problem.objective(x)
     if before == 0.0:
         return None
+    full = problem.embed(x)
+    live = problem.live
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = least_squares(
-            problem.residual_vector,
-            x,
-            jac=problem.residual_jacobian,
-            bounds=(problem.lower, problem.upper),
+            lambda z: problem.residual_vector(full(z)),
+            x[live],
+            jac=lambda z: problem.residual_jacobian(full(z)),
+            bounds=(problem.lower[live], problem.upper[live]),
             method="trf",
             xtol=1e-15,
             ftol=1e-15,
             gtol=1e-15,
-            max_nfev=200 * (len(x) + 1),
+            max_nfev=200 * (len(live) + 1),
         )
-    x_new = np.clip(result.x, problem.lower, problem.upper)
+    x_new = full(result.x)
     if problem.objective(x_new) < before and problem.feasible(x_new):
         return x_new
     return None
@@ -537,14 +608,16 @@ def optimize_stage(
 ) -> FitReport:
     """Fit one stage's parameters to the targets with multistart descent.
 
-    Runs options.multistarts independent local solves (the nominal design
-    first, then seeded uniform draws in the bound box), keeps the feasible
-    result of least cost (ties broken by start index), and reports every
-    start.  A nominal design that already tracks the targets feasibly is
-    its own single start, "initial design already optimal", and nothing
-    descends.  Raises NoFeasibleStart when no start ends feasible; a winner
-    that stopped on the iteration budget is flagged 'budget_exhausted',
-    not raised.
+    Runs options.multistarts independent SLSQP descents of at most
+    options.maxiter iterations: the nominal design first, then the
+    screened best of SCREEN_DRAWS uniform draws per further start (see
+    _screened_starts).  Keeps the feasible result of least cost (ties
+    broken by start index), and reports every start.  A nominal design that
+    already tracks the targets feasibly is its own single start, "initial
+    design already optimal", and nothing descends; so is a stage none of
+    whose parameters moves a fitted output.  Raises NoFeasibleStart when no
+    start ends feasible; a winner that stopped on the iteration budget is
+    flagged 'budget_exhausted', not raised.
     """
     if options is None:
         options = FitOptions()
@@ -558,13 +631,12 @@ def optimize_stage(
     if initial_cost <= 1e-12 and problem.feasible(problem.x0):
         # Already tracking the target; nothing to descend.
         outcomes = [(problem.x0, initial_cost, 0, "initial design already optimal", False, False)]
+    elif not problem.live:
+        outcomes = [(problem.x0, initial_cost, 0, "no stage parameter moves a fitted output",
+                     False, False)]
     else:
-        rng = np.random.default_rng(options.seed)
         k = max(1, int(options.multistarts))
-        starts = [problem.x0]
-        if k > 1:
-            u = rng.uniform(size=(k - 1, len(problem.move)))
-            starts.extend(problem.lower + u * (problem.upper - problem.lower))
+        starts = _screened_starts(problem, np.random.default_rng(options.seed), k)
         # A generator, so each start is checked for feasibility before the
         # next one moves the problem's last-point memo.
         outcomes = (_run_start(problem, x0) for x0 in starts)

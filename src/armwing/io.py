@@ -34,7 +34,7 @@ from .linkage import (
     ParameterBinding,
     SymmetryConstraint,
 )
-from .solver import GaitTrajectory
+from .solver import GAIT_MIN_SAMPLES, GaitTrajectory
 
 __all__ = [
     "parse_mechanism_file",
@@ -278,10 +278,18 @@ def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
     )
 
 
+def _read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file; other bytes are a SchemaError on the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(str(path), f"not UTF-8 text: {exc}") from None
+
+
 def parse_mechanism_file(path: str | Path) -> LinkageSpec:
     """Read and parse a mechanism JSON document."""
     path = Path(path)
-    return parse_mechanism_text(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_mechanism_text(_read_utf8(path), source=str(path))
 
 
 def mechanism_to_dict(spec: LinkageSpec) -> OrderedDict:
@@ -361,10 +369,12 @@ def write_trajectory_csv(traj: GaitTrajectory, path: str | Path) -> None:
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read a trajectory CSV into column arrays keyed by header name.
 
-    The header must match the shared trajectory format exactly; every cell
-    must be a finite number and phases strictly increasing within [0, 360).
+    The file must be UTF-8 and its header must match the shared trajectory
+    format exactly; it needs at least one row, as the writer does.  Every
+    cell must be a finite number and phases strictly increasing within
+    [0, 360).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_utf8(Path(path))
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SchemaError("header", "empty trajectory file")
@@ -374,6 +384,8 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
             "header",
             f"expected columns {','.join(TRAJECTORY_COLUMNS)}, got {lines[0]!r}",
         )
+    if len(lines) == 1:
+        raise SchemaError("rows", "a trajectory needs at least one row")
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -398,10 +410,17 @@ def targets_from_trajectory(data: dict[str, np.ndarray]) -> TargetGait:
 
     The file's phases must lie on the uniform grid 2*pi*k/N (within one
     part in 1e9 of a degree); the exact grid is then reconstructed so that
-    downstream grid-identity checks hold bitwise.
+    downstream grid-identity checks hold bitwise.  A wingbeat target needs
+    at least GAIT_MIN_SAMPLES phases, the floor of a gait sweep: a fit
+    checks assembly on the target grid alone, so a coarser target could
+    fit a design that does not turn through the wingbeat.
     """
     phi_deg = data["phi_deg"]
     n = len(phi_deg)
+    if n < GAIT_MIN_SAMPLES:
+        raise GridMismatch(
+            f"a wingbeat target needs at least {GAIT_MIN_SAMPLES} phases, got {n}"
+        )
     grid = phase_grid(n)
     if not np.allclose(phi_deg, np.degrees(grid), rtol=0.0, atol=1e-9):
         raise GridMismatch(

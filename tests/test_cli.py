@@ -402,3 +402,66 @@ def test_invalid_counts_are_usage_errors(capsys, tmp_path: Path, argv, flag):
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def _target_csv(path: Path, capsys, samples: int) -> Path:
+    run(capsys, "target", "--samples", str(samples), "--out", path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep", "optimize", "plot"])
+def test_non_utf8_input_files_are_schema_errors(command, tmp_path: Path, capsys):
+    """A mechanism file or trajectory CSV that is not UTF-8 ends in a
+    SchemaError that names the file, whichever command reads it."""
+    bad = tmp_path / "latin1"
+    bad.write_bytes(",".join(["phi_deg", "theta_s_deg"]).encode() + b"\n\xb0\xff\n")
+    target = _target_csv(tmp_path / "target.csv", capsys, 60)
+    argv = {
+        "validate": ["validate", bad],
+        "sweep": ["sweep", "--mech", bad, "--samples", "24", "--out", tmp_path / "o.csv"],
+        "optimize": ["optimize", "--mech", DEMO_PATH, "--targets", bad,
+                     "--out", tmp_path / "fit.json"],
+        "plot": ["plot", "--csv", target, "--csv", bad, "--out", tmp_path / "o.svg"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: SchemaError: {bad}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_a_plot_needs_two_rows_per_csv(rows, tmp_path: Path, capsys):
+    full = tmp_path / "full.csv"
+    run(capsys, "sweep", "--mech", DEMO_PATH, "--samples", "24", "--out", full)
+    short = tmp_path / "short.csv"
+    short.write_text("".join(full.read_text().splitlines(keepends=True)[: rows + 1]))
+    code, _, err = run(capsys, "plot", "--csv", full, "--csv", short,
+                       "--out", tmp_path / "o.svg")
+    assert code == 1
+    assert err == {
+        0: "error: SchemaError: rows: a trajectory needs at least one row\n",
+        1: f"error: SchemaError: {short}: a plotted trajectory needs at least 2 rows\n",
+    }[rows]
+    assert not (tmp_path / "o.svg").exists()
+
+
+@pytest.mark.parametrize("samples, code", [(0, 1), (1, 1), (7, 1), (8, 0)])
+def test_a_target_csv_needs_the_gait_sweep_floor(samples, code, tmp_path: Path, capsys):
+    """A wingbeat target is fitted from GAIT_MIN_SAMPLES = 8 phases up; a
+    header-only or shorter file ends in an ArmwingError, not a ValueError."""
+    target = _target_csv(tmp_path / "target.csv", capsys, max(samples, 1))
+    if samples == 0:
+        target.write_text(target.read_text().splitlines(keepends=True)[0])
+    got, _, err = run(
+        capsys, "optimize", "--mech", DEMO_PATH, "--targets", target, "--stage", "humerus",
+        "--multistarts", "1", "--maxiter", "2", "--out", tmp_path / "fit.json",
+    )
+    assert got == code
+    assert err == {
+        0: "error: SchemaError: rows: a trajectory needs at least one row\n",
+        1: "error: GridMismatch: a wingbeat target needs at least 8 phases, got 1\n",
+        7: "error: GridMismatch: a wingbeat target needs at least 8 phases, got 7\n",
+        8: "",
+    }[samples]
+    assert (tmp_path / "fit.json").exists() == (code == 0)

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from armwing import (
     DesignVector,
@@ -24,10 +27,12 @@ from armwing import (
     sweep_series,
     validate_mechanism,
 )
-from armwing.fitting import PENALTY_DEG, _constraint_core, _stage_jacobian, _StageProblem
+from armwing.fitting import FEASIBILITY_TOL, PENALTY_DEG, _constraint_core, _stage_jacobian, _StageProblem
 from armwing.gait import TargetGait
 from armwing.io import report_to_dict
 from armwing.solver import _results, _tangents, sweep_tangents
+from conftest import DEMO_PATH, REFERENCE_PATH
+from test_properties import perturbed_designs
 from test_solver import _geared_fivebar, _triad_sixbar
 
 FAST = FitOptions(seed=0, multistarts=2, maxiter=25)
@@ -168,14 +173,20 @@ def test_one_table_lays_out_names_values_and_stage_bounds(name, reference, demo_
     monkeypatch.setattr("armwing.fitting.sweep_series", counted)
     problem = _StageProblem(mech, sample_targets(12), "humerus", FitOptions())
     assert sweeps == []
-    assert np.array_equal(problem.con_lb, np.where(symmetric, 0.0, -np.inf))
-    assert np.array_equal(problem.con_ub, np.zeros(len(table)))
+    assert np.array_equal(problem.symmetric, symmetric)
+    # The descent gets the entries a live slot moves: symmetry entries as
+    # equalities, the rest as inequalities, each in table order.
+    live_slots = {problem.slots[k] for k in problem.live}
+    moved = [i for i, entry in enumerate(table) if live_slots & set(entry.reads)]
+    assert problem.eq_rows == [i for i in moved if symmetric[i]]
+    assert problem.ineq_rows == [i for i in moved if not symmetric[i]]
     values = problem.constraint_vector(problem.x0)
     assert len(sweeps) == 1
     expected = [-values[i] if suffix == "-" else values[i] for i, suffix in published]
     assert np.array_equal(evaluate_constraints(mech, samples=12), expected)
+    assert problem.violation(problem.x0) == max(0.0, *expected)
     jac = problem.constraint_jacobian(problem.x0)
-    assert jac.shape == (len(table), len(problem.move))
+    assert jac.shape == (len(table), len(problem.live))
 
 
 def test_constraints_accept_a_candidate_design(reference):
@@ -352,7 +363,7 @@ def test_a_stage_differentiates_only_what_it_moves(reference, demo_fourbar):
     """A stage differentiates only its live directions: 12 of 14 in the
     humerus stage, 12 of 18 in the radius stage, 24 of 32 in 'all', and all
     3 of the demo's; a symmetry equality on mem_anchor_x makes it live.
-    Dead columns of both Jacobians are exact zeros.  The radius pass skips
+    Both Jacobians have a column per live direction.  The radius pass skips
     the crank step and the humerus dyad, and 6 of the 8 constraint entries
     get exact zero rows.  No differentiated output reads gear_dg or the
     digit."""
@@ -371,13 +382,16 @@ def test_a_stage_differentiates_only_what_it_moves(reference, demo_fourbar):
         problem = _StageProblem(mech, targets, stage, FitOptions())
         names = [problem.base.names[i] for i in problem.move]
         assert [name for k, name in enumerate(names) if k not in problem.live] == dead
-        columns = [name in dead for name in names]
+        live_slots = [problem.slots[k] for k in problem.live]
+        assert np.array_equal(np.flatnonzero(problem.dgeom), np.ravel_multi_index(
+            (range(len(live_slots)), live_slots), problem.dgeom.shape))
+        assert np.all(problem.dgeom[problem.dgeom != 0.0] == 1.0)
         for jac in problem._jacobians(problem.x0):
-            assert not np.any(jac[:, columns])
+            assert jac.shape[1] == len(names) - len(dead)
 
     problem = _StageProblem(reference, targets, "radius", FitOptions())
     sol = sweep_series(reference, 36)["_solution"]
-    t = _tangents(sol, problem.dgeom[problem.live])
+    t = _tangents(sol, problem.dgeom)
     skipped = [label for label, (kind, step) in zip(kept, reference.tangent_steps)
                if all(np.ndim(getattr(t, table)[key]) == 0 for table, key in _results(kind, step))]
     assert skipped == [("tree", "j1_drive"), ("dyad", "j4_wrist")]
@@ -388,25 +402,107 @@ def test_a_stage_differentiates_only_what_it_moves(reference, demo_fourbar):
     assert not np.any(jac[~np.array(live)]) and np.all(np.any(jac[live], axis=1))
 
 
+def _full_pass(problem, x):
+    """The stage's (residual, constraint) Jacobians at x from one tangent
+    pass over every moved direction, live or dead: a column per moved
+    parameter."""
+    _, _, _, m, series = problem._evaluate(x)
+    dgeom = np.zeros((len(problem.move), m.geom.size))
+    dgeom[range(len(problem.move)), problem.slots] = 1.0
+    full = sweep_tangents(series, dgeom)
+    return (_stage_jacobian(series, full, problem.targets, problem.stage),
+            _constraint_core(m, series, full, dgeom)[1])
+
+
 @pytest.mark.parametrize("name, stage", [("reference", "humerus"), ("reference", "radius"),
                                          ("reference", "all"), ("demo", "humerus")])
 def test_live_directions_give_the_full_pass_jacobians(name, stage, reference, demo_fourbar):
-    """A stage's Jacobians from its live directions equal those from one
-    pass over every moved direction, bit for bit once -0.0 reads as +0.0,
-    at x0 and at four box points, some of which fail to assemble."""
+    """A stage's Jacobians from its live directions equal the live columns
+    of one pass over every moved direction, bit for bit once -0.0 reads as
+    +0.0, and that pass's dead columns are exact zeros, at x0 and at four
+    box points, some of which fail to assemble."""
     mech = reference if name == "reference" else demo_fourbar
     targets = sample_targets(36)
     problem = _StageProblem(mech, targets, stage, FitOptions())
+    dead = [k for k in range(len(problem.move)) if k not in problem.live]
+    assert len(dead) == ({"humerus": 2, "radius": 6, "all": 8}[stage] if name == "reference" else 0)
     rng = np.random.default_rng(1)
     span = problem.upper - problem.lower
     points = [problem.x0] + [problem.lower + rng.uniform(size=span.size) * span for _ in range(4)]
     assembled = []
     for x in points:
-        _, _, _, m, series = problem._evaluate(x)
-        full = sweep_tangents(series, problem.dgeom)
-        want = (_stage_jacobian(series, full, targets, stage),
-                _constraint_core(m, series, full, problem.dgeom)[1])
-        for got, expected in zip(problem._jacobians(x), want):
-            assert np.array_equal(got + 0.0, expected + 0.0)
-        assembled.append(bool(np.all(series["ok"])))
+        for got, full in zip(problem._jacobians(x), _full_pass(problem, x)):
+            assert np.array_equal(got + 0.0, full[:, problem.live] + 0.0)
+            assert np.all(full[:, dead] == 0.0)
+        assembled.append(bool(np.all(problem._evaluate(x)[4]["ok"])))
     assert assembled[0] and not all(assembled)
+
+
+def test_the_radius_stage_hands_slsqp_no_symmetry_entry_and_no_zero_row(reference,
+                                                                       monkeypatch):
+    """The reference's symmetry equalities read humerus slots only, so the
+    radius stage's SLSQP call gets inequalities alone, on the two entries
+    its live slots move, with no all-zero Jacobian row at its start."""
+    calls = []
+
+    def spy(fun, x0, **kwargs):
+        calls.append((x0, kwargs["constraints"]))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr("armwing.fitting.minimize", spy)
+    optimize_stage(reference, sample_targets(36), "radius",
+                   FitOptions(seed=0, multistarts=1, maxiter=2, polish=False))
+    [(x0, constraints)] = calls
+    assert [c["type"] for c in constraints] == ["ineq"]
+    assert x0.shape == (12,)
+    jac = constraints[0]["jac"](x0)
+    assert jac.shape == (2, 12)
+    assert np.all(np.any(jac != 0.0, axis=1))
+
+
+@pytest.mark.parametrize("path, stage", [(REFERENCE_PATH, "humerus"), (REFERENCE_PATH, "radius"),
+                                         (DEMO_PATH, "humerus")],
+                         ids=["reference-humerus", "reference-radius", "demo-humerus"])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**16), polish=st.booleans())
+def test_a_short_stage_fit_ends_feasible_or_raises(path, stage, data, seed, polish):
+    """On perturbed designs, a short stage fit either raises NoFeasibleStart
+    or ends with a feasible winner, and gives the same report bytes twice.
+    From a feasible design it never raises, and its winner costs no more
+    than that design."""
+    mech = data.draw(perturbed_designs(path), label="design")
+    targets = sample_targets(36)
+    options = FitOptions(seed=seed, multistarts=2, maxiter=5, polish=polish)
+    start = _StageProblem(mech, targets, stage, options)
+    feasible_start = start.feasible(start.x0)
+    try:
+        report = optimize_stage(mech, targets, stage, options)
+    except NoFeasibleStart:
+        assert not feasible_start
+        return
+    assert report.starts[report.winner_start].feasible
+    assert report.constraint_violation_max <= FEASIBILITY_TOL
+    fitted = report.design.apply(mech)
+    assert np.max(evaluate_constraints(fitted, samples=36)) <= FEASIBILITY_TOL
+    again = optimize_stage(mech, targets, stage, options)
+    assert json.dumps(report_to_dict(again)) == json.dumps(report_to_dict(report))
+    if feasible_start:
+        assert report.final_cost <= start.objective(start.x0) == report.initial_cost
+
+
+def test_a_stage_with_no_live_parameter_descends_nowhere(reference, monkeypatch):
+    """When every parameter a stage moves is dead, nothing descends: the
+    nominal design is the single start."""
+    def never(*args, **kwargs):
+        raise AssertionError("a stage with no live parameter needs no descent")
+
+    monkeypatch.setattr("armwing.fitting.minimize", never)
+    spec = reference.spec
+    for binding in spec.parameters:
+        if binding.stage == "humerus" and binding.name not in DEAD["humerus"]:
+            binding.stage = "fixed"
+    mech = validate_mechanism(spec)
+    report = optimize_stage(mech, sample_targets(36), "humerus", FitOptions(multistarts=3))
+    assert [s.message for s in report.starts] == ["no stage parameter moves a fitted output"]
+    assert report.final_cost == report.initial_cost > 0.0
+    assert np.array_equal(report.design.values, DesignVector.from_mechanism(mech).values)

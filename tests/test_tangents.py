@@ -7,15 +7,22 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from armwing import fourbar_spec, mirror_mechanism, sweep_series, validate_mechanism
+from armwing import (
+    fourbar_spec,
+    mirror_mechanism,
+    sensitivity_rank,
+    sweep_series,
+    validate_mechanism,
+)
 from armwing.solver import (
     _closure_jacobian,
     _design_tangents,
     _forward,
     _free_vector,
+    _plane,
     _solve_newton,
     sweep_tangents,
 )
@@ -27,6 +34,8 @@ from test_solver import _geared_fivebar, _triad_sixbar
 FD_STEPS = (1e-4, 1e-5, 1e-6, 1e-7)
 FD_TOL = 1e-6
 MPMATH_TOL = 1e-9
+RANK_DELTAS = (1e-2, 1e-3, 1e-4)
+RANK_ERR_PER_DELTA2 = 30.0  # relative; the shipped designs and +-1% give 7.3 to 10.1
 
 
 def _at(mech, geom):
@@ -197,3 +206,35 @@ def test_fourbar_tangents_match_a_50_digit_closed_form(lengths, branch):
                     want = float(mpmath.diff(angle, point[k]))
                     got = float(tangents[key][k, i])
                     assert abs(got - want) <= MPMATH_TOL * max(1.0, abs(want)), (key, k, i)
+
+
+@pytest.mark.parametrize("path", [REFERENCE_PATH, DEMO_PATH], ids=lambda p: p.stem)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_rank_score_tends_to_the_tip_tangent(path, data):
+    """As delta -> 0, sensitivity_rank's central-difference score of each
+    parameter p approaches max over phases of |p d(tip)/dp| / 100, the
+    per-1% norm of the tangent pass's wingtip tangent, within an O(delta^2)
+    error; a parameter that moves no tip scores exactly 0.  The fit's
+    tangent pass leaves out the steps no fitted output reads, such as the
+    reference's digit, so this pass runs every step."""
+    mech = data.draw(perturbed_designs(path), label="design")
+    samples = 36
+    every = mech.copy()
+    every.tangent_steps = every.steps
+    series = sweep_series(every, samples, strict=False)
+    assume(np.all(series["ok"]))
+    names = mech.parameter_names()
+    slots = [mech._targets[name] for name in names]
+    dgeom = np.zeros((len(names), mech.geom.size))
+    dgeom[range(len(names)), slots] = mech.geom[slots]  # d/d(scale) = p d/dp
+    tip = _design_tangents(series["_solution"], dgeom).point_world(
+        *mech._point_outputs["wingtip"])
+    limit = np.linalg.norm(_plane(tip, (len(names), samples)), axis=-1).max(axis=-1) / 100.0
+    floor = 1e-9 * float(np.max(limit))
+    for delta in RANK_DELTAS:
+        score = dict(sensitivity_rank(mech, delta=delta, samples=samples))
+        got = np.array([score[name] for name in names])
+        assert np.all(got[limit == 0.0] == 0.0)
+        err = np.abs(got - limit)
+        assert np.all(err <= RANK_ERR_PER_DELTA2 * delta**2 * limit + floor), (delta, err / limit)
