@@ -243,7 +243,7 @@ def _cmd_sensitivity(args) -> int:
             ]
             print(json.dumps(doc, indent=2))
         else:
-            width = max(len(name) for name, _ in ranking)
+            width = max((len(name) for name, _ in ranking), default=0)
             print(f"{'parameter':<{width}}  score [mm per 1% change]")
             for name, score in ranking:
                 print(f"{name:<{width}}  {score:.6g}")

@@ -12,13 +12,16 @@ validation as the mechanism's ``constraints`` entries:
 * the mechanism's declared symmetry equalities, published as paired
   inequalities (h <= 0 and -h <= 0).
 
+A stage's variables are its live parameters: the stage-tagged parameters
+a fit can read, decided once per stage.  Every trial point, screening
+draw, descent step and reported design is a vector over them alone; the
+other stage-tagged parameters are dead and keep their input values.
 Optimization runs a bounded, constrained local descent (scipy's SLSQP;
 Kraft, DFVLR-FB 88-28, 1988) from several starting points: the nominal
 design, then the best of a few seeded uniform draws inside the box, each
-screened by one batched sweep.  A descent moves the stage's live
-parameters, the moved parameters a fit can read, decided once per stage;
-the others keep their start values.  It sees the constraint entries those
-parameters move, and returns the least-cost feasible point it evaluated.
+screened by one batched sweep.  A descent sees the constraint entries the
+live parameters move, and returns the least-cost feasible point it
+evaluated.
 Its gradient 2 J^T r / N, the constraint Jacobian and the polish's
 residual Jacobian J are exact: one tangent pass of the solver
 (solver.sweep_tangents) differentiates the sweep along the live
@@ -54,7 +57,7 @@ from scipy.optimize import least_squares, minimize
 from .errors import EmptyResidual, FittingError, GridMismatch, NoFeasibleStart
 from .gait import TargetGait, phase_grid
 from .linkage import MechanismGraph
-from .sensitivity import PASS_SAMPLES
+from .sensitivity import _sweep_designs
 from .solver import _one_design, sweep_series, sweep_tangents
 
 __all__ = [
@@ -63,7 +66,6 @@ __all__ = [
     "StartRecord",
     "FitReport",
     "cost",
-    "residuals",
     "evaluate_constraints",
     "constraint_names",
     "optimize_stage",
@@ -195,38 +197,11 @@ def cost(y) -> float:
     return float(y @ y / y.size)
 
 
-def _check_grid(targets: TargetGait, samples: int | None) -> int:
-    n = len(targets.phi)
-    if samples is not None and samples != n:
-        raise GridMismatch(
-            f"sweep grid has {samples} samples but targets have {n}"
-        )
-    if not np.array_equal(targets.phi, phase_grid(n)):
+def _check_grid(targets: TargetGait) -> None:
+    if not np.array_equal(targets.phi, phase_grid(len(targets.phi))):
         raise GridMismatch(
             "targets must lie on the uniform phase grid 2*pi*k/N used by sweeps"
         )
-    return n
-
-
-def residuals(
-    mech: MechanismGraph,
-    targets: TargetGait,
-    stage: str = "all",
-    samples: int | None = None,
-    flagged: bool = False,
-) -> np.ndarray:
-    """Angle tracking errors (degrees) on the targets' phase grid.
-
-    stage 'humerus' compares the shoulder series only, 'radius' the elbow
-    series only, 'all' stacks shoulder then elbow.  In flagged mode a
-    sample whose solve fails contributes a fixed PENALTY_DEG entry instead
-    of raising, which keeps optimization alive near the assemblability
-    boundary; in strict mode solver errors propagate.
-    """
-    if stage not in STAGE_CHOICES:
-        raise ValueError(f"stage must be one of {STAGE_CHOICES}, got {stage!r}")
-    n = _check_grid(targets, samples)
-    return _stage_residuals(sweep_series(mech, n, strict=not flagged), targets, stage)
 
 
 def _stage_parts(series: dict, targets: TargetGait, stage: str):
@@ -374,19 +349,19 @@ def evaluate_constraints(
 
 
 class _StageProblem:
-    """Objective/constraint adapters over the moved subvector.
+    """Objective/constraint adapters over the stage's live parameters.
 
-    A trial x holds every moved parameter.  It is one write into their geom
-    slots of a graph copy; x is always inside the box (every trial point
-    is clipped to it), so it needs no bounds check.  A last-point memo
-    keeps the sweep at the latest x: the cost, residual and constraint
-    values at one x share one sweep, and their Jacobians share one tangent
-    pass over it, seeded with a unit direction on each ``live`` parameter's
-    slot: the moved parameters whose slot a fit reads (the driver or an
-    angle-output offset, or a slot in the read-set of a tangent step or a
-    constraint entry; every one on a mechanism with no plan).  Jacobians
-    have a column per live parameter; the others are dead, and the descent
-    leaves them at their start values.
+    The live parameters are the stage-tagged ones whose geom slot a fit
+    reads: the driver or an angle-output offset, or a slot in the read-set
+    of a tangent step or a constraint entry (every stage-tagged one on a
+    mechanism with no plan).  ``index`` holds their DesignVector positions
+    and ``slots`` their geom slots; the others are dead, and every trial
+    leaves them at the values they have in ``mech``.  A trial x has an
+    entry per live parameter.  It is clipped to the box and written into
+    their slots of a graph copy, so it needs no bounds check.  A last-point
+    memo keeps the sweep at the latest x: the cost, residual and constraint
+    values at one x share one sweep, and their Jacobians, a column per live
+    parameter, share one tangent pass over it along the rows of ``dgeom``.
 
     The descent sees the live entries of the constraint vector: those whose
     read-set meets a live slot, split into the inequalities ``ineq_rows``
@@ -396,43 +371,45 @@ class _StageProblem:
 
     def __init__(self, mech, targets, stage, options: FitOptions):
         self.base = DesignVector.from_mechanism(mech)
-        self.move = self.base.indices_for_stage(stage)
-        if not self.move:
+        self.index = tagged = self.base.indices_for_stage(stage)
+        if not tagged:
             raise FittingError(f"no parameters tagged for stage {stage!r}")
         self.mech = mech
         self.targets = targets
         self.stage = stage
         self.options = options
         self.samples = len(targets.phi)
-        self.lower = self.base.lower[self.move]
-        self.upper = self.base.upper[self.move]
-        self.x0 = self.base.values[self.move]
-        self.slots = [mech._targets[self.base.names[i]] for i in self.move]
-        self.live = list(range(len(self.move)))
         if mech.tangent_steps is not None:
             reads = {mech._driver_slot, *(out[-1] for out in mech._angle_outputs.values())}
             reads.update(*(step.reads for _, step in mech.tangent_steps),
                          *(entry.reads for entry in mech.constraints))
-            self.live = [k for k in self.live if self.slots[k] in reads]
-        live_slots = [self.slots[k] for k in self.live]
-        self.dgeom = np.zeros((len(self.live), mech.geom.size))
-        self.dgeom[range(len(self.live)), live_slots] = 1.0
+            self.index = [i for i in tagged if mech._targets[self.base.names[i]] in reads]
+        self.slots = [mech._targets[self.base.names[i]] for i in self.index]
+        self.lower = self.base.lower[self.index]
+        self.upper = self.base.upper[self.index]
+        self.x0 = self.base.values[self.index]
+        self.dgeom = np.zeros((len(self.slots), mech.geom.size))
+        self.dgeom[range(len(self.slots)), self.slots] = 1.0
         self.symmetric = np.array([e.kind == "symmetry" for e in mech.constraints], dtype=bool)
-        moved = [i for i, e in enumerate(mech.constraints) if set(e.reads) & set(live_slots)]
+        moved = [i for i, e in enumerate(mech.constraints) if set(e.reads) & set(self.slots)]
         self.eq_rows = [i for i in moved if self.symmetric[i]]
         self.ineq_rows = [i for i in moved if not self.symmetric[i]]
         self._x: np.ndarray | None = None
         self._point = None  # (cost, residuals, constraints, graph, series) at _x
         self._jac = None  # (residual Jacobian, constraint Jacobian) at _x
 
+    def clip(self, x) -> np.ndarray:
+        """x moved into the box: the point every adapter evaluates."""
+        return np.clip(x, self.lower, self.upper)
+
     def _evaluate(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
+        x = self.clip(x)
         if self._x is None or not np.array_equal(x, self._x):
             m = self.mech.copy()
             m.geom[self.slots] = x
             series = sweep_series(m, self.samples, strict=False)
             resid = _stage_residuals(series, self.targets, self.stage)
-            self._x = x.copy()
+            self._x = x
             self._point = (cost(resid), resid, _constraint_core(m, series), m, series)
             self._jac = None
         return self._point
@@ -447,18 +424,6 @@ class _StageProblem:
             resid_jac = _stage_jacobian(series, tangents, self.targets, self.stage)
             self._jac = (resid_jac, con_jac)
         return self._jac
-
-    def embed(self, x0: np.ndarray):
-        """The map from a live subvector z to a trial x: x0 with z, clipped
-        to the box, in its live entries."""
-        lower, upper = self.lower[self.live], self.upper[self.live]
-
-        def full(z):
-            x = np.array(x0, dtype=float)
-            x[self.live] = np.clip(z, lower, upper)
-            return x
-
-        return full
 
     def objective(self, x) -> float:
         return self._evaluate(x)[0]
@@ -491,37 +456,29 @@ class _StageProblem:
 
 def _screened_starts(problem: _StageProblem, rng, k: int) -> list[np.ndarray]:
     """k starts: the nominal design, then the k - 1 best of SCREEN_DRAWS *
-    (k - 1) candidates drawn uniformly in the box on the live parameters.
+    (k - 1) candidates drawn uniformly in the box.
 
-    Each candidate gets one non-strict sweep, in batched passes of at most
-    PASS_SAMPLES phase samples on the design axis (one design a pass on the
-    Newton route), and the ranking is (failed samples, stage cost, draw
-    index): candidates that assemble everywhere come first, then the least
-    failing ones.
+    Each candidate gets one non-strict sweep (sensitivity._sweep_designs),
+    and the ranking is (failed samples, stage cost, draw index): candidates
+    that assemble everywhere come first, then the least failing ones.
     """
-    live = problem.live
     count = SCREEN_DRAWS * (k - 1)
-    lower, upper = problem.lower[live], problem.upper[live]
-    candidates = np.tile(problem.x0, (count, 1))
-    candidates[:, live] = lower + rng.uniform(size=(count, len(live))) * (upper - lower)
-    names = [problem.base.names[problem.move[j]] for j in live]
-    batched = problem.mech.plan is not None
-    per_pass = max(1, PASS_SAMPLES // (problem.samples + 1)) if batched else 1
-    keys = []
-    for first in range(0, count, per_pass):
-        chunk = candidates[first : first + per_pass, live]
-        columns = chunk.T if batched else chunk[0]
-        design = problem.mech.with_parameters(dict(zip(names, columns)))
-        series = sweep_series(design, problem.samples, strict=False)
-        resid = _stage_residuals(series, problem.targets, problem.stage).reshape(len(chunk), -1)
-        failed = np.count_nonzero(~series["ok"].reshape(len(chunk), -1), axis=1)
-        keys.extend((int(f), cost(r), first + b) for b, (f, r) in enumerate(zip(failed, resid)))
-        del series  # one pass's solution in memory at a time
-    return [problem.x0] + [candidates[index] for *_, index in sorted(keys)[: k - 1]]
+    candidates = problem.lower + rng.uniform(size=(count, len(problem.x0))) * (
+        problem.upper - problem.lower)
+    names = [problem.base.names[i] for i in problem.index]
+
+    def read(series):
+        failed = np.count_nonzero(~series["ok"], axis=-1)
+        return failed, _stage_residuals(series, problem.targets, problem.stage)
+
+    rows = _sweep_designs(problem.mech, [dict(zip(names, c)) for c in candidates],
+                          problem.samples, read)
+    keys = sorted((int(failed), cost(resid), i) for i, (failed, resid) in enumerate(rows))
+    return [problem.x0] + [candidates[i] for *_, i in keys[: k - 1]]
 
 
 def _run_start(problem: _StageProblem, x0: np.ndarray):
-    """One SLSQP descent over the live subvector from the box point x0.
+    """One SLSQP descent over the live parameters from the box point x0.
 
     Returns (x, true cost, iterations, status message, budget-limited,
     polished).  x is the least-cost feasible point the descent evaluated,
@@ -529,38 +486,35 @@ def _run_start(problem: _StageProblem, x0: np.ndarray):
     path and may stop there on its budget.  The polish then starts from x.
     """
     opts = problem.options
-    full = problem.embed(x0)
     best: tuple[float, np.ndarray | None] = (math.inf, None)
 
-    def objective(z) -> float:
+    def objective(x) -> float:
         nonlocal best
-        x = full(z)
         value = problem.objective(x)
         if value < best[0] and problem.feasible(x):
-            best = (value, x)
+            best = (value, problem.clip(x))
         return value
 
     # SLSQP takes equalities as h = 0 and inequalities as g >= 0.
     constraints = [
         {"type": kind,
-         "fun": lambda z, rows=rows, sign=sign: sign * problem.constraint_vector(full(z))[rows],
-         "jac": lambda z, rows=rows, sign=sign: sign * problem.constraint_jacobian(full(z))[rows]}
+         "fun": lambda x, rows=rows, sign=sign: sign * problem.constraint_vector(x)[rows],
+         "jac": lambda x, rows=rows, sign=sign: sign * problem.constraint_jacobian(x)[rows]}
         for kind, rows, sign in (("eq", problem.eq_rows, 1.0), ("ineq", problem.ineq_rows, -1.0))
         if rows
     ]
-    live = problem.live
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy chatters near bound-active points
         result = minimize(
             objective,
-            x0[live],
+            x0,
             method="SLSQP",
-            jac=lambda z: problem.gradient(full(z)),
-            bounds=list(zip(problem.lower[live], problem.upper[live])),
+            jac=problem.gradient,
+            bounds=list(zip(problem.lower, problem.upper)),
             constraints=constraints,
             options={"maxiter": opts.maxiter},
         )
-    x = best[1] if best[1] is not None else full(result.x)
+    x = best[1] if best[1] is not None else problem.clip(result.x)
     iterations = int(result.nit)
     message = str(result.message)
     budget = int(result.status) == 9  # SLSQP: 9 means the iteration limit
@@ -573,28 +527,26 @@ def _run_start(problem: _StageProblem, x0: np.ndarray):
 
 
 def _polish(problem: _StageProblem, x: np.ndarray) -> np.ndarray | None:
-    """Bound-constrained least-squares refinement of the live subvector,
+    """Bound-constrained least-squares refinement of the live parameters,
     accepted only when it strictly improves the cost and keeps the
     constraint vector feasible."""
     before = problem.objective(x)
     if before == 0.0:
         return None
-    full = problem.embed(x)
-    live = problem.live
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = least_squares(
-            lambda z: problem.residual_vector(full(z)),
-            x[live],
-            jac=lambda z: problem.residual_jacobian(full(z)),
-            bounds=(problem.lower[live], problem.upper[live]),
+            problem.residual_vector,
+            x,
+            jac=problem.residual_jacobian,
+            bounds=(problem.lower, problem.upper),
             method="trf",
             xtol=1e-15,
             ftol=1e-15,
             gtol=1e-15,
-            max_nfev=200 * (len(live) + 1),
+            max_nfev=200 * (len(x) + 1),
         )
-    x_new = full(result.x)
+    x_new = problem.clip(result.x)
     if problem.objective(x_new) < before and problem.feasible(x_new):
         return x_new
     return None
@@ -623,7 +575,7 @@ def optimize_stage(
         options = FitOptions()
     if stage not in STAGE_CHOICES:
         raise ValueError(f"stage must be one of {STAGE_CHOICES}, got {stage!r}")
-    _check_grid(targets, None)
+    _check_grid(targets)
     problem = _StageProblem(mech, targets, stage, options)
     initial_cost = problem.objective(problem.x0)
 
@@ -631,7 +583,7 @@ def optimize_stage(
     if initial_cost <= 1e-12 and problem.feasible(problem.x0):
         # Already tracking the target; nothing to descend.
         outcomes = [(problem.x0, initial_cost, 0, "initial design already optimal", False, False)]
-    elif not problem.live:
+    elif not problem.index:
         outcomes = [(problem.x0, initial_cost, 0, "no stage parameter moves a fitted output",
                      False, False)]
     else:
@@ -672,7 +624,7 @@ def optimize_stage(
         )
     final_cost, winner = incumbent
     values = problem.base.values.copy()
-    values[problem.move] = incumbent_x
+    values[problem.index] = incumbent_x
     return FitReport(
         stage=stage,
         initial_cost=initial_cost,
@@ -717,7 +669,7 @@ def optimize_armwing(
     """
     if options is None:
         options = FitOptions()
-    _check_grid(targets, None)
+    _check_grid(targets)
     tagged = {binding.stage for binding in mech.parameters.values()}
     for stage in STAGE_ORDER:
         if stage not in tagged:

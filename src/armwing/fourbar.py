@@ -23,7 +23,6 @@ from .errors import NonPositiveLength, NotAssemblable, SingularConfiguration
 __all__ = [
     "FourBar",
     "FourBarPose",
-    "grashof_classify",
     "solve_fourbar",
     "circle_circle",
     "COLLINEAR_TOL_RAD",
@@ -59,9 +58,6 @@ class FourBar:
         if self.branch not in BRANCH_SIGNS:
             raise ValueError(f"branch must be 'open' or 'crossed', got {self.branch!r}")
 
-    def lengths(self) -> tuple[float, float, float, float]:
-        return (self.ground, self.crank, self.coupler, self.rocker)
-
 
 @dataclass(frozen=True)
 class FourBarPose:
@@ -80,39 +76,6 @@ class FourBarPose:
     coupler_pin: tuple[float, float]
     transmission_angle: float
     residual: float
-
-
-def grashof_classify(fourbar: FourBar) -> str:
-    """Classify rotatability: crank-rocker, double-crank, double-rocker,
-    change-point or non-Grashof.
-
-    Uses the classical shortest/longest link sums.  For a Grashof chain the
-    class follows the position of the shortest link: ground gives a double
-    crank, coupler a double rocker, and either side link a crank-rocker.
-    """
-    lengths = {
-        "ground": fourbar.ground,
-        "crank": fourbar.crank,
-        "coupler": fourbar.coupler,
-        "rocker": fourbar.rocker,
-    }
-    values = sorted(lengths.values())
-    s, l = values[0], values[-1]
-    p, q = values[1], values[2]
-    if s + l > p + q:
-        return "non-Grashof"
-    if s + l == p + q:
-        return "change-point"
-    # Deterministic tie break when two links share the shortest length.
-    for name in ("ground", "crank", "coupler", "rocker"):
-        if lengths[name] == s:
-            shortest = name
-            break
-    if shortest == "ground":
-        return "double-crank"
-    if shortest == "coupler":
-        return "double-rocker"
-    return "crank-rocker"
 
 
 def circle_circle(c1, r1, c2, r2, sign):

@@ -13,11 +13,13 @@ in the result rather than raised, so a scan can cross the assemblability
 boundary and report exactly where a perturbed design stops closing.
 
 Scaled designs are swept as batches on the geometry array's design axis,
-at most PASS_SAMPLES phase samples per pass.  A design's row equals its own
-sweep bit for bit, so scores do not depend on the pass size, which bounds
-the working set: ranking the reference (66 designs) in one pass added 14 MB
-of peak memory and took 36 ms, in 8-design passes 1.5 MB and 32 ms, in
-4-design passes 0.4 MB and 43 ms (shared 2-core VM).
+at most PASS_SAMPLES phase samples per pass (_sweep_designs, which also
+screens a fit's random starts).  A design's row equals its own sweep bit
+for bit, so scores do not depend on the pass size, which bounds the
+working set: ranking the reference (66 designs) in one pass added 14 MB of
+peak memory and took 36 ms, in 8-design passes 1.5 MB and 32 ms, in
+4-design passes 0.4 MB and 43 ms (shared 2-core VM).  A mechanism with no
+analytic plan sweeps on the Newton route, which takes one design a pass.
 """
 
 from __future__ import annotations
@@ -62,21 +64,35 @@ class SensitivityResult:
     deviations: dict[float, float]
 
 
-def _scaled_tips(mech: MechanismGraph, scaled, samples: int) -> list:
-    """Non-raising (ok mask, wingtip path) of each (parameter, scale) design,
-    applied and swept a pass of designs at a time."""
-    per_pass = max(1, PASS_SAMPLES // (samples + 1))
+def _sweep_designs(mech: MechanismGraph, designs, samples: int, read) -> list:
+    """A row per design: each {parameter: value} map of ``designs`` set on
+    ``mech``, swept non-strict, read by ``read(series)``.
+
+    Designs go a pass at a time, batched on the geometry's design axis in
+    passes of at most PASS_SAMPLES phase samples, one design a pass on the
+    Newton route.  ``read`` returns a tuple of arrays with a leading design
+    axis on a batched pass; a design's row is the tuple of its entries.
+    """
+    batched = mech.plan is not None
+    per_pass = max(1, PASS_SAMPLES // (samples + 1)) if batched else 1
     rows = []
-    for start in range(0, len(scaled), per_pass):
-        chunk = scaled[start : start + per_pass]
-        values = {}
-        for row, (name, scale) in enumerate(chunk):
-            nominal = mech.get_parameter(name)
-            values.setdefault(name, np.full(len(chunk), nominal))[row] = nominal * scale
+    for start in range(0, len(designs), per_pass):
+        chunk = designs[start : start + per_pass]
+        values = chunk[0]  # the Newton route's one design
+        if batched:
+            names = dict.fromkeys(name for design in chunk for name in design)
+            values = {name: np.full(len(chunk), mech.get_parameter(name)) for name in names}
+            for row, design in enumerate(chunk):
+                for name, value in design.items():
+                    values[name][row] = value
         series = sweep_series(mech.with_parameters(values), samples, strict=False)
-        rows.extend(zip(series["ok"], series["tip"]))
+        rows.extend(zip(*read(series)) if batched else [read(series)])
         del series  # one pass's solution in memory at a time
     return rows
+
+
+def _tips(series) -> tuple:
+    return series["ok"], series["tip"]
 
 
 def _pair_score(lo, hi, lo_scale: float, hi_scale: float) -> float:
@@ -138,7 +154,8 @@ def sensitivity_sweep(
     hi = min((s for s in scales if s > 1.0), default=1.0)
     score = 0.0
     if lo != hi:
-        score = _pair_score(*_scaled_tips(mech, [(param, lo), (param, hi)], samples), lo, hi)
+        designs = [{param: nominal * lo}, {param: nominal * hi}]
+        score = _pair_score(*_sweep_designs(mech, designs, samples, _tips), lo, hi)
 
     return SensitivityResult(
         parameter=param,
@@ -168,7 +185,8 @@ def sensitivity_rank(
         raise ValueError(f"delta must be in (0, {RANK_DELTA_MAX}], got {delta!r}")
     names = list(parameters) if parameters is not None else mech.parameter_names()
     lo, hi = 1.0 - delta, 1.0 + delta
-    rows = _scaled_tips(mech, [(name, s) for name in names for s in (lo, hi)], samples)
+    designs = [{name: mech.get_parameter(name) * s} for name in names for s in (lo, hi)]
+    rows = _sweep_designs(mech, designs, samples, _tips)
     scored = [
         (name, _pair_score(rows[2 * i], rows[2 * i + 1], lo, hi))
         for i, name in enumerate(names)

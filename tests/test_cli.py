@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from armwing import cli, parse_mechanism_file, read_trajectory_csv
+from armwing import cli, parse_mechanism_file, read_trajectory_csv, write_mechanism_file
 
 from conftest import DEMO_PATH, REFERENCE_PATH
+from test_fitting import _with_a_held_parameter
+from test_solver import _geared_fivebar, _triad_sixbar
 
 
 def run(capsys, *argv):
@@ -94,8 +96,6 @@ def test_sweep_to_stdout(capsys):
 
 
 def test_sweep_failure_names_the_phase(tmp_path: Path, capsys):
-    from armwing import write_mechanism_file
-
     spec = parse_mechanism_file(REFERENCE_PATH)
     crank = next(link for link in spec.links if link.id == "crank")
     crank.points["tip"][0] = 31.0
@@ -205,6 +205,31 @@ def test_sensitivity_needs_rank_or_param(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["sensitivity", "--mech", str(REFERENCE_PATH)])
     assert err.value.code == 2
+
+
+def test_a_rank_of_no_parameters_prints_the_header_alone(tmp_path: Path, capsys):
+    triad = tmp_path / "triad.json"
+    write_mechanism_file(_triad_sixbar(), triad)
+    code, out, _ = run(capsys, "sensitivity", "--mech", triad, "--rank", "--samples", "24")
+    assert code == 0
+    assert out == "parameter  score [mm per 1% change]\n"
+    code, out, _ = run(capsys, "sensitivity", "--mech", triad, "--rank", "--samples", "24",
+                       "--json")
+    assert code == 0
+    assert json.loads(out) == []
+
+
+@pytest.mark.parametrize("build", [_triad_sixbar, _geared_fivebar], ids=["triad", "geared-fivebar"])
+def test_sensitivity_runs_on_the_newton_route(build, tmp_path: Path, capsys):
+    path = tmp_path / "mech.json"
+    write_mechanism_file(_with_a_held_parameter(build()).spec, path)
+    code, out, _ = run(capsys, "sensitivity", "--mech", path, "--rank", "--samples", "24")
+    assert code == 0
+    assert out.splitlines()[1].split()[0] == "pivot_x"
+    code, out, _ = run(capsys, "sensitivity", "--mech", path, "--param", "pivot_x",
+                       "--range", "0.99:1.01:0.01", "--samples", "24")
+    assert code == 0
+    assert "pivot_x" in out
 
 
 def test_material_list(capsys):

@@ -22,12 +22,12 @@ from armwing import (
     fourbar_spec,
     optimize_armwing,
     optimize_stage,
-    residuals,
     sample_targets,
     sweep_series,
     validate_mechanism,
 )
-from armwing.fitting import FEASIBILITY_TOL, PENALTY_DEG, _constraint_core, _stage_jacobian, _StageProblem
+from armwing.fitting import (FEASIBILITY_TOL, PENALTY_DEG, _constraint_core, _stage_jacobian,
+                             _stage_residuals, _StageProblem)
 from armwing.gait import TargetGait
 from armwing.io import report_to_dict
 from armwing.solver import _results, _tangents, sweep_tangents
@@ -65,26 +65,34 @@ def test_cost_is_the_mean_squared_residual():
 
 def test_residuals_of_a_constant_shift(demo_fourbar):
     targets = shifted_targets(demo_fourbar, -2.0, 1.5)
-    r = residuals(demo_fourbar, targets, "all")
+    series = sweep_series(demo_fourbar, 360)
+    r = _stage_residuals(series, targets, "all")
     assert r.shape == (720,)
     assert np.allclose(r[:360], 2.0, atol=1e-12)
     assert np.allclose(r[360:], -1.5, atol=1e-12)
-    assert cost(residuals(demo_fourbar, targets, "humerus")) == pytest.approx(4.0)
-    assert cost(residuals(demo_fourbar, targets, "radius")) == pytest.approx(2.25)
+    assert cost(_stage_residuals(series, targets, "humerus")) == pytest.approx(4.0)
+    assert cost(_stage_residuals(series, targets, "radius")) == pytest.approx(2.25)
     assert cost(r) == pytest.approx((4.0 + 2.25) / 2.0)
 
 
 def test_perfect_targets_cost_zero(demo_fourbar):
     targets = targets_of(demo_fourbar)
-    assert cost(residuals(demo_fourbar, targets, "all")) == 0.0
+    assert cost(_stage_residuals(sweep_series(demo_fourbar, 360), targets, "all")) == 0.0
 
 
 def test_grid_mismatch_both_ways(demo_fourbar):
-    targets = sample_targets(180)
-    with pytest.raises(GridMismatch):
-        residuals(demo_fourbar, targets, "all", samples=360)
-    with pytest.raises(GridMismatch):
-        residuals(demo_fourbar, targets, "all", samples=90)
+    """Targets off the uniform sweep grid are refused by a stage fit and by
+    the staged fit: phases shifted by half a step, and a grid that is not
+    uniform."""
+    base = sample_targets(180)
+    shifted = base.phi + np.pi / 180
+    uneven = np.concatenate([base.phi[:90], base.phi[90:] + np.pi / 360])
+    for phi in (shifted, uneven):
+        targets = TargetGait(phi=phi, shoulder_deg=base.shoulder_deg, elbow_deg=base.elbow_deg)
+        with pytest.raises(GridMismatch):
+            optimize_stage(demo_fourbar, targets, "humerus", FAST)
+        with pytest.raises(GridMismatch):
+            optimize_armwing(demo_fourbar, targets, FAST)
 
 
 def test_flagged_residuals_use_the_fixed_penalty():
@@ -93,9 +101,9 @@ def test_flagged_residuals_use_the_fixed_penalty():
     mech = validate_mechanism(fourbar_spec(50.0, 32.0, 60.0, 40.0))
     targets = sample_targets(360)
     with pytest.raises(NotAssemblable):
-        residuals(mech, targets, "all")
-    r = residuals(mech, targets, "all", flagged=True)
+        _stage_residuals(sweep_series(mech, 360), targets, "all")
     series = sweep_series(mech, 360, strict=False)
+    r = _stage_residuals(series, targets, "all")
     ok = series["ok"]
     assert np.any(~ok)
     assert np.all(r[:360][~ok] == PENALTY_DEG)
@@ -176,8 +184,7 @@ def test_one_table_lays_out_names_values_and_stage_bounds(name, reference, demo_
     assert np.array_equal(problem.symmetric, symmetric)
     # The descent gets the entries a live slot moves: symmetry entries as
     # equalities, the rest as inequalities, each in table order.
-    live_slots = {problem.slots[k] for k in problem.live}
-    moved = [i for i, entry in enumerate(table) if live_slots & set(entry.reads)]
+    moved = [i for i, entry in enumerate(table) if set(problem.slots) & set(entry.reads)]
     assert problem.eq_rows == [i for i in moved if symmetric[i]]
     assert problem.ineq_rows == [i for i in moved if not symmetric[i]]
     values = problem.constraint_vector(problem.x0)
@@ -186,7 +193,7 @@ def test_one_table_lays_out_names_values_and_stage_bounds(name, reference, demo_
     assert np.array_equal(evaluate_constraints(mech, samples=12), expected)
     assert problem.violation(problem.x0) == max(0.0, *expected)
     jac = problem.constraint_jacobian(problem.x0)
-    assert jac.shape == (len(table), len(problem.live))
+    assert jac.shape == (len(table), len(problem.index))
 
 
 def test_constraints_accept_a_candidate_design(reference):
@@ -380,14 +387,16 @@ def test_a_stage_differentiates_only_what_it_moves(reference, demo_fourbar):
     cases.append((validate_mechanism(held), "humerus", ["mem_anchor_y"]))
     for mech, stage, dead in cases:
         problem = _StageProblem(mech, targets, stage, FitOptions())
-        names = [problem.base.names[i] for i in problem.move]
-        assert [name for k, name in enumerate(names) if k not in problem.live] == dead
-        live_slots = [problem.slots[k] for k in problem.live]
+        tagged = problem.base.indices_for_stage(stage)
+        names = problem.base.names
+        assert [names[i] for i in tagged if i not in problem.index] == dead
+        assert problem.index == [i for i in tagged if names[i] not in dead]
+        assert problem.slots == [mech._targets[names[i]] for i in problem.index]
         assert np.array_equal(np.flatnonzero(problem.dgeom), np.ravel_multi_index(
-            (range(len(live_slots)), live_slots), problem.dgeom.shape))
+            (range(len(problem.slots)), problem.slots), problem.dgeom.shape))
         assert np.all(problem.dgeom[problem.dgeom != 0.0] == 1.0)
         for jac in problem._jacobians(problem.x0):
-            assert jac.shape[1] == len(names) - len(dead)
+            assert jac.shape[1] == len(tagged) - len(dead)
 
     problem = _StageProblem(reference, targets, "radius", FitOptions())
     sol = sweep_series(reference, 36)["_solution"]
@@ -404,11 +413,12 @@ def test_a_stage_differentiates_only_what_it_moves(reference, demo_fourbar):
 
 def _full_pass(problem, x):
     """The stage's (residual, constraint) Jacobians at x from one tangent
-    pass over every moved direction, live or dead: a column per moved
-    parameter."""
+    pass over every stage-tagged direction, live or dead: a column per
+    stage-tagged parameter."""
     _, _, _, m, series = problem._evaluate(x)
-    dgeom = np.zeros((len(problem.move), m.geom.size))
-    dgeom[range(len(problem.move)), problem.slots] = 1.0
+    tagged = problem.base.indices_for_stage(problem.stage)
+    dgeom = np.zeros((len(tagged), m.geom.size))
+    dgeom[range(len(tagged)), [m._targets[problem.base.names[i]] for i in tagged]] = 1.0
     full = sweep_tangents(series, dgeom)
     return (_stage_jacobian(series, full, problem.targets, problem.stage),
             _constraint_core(m, series, full, dgeom)[1])
@@ -418,13 +428,15 @@ def _full_pass(problem, x):
                                          ("reference", "all"), ("demo", "humerus")])
 def test_live_directions_give_the_full_pass_jacobians(name, stage, reference, demo_fourbar):
     """A stage's Jacobians from its live directions equal the live columns
-    of one pass over every moved direction, bit for bit once -0.0 reads as
-    +0.0, and that pass's dead columns are exact zeros, at x0 and at four
-    box points, some of which fail to assemble."""
+    of one pass over every stage-tagged direction, bit for bit once -0.0
+    reads as +0.0, and that pass's dead columns are exact zeros, at x0 and
+    at four box points, some of which fail to assemble."""
     mech = reference if name == "reference" else demo_fourbar
     targets = sample_targets(36)
     problem = _StageProblem(mech, targets, stage, FitOptions())
-    dead = [k for k in range(len(problem.move)) if k not in problem.live]
+    tagged = problem.base.indices_for_stage(stage)
+    live = [k for k, i in enumerate(tagged) if i in problem.index]
+    dead = [k for k, i in enumerate(tagged) if i not in problem.index]
     assert len(dead) == ({"humerus": 2, "radius": 6, "all": 8}[stage] if name == "reference" else 0)
     rng = np.random.default_rng(1)
     span = problem.upper - problem.lower
@@ -432,7 +444,7 @@ def test_live_directions_give_the_full_pass_jacobians(name, stage, reference, de
     assembled = []
     for x in points:
         for got, full in zip(problem._jacobians(x), _full_pass(problem, x)):
-            assert np.array_equal(got + 0.0, full[:, problem.live] + 0.0)
+            assert np.array_equal(got + 0.0, full[:, live] + 0.0)
             assert np.all(full[:, dead] == 0.0)
         assembled.append(bool(np.all(problem._evaluate(x)[4]["ok"])))
     assert assembled[0] and not all(assembled)

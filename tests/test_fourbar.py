@@ -11,7 +11,6 @@ from armwing import (
     NotAssemblable,
     SingularConfiguration,
     circle_circle,
-    grashof_classify,
     solve_fourbar,
 )
 from armwing.solver import wrap_pi
@@ -136,19 +135,16 @@ def test_ground_angle_rotates_the_whole_mechanism():
         assert p1.coupler_pin[1] == pytest.approx(s * x + c * y, abs=1e-12)
 
 
-def test_grashof_classification_table():
-    assert grashof_classify(FourBar(5.0, 2.0, 6.0, 4.0)) == "crank-rocker"
-    assert grashof_classify(FourBar(2.0, 5.0, 6.0, 4.0)) == "double-crank"
-    assert grashof_classify(FourBar(5.0, 4.0, 2.0, 6.0)) == "double-rocker"
-    assert grashof_classify(FourBar(2.0, 4.0, 5.0, 3.0)) == "change-point"
-    assert grashof_classify(FourBar(5.0, 4.0, 6.0, 4.2)) == "non-Grashof"
-
-
 def test_random_generated_chains_are_crank_rockers():
+    """Every generated chain is Grashof (shortest + longest below the sum of
+    the other two) with the crank strictly shortest, so the crank turns
+    fully and the rocker rocks."""
     rng = np.random.default_rng(11)
     for _ in range(20):
         fb = random_crank_rocker(rng)
-        assert grashof_classify(fb) == "crank-rocker"
+        s, p, q, l = sorted((fb.ground, fb.crank, fb.coupler, fb.rocker))
+        assert s + l < p + q
+        assert fb.crank < min(fb.ground, fb.coupler, fb.rocker)
 
 
 def test_circle_circle_lies_on_both_circles():

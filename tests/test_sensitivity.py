@@ -12,6 +12,9 @@ from armwing import (
     sensitivity_rank,
     sensitivity_sweep,
 )
+from test_fitting import _with_a_held_parameter
+from test_properties import _rank_one_design_at_a_time
+from test_solver import _geared_fivebar, _triad_sixbar
 
 # Regression table for the bundled reference design at delta = 2.5%,
 # 360 samples.  Scores are max wingtip displacement in mm per 1% change.
@@ -187,3 +190,21 @@ def test_rank_applies_and_sweeps_once_per_pass(reference, monkeypatch):
     assert 1 < passes < 2 * len(reference.parameters)
     sensitivity_rank(reference, samples=samples)
     assert calls.count("with_parameters") == calls.count("sweep_series") == passes
+
+
+@pytest.mark.parametrize("build", [_triad_sixbar, _geared_fivebar], ids=["triad", "geared-fivebar"])
+def test_newton_mechanisms_rank_and_score_one_design_at_a_time(build, monkeypatch):
+    """A mechanism with no analytic plan sweeps on the Newton route, one
+    design a pass: its rank and family score equal the scores of separate
+    one-design sweeps, bit for bit."""
+    mech = _with_a_held_parameter(build())
+    assert mech.plan is None
+    samples = 24
+    calls = _count_calls(monkeypatch, "sweep_series")
+    ranking = sensitivity_rank(mech, delta=0.025, samples=samples)
+    assert calls.count("sweep_series") == 2 * len(mech.parameters)
+    assert ranking == _rank_one_design_at_a_time(mech, 0.025, samples)
+    assert 0.0 < ranking[0][1] < math.inf
+    family = sensitivity_sweep(mech, "pivot_x", (0.98, 0.99, 1.0, 1.01), samples=samples)
+    [(_, score)] = _rank_one_design_at_a_time(mech, 0.01, samples)
+    assert family.score_mm_per_pct == score
