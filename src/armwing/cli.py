@@ -33,7 +33,7 @@ from .io import (
     write_report_file,
     write_trajectory_csv,
 )
-from .linkage import validate_mechanism
+from .linkage import STAGES, validate_mechanism
 from .materials import (
     default_materials_path,
     get_material,
@@ -41,7 +41,7 @@ from .materials import (
     strain_budget_check,
 )
 from .sensitivity import RANK_DELTA_MAX, sensitivity_rank, sensitivity_sweep
-from .solver import GAIT_MIN_SAMPLES, solve_configuration, sweep_gait
+from .solver import GAIT_MIN_SAMPLES, METHODS, solve_configuration, sweep_gait
 from .svgplot import PlotSpec, Series, write_svg
 
 __all__ = ["main", "build_parser"]
@@ -64,37 +64,35 @@ def _load_mech(path: str):
 
 
 def _cmd_validate(args) -> int:
-    mech = _load_mech(args.mech)
-    spec = mech.spec
-    stages: dict[str, int] = {}
-    for b in spec.parameters:
-        stages[b.stage] = stages.get(b.stage, 0) + 1
+    counts = _load_mech(args.mech).summary()
+    stages = {stage: counts[f"{stage}_parameters"] for stage in sorted(STAGES)
+              if counts[f"{stage}_parameters"]}
     if args.json:
         doc = OrderedDict(
             (
-                ("name", spec.name),
-                ("links", len(spec.links)),
-                ("joints", len(spec.joints)),
-                ("ground_pivots", len(spec.ground_pivots)),
-                ("loops", len(mech.closures)),
-                ("free_joints", len(mech.free_joints)),
-                ("gear_couplings", len(spec.gear_couplings)),
-                ("parameters", OrderedDict(sorted(stages.items()))),
-                ("symmetry", len(spec.symmetry)),
+                ("name", counts["name"]),
+                ("links", counts["links"]),
+                ("joints", counts["joints"]),
+                ("ground_pivots", counts["ground_pivots"]),
+                ("loops", counts["loops"]),
+                ("free_joints", counts["free_unknowns"]),
+                ("gear_couplings", counts["gear_couplings"]),
+                ("parameters", stages),
+                ("symmetry", counts["symmetry"]),
                 ("valid", True),
             )
         )
         print(json.dumps(doc, indent=2))
     else:
-        print(f"mechanism: {spec.name}")
-        print(f"  links {len(spec.links)}, joints {len(spec.joints)}, "
-              f"ground pivots {len(spec.ground_pivots)}")
-        print(f"  loops {len(mech.closures)}, free joints {len(mech.free_joints)}, "
-              f"gear couplings {len(spec.gear_couplings)}")
-        for stage in sorted(stages):
-            print(f"  parameters[{stage}]: {stages[stage]}")
-        if spec.symmetry:
-            print(f"  symmetry constraints: {len(spec.symmetry)}")
+        print(f"mechanism: {counts['name']}")
+        print(f"  links {counts['links']}, joints {counts['joints']}, "
+              f"ground pivots {counts['ground_pivots']}")
+        print(f"  loops {counts['loops']}, free joints {counts['free_unknowns']}, "
+              f"gear couplings {counts['gear_couplings']}")
+        for stage, count in stages.items():
+            print(f"  parameters[{stage}]: {count}")
+        if counts["symmetry"]:
+            print(f"  symmetry constraints: {counts['symmetry']}")
         print("  valid")
     return 0
 
@@ -401,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=_number(), required=True, help="crank phase [deg]")
     p.add_argument(
         "--method",
-        choices=("auto", "analytic", "newton"),
+        choices=METHODS,
         default="auto",
         help="solver route (default auto)",
     )
@@ -416,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--method",
-        choices=("auto", "analytic", "newton"),
+        choices=METHODS,
         default="auto",
         help="solver route (default auto)",
     )
@@ -438,8 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit one stage, or 'all' for the staged pipeline (default all)",
     )
     p.add_argument("--seed", type=_number(0, int), default=0, help="multistart RNG seed")
-    p.add_argument("--multistarts", type=_number(1, int), default=10, help="starts per stage")
-    p.add_argument("--maxiter", type=_number(1, int), default=150, help="iterations per start")
+    defaults = FitOptions()
+    p.add_argument("--multistarts", type=_number(1, int), default=defaults.multistarts,
+                   help="starts per stage")
+    p.add_argument("--maxiter", type=_number(1, int), default=defaults.maxiter,
+                   help="iterations per start")
     p.add_argument("--out", required=True, help="fit report JSON path")
     p.add_argument(
         "--out-mech",

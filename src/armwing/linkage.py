@@ -11,9 +11,11 @@ every name the solver reads already resolved:
   coordinate, driver offset, gear ratio and offset and angle-output offset,
   shape (P,) for one design or (B, P) for a batch of B designs; a point
   is named by the slot of its x (its y follows),
-* a deterministic spanning tree of the joint graph rooted at ground (the
-  driver joint is pulled into the tree with priority), and the loop set:
-  every non-tree joint closes exactly one loop,
+* the spanning tree, grown from ground by one rule: add the first joint,
+  driver first and then by id, that reaches exactly one unplaced link;
+  every other joint closes one loop, and each loop's table maps its
+  bodies to their two joints in cycle order, which the dyad plan and the
+  four-bar constraint entries both read,
 * the free joint angles: tree joints neither driven nor gear-slaved, as
   many as the closure equations (2 per loop),
 * the analytic solve order, when the topology supports one (``steps``;
@@ -324,11 +326,9 @@ class MechanismGraph:
         self._xy: dict[tuple, int] = {}  # (link or ground, point) -> column of x; y follows
         self._driver_slot = -1  # column of the driver's offset_deg
         self.joints: dict[str, Joint] = {}
-        self.tree_parent: dict[str, tuple[str, str]] = {}  # link -> (joint, parent)
-        self.tree_child: dict[str, str] = {}  # tree joint -> child link
-        self.tree_order: list[str] = []  # joint ids, root outward
+        self.tree_parent: dict[str, tuple[str, str]] = {}  # link -> (joint, parent), root outward
         self.closures: list[str] = []
-        self.loops: dict[str, list[str]] = {}
+        self.loops: dict[str, dict[str, tuple[Joint, Joint]]] = {}  # closure -> body -> its 2 joints
         self.free_joints: list[str] = []
         self.steps: list[tuple] | None = None  # analytic solve order, (kind, record)
         self.plan: list[DyadStep] | None = None  # the dyads of steps
@@ -411,11 +411,13 @@ class MechanismGraph:
             "joints": len(self.joints),
             "loops": len(self.closures),
             "free_unknowns": len(self.free_joints),
+            "gear_couplings": len(self._spec.gear_couplings),
             "parameters": len(self.parameters),
             "free_parameters": stages["humerus"] + stages["radius"],
             "humerus_parameters": stages["humerus"],
             "radius_parameters": stages["radius"],
             "fixed_parameters": stages["fixed"],
+            "symmetry": len(self._spec.symmetry),
             "analytic_plan": self.plan is not None,
         }
 
@@ -576,54 +578,28 @@ def _fields(spec: LinkageSpec):
 
 
 def _spanning_tree(g: MechanismGraph) -> None:
-    """Prim-style growth from ground, driver joint first, then joint id."""
-    adjacency: dict[str, list[str]] = {GROUND: [], **{l: [] for l in g.links}}
-    for joint in g.joints.values():
-        adjacency[joint.a[0]].append(joint.id)
-        adjacency[joint.b[0]].append(joint.id)
-
+    """Grow the tree from ground by one rule: add the first joint, driver
+    first and then by id, that reaches exactly one unplaced link, until
+    none does.  ``tree_parent`` records the links in that order, root
+    outward.  Every other joint closes a loop; closures are sorted."""
     driver_joint = g._spec.driver.joint
-    in_tree = {GROUND}
-    frontier: set[str] = set(adjacency[GROUND])
-    used: set[str] = set()
-    while frontier:
-        candidates = sorted(
-            (jid for jid in frontier),
-            key=lambda jid: (jid != driver_joint, jid),
-        )
-        picked = None
-        for jid in candidates:
-            joint = g.joints[jid]
-            ends = {joint.a[0], joint.b[0]}
-            new = ends - in_tree
-            if len(new) == 1:
-                picked = (jid, new.pop())
-                break
-            if len(new) == 0:
-                # both ends already reached: this joint closes a loop
-                frontier.discard(jid)
-                used.add(jid)
-                g.closures.append(jid)
-        if picked is None:
-            break
-        jid, child = picked
-        joint = g.joints[jid]
-        parent = joint.other(child)
-        g.tree_parent[child] = (jid, parent)
-        g.tree_child[jid] = child
-        g.tree_order.append(jid)
-        in_tree.add(child)
-        frontier.discard(jid)
-        used.add(jid)
-        frontier.update(j for j in adjacency[child] if j not in used)
+    ranked = sorted(g.joints.values(), key=lambda joint: (joint.id != driver_joint, joint.id))
+    placed = {GROUND}
 
-    unreachable = set(g.links) - in_tree
+    def next_joint() -> Joint | None:
+        return next((j for j in ranked if len({j.a[0], j.b[0]} - placed) == 1), None)
+
+    for joint in iter(next_joint, None):
+        child = joint.b[0] if joint.a[0] in placed else joint.a[0]
+        g.tree_parent[child] = (joint.id, joint.other(child))
+        placed.add(child)
+    unreachable = set(g.links) - placed
     if unreachable:
         names = ", ".join(sorted(unreachable))
         raise OpenChain(f"links not connected to ground: {names}")
-    g.closures.sort()
+    g.closures = sorted(g.joints.keys() - {jid for jid, _ in g.tree_parent.values()})
     for cid in g.closures:
-        g.loops[cid] = _loop_cycle(g, cid)
+        g.loops[cid] = _loop(g, cid)
         joint = g.joints[cid]
         g.gaps.append((_read(g, *joint.a), _read(g, *joint.b)))
 
@@ -633,24 +609,26 @@ def _read(g: MechanismGraph, link_id: str, point: str) -> tuple[str, int]:
     return link_id, g._xy[link_id, point]
 
 
-def _loop_cycle(g: MechanismGraph, closure_id: str) -> list[str]:
-    """Joint ids around the loop closed by ``closure_id``."""
-    joint = g.joints[closure_id]
-
+def _loop(g: MechanismGraph, closure_id: str) -> dict[str, tuple[Joint, Joint]]:
+    """Each body of the loop closed by ``closure_id`` -> its two joints, in
+    cycle order: the closure, then the tree path from its a side up to the
+    common ancestor and down to its b side."""
     def path_to_root(link: str) -> list[str]:
         out = []
         while link != GROUND:
-            jid, parent = g.tree_parent[link]
+            jid, link = g.tree_parent[link]
             out.append(jid)
-            link = parent
         return out
 
-    pa = path_to_root(joint.a[0])
-    pb = path_to_root(joint.b[0])
-    shared = set(pa) & set(pb)
-    pa = [j for j in pa if j not in shared]
-    pb = [j for j in pb if j not in shared]
-    return [closure_id] + pa + list(reversed(pb))
+    joint = g.joints[closure_id]
+    pa, pb = path_to_root(joint.a[0]), path_to_root(joint.b[0])
+    cycle = [closure_id] + [j for j in pa if j not in pb] + [j for j in pb[::-1] if j not in pa]
+    ends: dict[str, list[Joint]] = {}
+    for jid in cycle:
+        joint = g.joints[jid]
+        for body in (joint.a[0], joint.b[0]):
+            ends.setdefault(body, []).append(joint)
+    return {body: tuple(pair) for body, pair in ends.items()}
 
 
 def _classify_joints(g: MechanismGraph) -> None:
@@ -660,15 +638,15 @@ def _classify_joints(g: MechanismGraph) -> None:
         raise SchemaError(
             "driver.joint", "driver joint closes a loop; drive a tree joint instead"
         )
-    tree_set = set(g.tree_order)
+    tree = [jid for jid, _ in g.tree_parent.values()]  # root outward
     slaved = {c.joint_out for c in g._spec.gear_couplings}
     for coupling in g._spec.gear_couplings:
-        if coupling.joint_out not in tree_set:
+        if coupling.joint_out not in tree:
             raise SchemaError(
                 f"gear_couplings[{coupling.id}].joint_out",
                 "slaved joint must be a tree joint (its angle is eliminated)",
             )
-    g.free_joints = [jid for jid in g.tree_order if jid != driver_joint and jid not in slaved]
+    g.free_joints = [jid for jid in tree if jid != driver_joint and jid not in slaved]
 
 
 def _check_balance(g: MechanismGraph) -> None:
@@ -799,9 +777,7 @@ def _derive_plan(g: MechanismGraph, newton: bool) -> list[tuple] | None:
     loops = [] if newton else list(g.closures)
 
     def next_step() -> tuple | None:
-        for jid in g.tree_order:
-            child = g.tree_child[jid]
-            parent = g.tree_parent[child][1]
+        for child, (jid, parent) in g.tree_parent.items():
             if child not in placed and jid in known and parent in placed:
                 joint = g.joints[jid]
                 # The joint angle convention is b minus a; flip when the
@@ -848,55 +824,36 @@ def _points(*slots: int) -> frozenset:
 
 
 def _plan_dyad(g: MechanismGraph, cid: str, placed: dict) -> DyadStep | None:
-    """The dyad closing loop ``cid`` when exactly two of its links are
-    unplaced; ``placed`` maps each placed body to its read-set."""
-    cycle = g.loops[cid]
-    links_in_cycle: list[str] = []
-    for jid in cycle:
-        joint = g.joints[jid]
-        for link_id in (joint.a[0], joint.b[0]):
-            if link_id not in links_in_cycle:
-                links_in_cycle.append(link_id)
-    unresolved = [l for l in links_in_cycle if l not in placed]
-    if len(unresolved) != 2:
+    """The dyad closing loop ``cid``, read from its loop table: its two
+    unplaced links, the hinge they share and, for each, its other joint to
+    a placed body.  None unless exactly two links are unplaced, they share
+    a joint and both outer bodies are placed (two links joined twice have
+    no placed outer body).  ``placed`` maps each placed body to its
+    read-set."""
+    loop = g.loops[cid]
+    unplaced = [body for body in loop if body not in placed]
+    if len(unplaced) != 2:
         return None
-    l1, l2 = unresolved
-    hinge = None
-    for jid in cycle:
-        joint = g.joints[jid]
-        if {joint.a[0], joint.b[0]} == {l1, l2}:
-            hinge = jid
-            break
+    l1, l2 = unplaced
+    hinge = next((joint for joint in loop[l1] if joint in loop[l2]), None)
     if hinge is None:
         return None
-
-    def outer_joint(link_id: str) -> Joint | None:
-        for jid in cycle:
-            if jid == hinge:
-                continue
-            joint = g.joints[jid]
-            if link_id in (joint.a[0], joint.b[0]) and joint.other(link_id) in placed:
-                return joint
-        return None
-
-    o1 = outer_joint(l1)
-    o2 = outer_joint(l2)
-    if o1 is None or o2 is None:
-        return None
-    hinge_joint = g.joints[hinge]
+    o1, o2 = (next(joint for joint in loop[link] if joint is not hinge) for link in (l1, l2))
     p_body, q_body = o1.other(l1), o2.other(l2)
+    if p_body not in placed or q_body not in placed:
+        return None
     p_ref = _read(g, p_body, o1.attachment(p_body))
     q_ref = _read(g, q_body, o2.attachment(q_body))
     a1 = g._xy[l1, o1.attachment(l1)]
-    m1 = g._xy[l1, hinge_joint.attachment(l1)]
-    m2 = g._xy[l2, hinge_joint.attachment(l2)]
+    m1 = g._xy[l1, hinge.attachment(l1)]
+    m2 = g._xy[l2, hinge.attachment(l2)]
     b2 = g._xy[l2, o2.attachment(l2)]
     reads = placed[p_body] | placed[q_body] | _points(p_ref[1], q_ref[1], a1, m1, m2, b2)
     return DyadStep(
         closure=cid,
         link1=l1,
         link2=l2,
-        hinge=hinge,
+        hinge=hinge.id,
         p_ref=p_ref,
         q_ref=q_ref,
         a1=a1,
@@ -975,12 +932,8 @@ def _fourbar_entries(g: MechanismGraph):
     """
     driven = {g._spec.driver.joint, *(c.joint_out for c in g._spec.gear_couplings)}
     for cid in g.closures:
-        ends: dict[str, list[Joint]] = {}  # body -> its joints in the loop
-        for jid in g.loops[cid]:
-            joint = g.joints[jid]
-            for body in (joint.a[0], joint.b[0]):
-                ends.setdefault(body, []).append(joint)
-        if len(ends) != 4 or GROUND not in ends or any(len(j) != 2 for j in ends.values()):
+        ends = g.loops[cid]
+        if len(ends) != 4 or GROUND not in ends:
             continue
         cranks = [j for j in ends[GROUND] if j.id in driven]
         if not cranks:

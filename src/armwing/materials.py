@@ -16,7 +16,6 @@ is used as a screen; full continuum FEA is out of scope.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -30,6 +29,7 @@ from .errors import (
     UnknownMaterial,
     VersionError,
 )
+from .io import _number
 
 __all__ = [
     "MooneyRivlin",
@@ -160,7 +160,7 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
     if not isinstance(doc, dict):
         raise SchemaError(str(src), f"top level must be an object, not {type(doc).__name__}")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:  # True == 1
         raise VersionError(
             f"unsupported materials format_version {version!r} "
             f"(expected {FORMAT_VERSION})"
@@ -173,17 +173,12 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
         where = f"materials[{i}]"
         try:
             name = entry["name"]
-            shore = tuple(float(v) for v in entry["shore_a"])
-            brk = tuple(float(v) for v in entry["elongation_break_pct"])
-        except (KeyError, TypeError, ValueError) as exc:
+            shore, brk = (_band(entry[key], where, key)
+                          for key in ("shore_a", "elongation_break_pct"))
+        except (KeyError, TypeError) as exc:
             raise SchemaError(where, f"bad entry: {exc}") from None
         if not isinstance(name, str):
             raise SchemaError(f"{where}.name", f"must be a string, got {name!r}")
-        if len(shore) != 2 or len(brk) != 2:
-            raise SchemaError(where, "shore_a and elongation_break_pct need 2 values")
-        for key, band in (("shore_a", shore), ("elongation_break_pct", brk)):
-            if not all(map(math.isfinite, band)):
-                raise SchemaError(f"{where}.{key}", f"values must be finite, got {list(band)}")
         if not 0.0 <= shore[0] <= shore[1] <= 100.0:
             raise SchemaError(f"{where}.shore_a",
                               f"need 0 <= low <= high <= 100, got {list(shore)}")
@@ -198,16 +193,10 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
             if kind != "mooney-rivlin":
                 raise SchemaError(f"{where}.model", f"unknown model type {kind!r}")
             try:
-                model = MooneyRivlin(
-                    c10_mpa=float(raw_model["c10_mpa"]),
-                    c01_mpa=float(raw_model["c01_mpa"]),
-                    poisson=float(raw_model["poisson"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                model = MooneyRivlin(*(_number(raw_model[key], f"{where}.model", key)
+                                       for key in ("c10_mpa", "c01_mpa", "poisson")))
+            except (KeyError, TypeError) as exc:
                 raise SchemaError(f"{where}.model", f"bad constants: {exc}") from None
-            for key in ("c10_mpa", "c01_mpa"):
-                if not math.isfinite(getattr(model, key)):
-                    raise SchemaError(f"{where}.model.{key}", "must be finite")
             if not 0.0 < model.poisson <= 0.5:
                 raise SchemaError(
                     f"{where}.model.poisson", "Poisson ratio must be in (0, 0.5]"
@@ -220,6 +209,13 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
             model=model,
         )
     return out
+
+
+def _band(values, where: str, key: str) -> tuple[float, float]:
+    """A [low, high] band of finite numbers at ``where.key``."""
+    if not isinstance(values, list) or len(values) != 2:
+        raise SchemaError(f"{where}.{key}", "must be a list of 2 numbers")
+    return _number(values[0], where, key), _number(values[1], where, key)
 
 
 def get_material(db: dict[str, MaterialSpec], name: str) -> MaterialSpec:

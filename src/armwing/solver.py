@@ -88,6 +88,7 @@ __all__ = [
 NEWTON_TOL_MM = 1e-9
 NEWTON_MAX_ITER = 50
 GAIT_MIN_SAMPLES = 8
+METHODS = ("auto", "analytic", "newton")  # the solver routes a caller may ask for
 TWO_PI = 2.0 * math.pi
 
 
@@ -661,6 +662,17 @@ def _configuration(graph, sol: _Solution) -> Configuration:
     )
 
 
+def _analytic_route(mech: MechanismGraph, method: str) -> bool:
+    """Whether ``method`` solves ``mech`` by its analytic plan: 'auto' when
+    it has one, 'analytic' always (ValueError when it has none), 'newton'
+    never.  Any other method is a ValueError."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "analytic" and mech.plan is None:
+        raise ValueError("mechanism has no analytic solve plan")
+    return method != "newton" and mech.plan is not None
+
+
 def solve_configuration(
     mech: MechanismGraph,
     phi: float,
@@ -676,18 +688,15 @@ def solve_configuration(
     Configuration or a mapping of every free joint's angle in radians
     (SchemaError when one is missing), such as ``mech.home_pose``.
     """
-    if method not in ("auto", "analytic", "newton"):
-        raise ValueError(f"unknown method {method!r}")
+    analytic = _analytic_route(mech, method)
     _one_design(mech, "solve_configuration")
     phi = float(phi)
-    if method in ("auto", "analytic") and mech.plan is not None:
+    if analytic:
         sol = _solve_analytic(mech, phi)
         _raise_first_failure(sol)
         if float(sol.residual) > NEWTON_TOL_MM:  # defensive; not expected
             sol = _solve_newton(mech, phi, _free_vector(mech, sol))
         return _configuration(mech, sol)
-    if method == "analytic":
-        raise ValueError("mechanism has no analytic solve plan")
     q0 = _guess_vector(mech, guess, phi)
     sol = _solve_newton(mech, phi, q0)
     return _configuration(mech, sol)
@@ -714,9 +723,7 @@ def sweep_series(
     b alone, bit for bit.  The Newton route sweeps one design at a time.
     """
     phi = phase_grid(samples)
-    analytic = method in ("auto", "analytic") and mech.plan is not None
-    if method == "analytic" and mech.plan is None:
-        raise ValueError("mechanism has no analytic solve plan")
+    analytic = _analytic_route(mech, method)
 
     if analytic:
         # The wrap sample 2*pi rides along in the grid solve; it never

@@ -147,11 +147,12 @@ def test_get_material_lists_known_names():
 
 def test_database_version_check(tmp_path: Path):
     doc = json.loads(default_materials_path().read_text())
-    doc["format_version"] = 99
     bad = tmp_path / "materials.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(VersionError):
-        load_materials(bad)
+    for version in (99, True):  # True == 1, but a bool is no version
+        doc["format_version"] = version
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(VersionError):
+            load_materials(bad)
 
 
 def test_database_schema_checks(tmp_path: Path):
@@ -214,11 +215,18 @@ def _one_material(**overrides) -> dict:
                                          "c01_mpa": math.inf, "poisson": 0.49})),
          "materials[0].model.c01_mpa"),
         (json.dumps(_one_material(model="mooney-rivlin")), "materials[0].model"),
+        (json.dumps(_one_material(shore_a=[10**400, 30.0])), "materials[0].shore_a"),
+        (json.dumps(_one_material(model={"type": "mooney-rivlin", "c10_mpa": 10**400,
+                                         "c01_mpa": 0.01, "poisson": 0.49})),
+         "materials[0].model.c10_mpa"),
+        (json.dumps(_one_material(shore_a=[True, 50.0])), "materials[0].shore_a"),
+        (json.dumps(_one_material(shore_a="55")), "materials[0].shore_a"),
     ],
     ids=["invalid-json", "list-top-level", "materials-not-a-list",
          "name-not-a-string", "nan-elongation", "inf-shore", "reversed-shore",
          "shore-over-100", "nan-c10", "inf-c01",
-         "model-not-an-object"],
+         "model-not-an-object", "huge-shore", "huge-c10", "bool-in-band",
+         "string-band"],
 )
 def test_malformed_database_is_a_schema_error(tmp_path: Path, text, where):
     path = tmp_path / "db.json"

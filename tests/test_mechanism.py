@@ -12,10 +12,12 @@ from armwing import (
     AngleOutput,
     DanglingOutput,
     DesignVector,
+    Driver,
     GearCoupling,
     GroundPivot,
     Joint,
     Link,
+    LinkageSpec,
     MissingDriver,
     NonPositiveLength,
     OpenChain,
@@ -89,6 +91,38 @@ def test_over_constrained_when_a_loop_is_doubled():
     spec.joints.append(Joint("j_pin2", ("ground", "D"), ("coupler", "far")))
     with pytest.raises(OverConstrained):
         validate_mechanism(spec)
+
+
+def test_two_links_joined_twice_validate_with_no_analytic_plan():
+    # Link a hangs from ground and holds link b by two joints; the crank is
+    # on its own pivot.  Loop jy has two unplaced links, a and b, hinged at
+    # jy, but each reaches the other through jx: no outer body is placed.
+    spec = LinkageSpec(
+        name="joined twice",
+        links=[
+            Link("crank", {"root": np.zeros(2), "tip": np.array([10.0, 0.0])}),
+            Link("a", {"root": np.zeros(2), "p": np.array([10.0, 0.0]),
+                       "q": np.array([20.0, 0.0])}),
+            Link("b", {"p": np.zeros(2), "q": np.array([10.0, 0.0])}),
+        ],
+        ground_pivots=[GroundPivot("O", 0.0, 0.0), GroundPivot("C", 50.0, 0.0)],
+        joints=[
+            Joint("jd", ("ground", "C"), ("crank", "root")),
+            Joint("ja", ("ground", "O"), ("a", "root")),
+            Joint("jx", ("a", "p"), ("b", "p")),
+            Joint("jy", ("a", "q"), ("b", "q")),
+        ],
+        driver=Driver("jd"),
+        angle_outputs=[AngleOutput("theta_s", link="a"), AngleOutput("theta_e", link="b")],
+        point_outputs={"elbow": ("a", "p"), "wingtip": ("b", "q")},
+    )
+    mech = validate_mechanism(spec)
+    assert mech.closures == ["jy"]
+    assert mech.free_joints == ["ja", "jx"]
+    assert {body: [j.id for j in pair] for body, pair in mech.loops["jy"].items()} == {
+        "a": ["jy", "jx"], "b": ["jy", "jx"]}
+    assert mech.steps is None and mech.plan is None
+    assert [entry.kind for entry in mech.constraints] == ["assembled", "assembled"]
 
 
 def test_zero_extent_link_rejected():
@@ -326,7 +360,7 @@ def test_cyclic_gear_couplings_are_rejected(reference):
 def test_copy_shares_topology_and_owns_every_geometry_record(reference):
     before = mechanism_to_dict(reference.spec)
     twin = reference.copy()
-    tables = ("joints", "tree_order", "loops", "steps", "plan",
+    tables = ("joints", "tree_parent", "loops", "steps", "plan",
               "newton_steps", "constraints", "parameters")
     for table in tables:
         assert getattr(twin, table) is getattr(reference, table)

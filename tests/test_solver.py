@@ -60,6 +60,15 @@ def test_newton_matches_analytic_on_the_armwing(reference):
     assert float(np.max(np.abs(analytic["free"] - newton["free"]))) <= 1e-9
 
 
+@pytest.mark.parametrize("method", ["newtn", "Analytic", ""])
+def test_every_route_rejects_an_unknown_method(demo_fourbar, method):
+    for solve in (lambda: solve_configuration(demo_fourbar, 0.0, method=method),
+                  lambda: sweep_series(demo_fourbar, 36, method=method),
+                  lambda: sweep_gait(demo_fourbar, 36, method=method)):
+        with pytest.raises(ValueError, match="unknown method"):
+            solve()
+
+
 def test_solve_configuration_accepts_home_pose_guess(reference):
     config = solve_configuration(reference, 0.0, method="newton",
                                  guess=reference.home_pose)
