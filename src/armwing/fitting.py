@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -204,7 +205,7 @@ def _check_grid(targets: TargetGait) -> None:
         )
 
 
-def _stage_parts(series: dict, targets: TargetGait, stage: str):
+def _stage_parts(series: Mapping, targets: TargetGait, stage: str):
     """(series key, angle errors, penalized samples) of each fitted series."""
     fitted = (
         ("theta_s_deg", targets.shoulder_deg, ("humerus", "all")),
@@ -216,7 +217,7 @@ def _stage_parts(series: dict, targets: TargetGait, stage: str):
             yield key, diff, ~series["ok"] | ~np.isfinite(diff)
 
 
-def _stage_residuals(series: dict, targets: TargetGait, stage: str) -> np.ndarray:
+def _stage_residuals(series: Mapping, targets: TargetGait, stage: str) -> np.ndarray:
     """The stage's angle errors of a sweep; failed samples get PENALTY_DEG.
     A batched sweep gives a row per design."""
     return np.concatenate([
@@ -225,7 +226,7 @@ def _stage_residuals(series: dict, targets: TargetGait, stage: str) -> np.ndarra
     ], axis=-1)
 
 
-def _stage_jacobian(series: dict, tangents: dict, targets: TargetGait, stage: str):
+def _stage_jacobian(series: Mapping, tangents: dict, targets: TargetGait, stage: str):
     """d(_stage_residuals) along the tangents' directions, (residuals, n).
 
     PENALTY_DEG entries are constants: their rows, and any non-finite
@@ -252,7 +253,7 @@ def constraint_names(mech: MechanismGraph) -> list[str]:
 
 def _constraint_core(
     mech: MechanismGraph,
-    series: dict,
+    series: Mapping,
     tangents: dict | None = None,
     dgeom: np.ndarray | None = None,
 ):

@@ -66,6 +66,11 @@ TRAJECTORY_COLUMNS = (
 # ---------------------------------------------------------------------------
 # mechanism documents
 
+# The largest target angle magnitude, degrees: thousands of turns, far past
+# any wingbeat, and small enough that a fit's squared angle errors, their
+# sums and their gradients stay finite.
+TARGET_ANGLE_MAX_DEG = 1e6
+
 _REQUIRED = object()  # a field default: the key must be present
 
 # The one definition of the mechanism document's records: each section's
@@ -413,7 +418,9 @@ def targets_from_trajectory(data: dict[str, np.ndarray]) -> TargetGait:
     downstream grid-identity checks hold bitwise.  A wingbeat target needs
     at least GAIT_MIN_SAMPLES phases, the floor of a gait sweep: a fit
     checks assembly on the target grid alone, so a coarser target could
-    fit a design that does not turn through the wingbeat.
+    fit a design that does not turn through the wingbeat.  Target angles
+    are at most TARGET_ANGLE_MAX_DEG in magnitude (SchemaError naming the
+    column).
     """
     phi_deg = data["phi_deg"]
     n = len(phi_deg)
@@ -426,6 +433,11 @@ def targets_from_trajectory(data: dict[str, np.ndarray]) -> TargetGait:
         raise GridMismatch(
             f"trajectory phases are not the uniform {n}-sample wingbeat grid"
         )
+    for column in ("theta_s_deg", "theta_e_deg"):
+        if not np.all(np.abs(data[column]) <= TARGET_ANGLE_MAX_DEG):
+            raise SchemaError(
+                column, f"target angles must lie within +-{TARGET_ANGLE_MAX_DEG:g} degrees"
+            )
     return TargetGait(
         phi=grid,
         shoulder_deg=np.asarray(data["theta_s_deg"], dtype=float),

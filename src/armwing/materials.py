@@ -141,6 +141,19 @@ def strain_budget_check(
     )
 
 
+# The keys a database entry and its model may hold.
+_ENTRY_KEYS = frozenset(("name", "shore_a", "elongation_break_pct", "description", "model"))
+_MODEL_KEYS = frozenset(("type", "c10_mpa", "c01_mpa", "poisson"))
+
+
+def _known(doc: dict, keys: frozenset, where: str) -> dict:
+    """``doc`` when every key is one of ``keys``, else SchemaError naming the
+    first unknown one."""
+    if not doc.keys() <= keys:
+        raise SchemaError(f"{where}.{min(doc.keys() - keys)}", "unknown key")
+    return doc
+
+
 def default_materials_path() -> Path:
     return Path(str(resources.files("armwing").joinpath("data/materials.json")))
 
@@ -150,7 +163,8 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
 
     Returns an insertion-ordered name -> MaterialSpec mapping.  Raises
     VersionError on a missing/unsupported format_version and SchemaError
-    on a file that is not a JSON object or on malformed entries.
+    on a file that is not a JSON object or on malformed entries, unknown
+    keys in an entry or its model included.
     """
     src = Path(path) if path is not None else default_materials_path()
     try:
@@ -171,6 +185,9 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
         raise SchemaError("materials", f"must be a list, not {type(entries).__name__}")
     for i, entry in enumerate(entries):
         where = f"materials[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(where, f"must be an object, not {type(entry).__name__}")
+        _known(entry, _ENTRY_KEYS, where)
         try:
             name = entry["name"]
             shore, brk = (_band(entry[key], where, key)
@@ -186,10 +203,16 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
             raise SchemaError(where, "elongation band must be positive, low <= high")
         if name in out:
             raise SchemaError(where, f"duplicate material {name!r}")
+        description = entry.get("description", "")
+        if not isinstance(description, str):
+            raise SchemaError(f"{where}.description", f"must be a string, got {description!r}")
         model = None
         raw_model = entry.get("model")
         if raw_model is not None:
-            kind = raw_model.get("type") if isinstance(raw_model, dict) else raw_model
+            if not isinstance(raw_model, dict):
+                raise SchemaError(f"{where}.model",
+                                  f"must be an object, not {type(raw_model).__name__}")
+            kind = _known(raw_model, _MODEL_KEYS, f"{where}.model").get("type")
             if kind != "mooney-rivlin":
                 raise SchemaError(f"{where}.model", f"unknown model type {kind!r}")
             try:
@@ -205,7 +228,7 @@ def load_materials(path: str | Path | None = None) -> dict[str, MaterialSpec]:
             name=name,
             shore_a=shore,
             elongation_break_pct=brk,
-            description=entry.get("description", ""),
+            description=description,
             model=model,
         )
     return out

@@ -16,9 +16,11 @@ Scaled designs are swept as batches on the geometry array's design axis,
 at most PASS_SAMPLES phase samples per pass (_sweep_designs, which also
 screens a fit's random starts).  A design's row equals its own sweep bit
 for bit, so scores do not depend on the pass size, which bounds the
-working set: ranking the reference (66 designs) in one pass added 14 MB of
-peak memory and took 36 ms, in 8-design passes 1.5 MB and 32 ms, in
-4-design passes 0.4 MB and 43 ms (shared 2-core VM).  A mechanism with no
+working set: ranking the reference (66 designs) in one pass peaked at
+9.8 MB of traced memory and took 10 ms, in 8-design passes 1.6 MB and
+10 ms, in 4-design passes 1.0 MB and 12 ms (tracemalloc peak, best CPU
+time of 15 ranks, shared 2-core VM).  A pass reads only ``ok`` and ``tip``
+of its sweep, so no other entry of it is computed.  A mechanism with no
 analytic plan sweeps on the Newton route, which takes one design a pass.
 """
 

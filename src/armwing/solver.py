@@ -44,6 +44,15 @@ seeded with dq/dp gives every total derivative (``_design_tangents``).
 ``sweep_tangents`` differentiates a sweep's angle outputs, margins and
 transmissions.
 
+``sweep_series`` solves and checks at once, and computes every other output
+when a caller first reads it: the angle series (each unwrap on its own
+read), the elbow and tip paths, the continuity figures, the analytic
+route's free angles and, through ``_Solution.gap`` and ``residual``, the
+closure gaps.  A sensitivity pass reads ok and tip alone; a fit reads ok,
+the margins, the transmissions and one angle series.  A ``_Solution`` owns
+a private copy of the geometry it was solved for, so what is read from it
+later does not move when the graph's geometry is edited.
+
 Every returned Configuration carries a residual certificate re-evaluated
 from the closure equations; a configuration is only reported as solved
 when that norm is at or below NEWTON_TOL_MM.
@@ -51,8 +60,9 @@ when that norm is at or below NEWTON_TOL_MM.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,7 +159,7 @@ class _Configurations(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
-        return _configuration(self._sol.graph, self._sol[range(len(self))[k]])
+        return _configuration(self._sol[range(len(self))[k]])
 
 
 def wrap_pi(angle):
@@ -161,16 +171,22 @@ def wrap_pi(angle):
 
 class _Solution:
     """Dense solved state of a graph's designs over a scalar phase or a phase
-    grid: arrays of shape batch + phase shape, plane points complex x + iy."""
+    grid: arrays of shape batch + phase shape, plane points complex x + iy.
+
+    It owns ``geom``, a private copy of the graph's geometry taken when it is
+    built: editing the graph's geometry afterwards moves nothing read from
+    it.  The closure gaps ``gap`` and their norm ``residual`` are computed
+    when first read, and kept."""
 
     def __init__(self, graph: MechanismGraph, phi):
         self.graph = graph
         self.phi = np.asarray(phi, dtype=float)
-        batch = graph.geom.shape[:-1]
+        self.geom = geom = np.copy(graph.geom)
+        batch = geom.shape[:-1]
         # Geometry slot-major: cols[i] is slot i per design, shaped to
         # broadcast over the phase axes (a plain scalar for one design).
         pad = (1,) * self.phi.ndim if batch else ()
-        self.cols = graph.geom.T.reshape(graph.geom.shape[-1:] + batch + pad)
+        self.cols = geom.T.reshape(geom.shape[-1:] + batch + pad)
         # Entry i is the point whose x sits in slot i, in its link's frame.
         self.xy = self.cols[:-1] + 1j * self.cols[1:]
         shape = batch + self.phi.shape
@@ -181,27 +197,43 @@ class _Solution:
         self.ok = np.ones(shape, dtype=bool)
         self.margin: dict[str, np.ndarray] = {}
         self.transmission: dict[str, np.ndarray] = {}
-        self.gap: np.ndarray | None = None  # stacked closure gaps, (..., 2*loops)
-        self.residual: np.ndarray | None = None
         self.steps: list[tuple] = []  # the step list that placed the links
+        self._whole = None  # (solution, index) this one was cut from
 
     def __getitem__(self, index) -> "_Solution":
         """One sample (int) or a range of samples (slice) of a grid solution.
 
-        It shares this solution's geometry columns ``cols`` and ``xy``; a
-        sample of a batch drops their phase axis of length 1."""
-        at = (slice(None),) * (self.graph.geom.ndim - 1) + (index,)  # phase axis
+        It shares this solution's geometry ``geom``, ``cols`` and ``xy`` (a
+        sample of a batch drops their phase axis of length 1), and cuts its
+        closure gaps from this solution's."""
+        at = (slice(None),) * (self.geom.ndim - 1) + (index,)  # phase axis
         out = object.__new__(_Solution)
-        out.graph, out.phi = self.graph, self.phi[index]
+        out.graph, out.phi, out.geom = self.graph, self.phi[index], self.geom
         out.cols, out.xy = self.cols, self.xy
-        if out.phi.ndim < self.phi.ndim and self.graph.geom.ndim > 1:
+        if out.phi.ndim < self.phi.ndim and self.geom.ndim > 1:
             out.cols, out.xy = self.cols[..., 0], self.xy[..., 0]
         for name in ("theta", "turn", "origin", "alpha", "margin", "transmission"):
             setattr(out, name, {k: v[at] for k, v in getattr(self, name).items()})
-        for name in ("ok", "gap", "residual"):
-            setattr(out, name, getattr(self, name)[at])
+        out.ok = self.ok[at]
         out.steps = self.steps
+        out._whole = (self, at)
         return out
+
+    @functools.cached_property
+    def gap(self) -> np.ndarray:
+        """The stacked closure gaps, shape (..., 2*loops)."""
+        if self._whole is not None:
+            whole, at = self._whole
+            return whole.gap[at]
+        return _closure_gaps(self, self.graph.gaps, self.ok.shape)
+
+    @functools.cached_property
+    def residual(self) -> np.ndarray:
+        """The norm of the closure gaps per sample."""
+        if self._whole is not None:
+            whole, at = self._whole
+            return whole.residual[at]
+        return np.sqrt(np.sum(self.gap * self.gap, axis=-1))
 
     def read(self, table: str, key: str) -> np.ndarray:
         """The state table[key]: theta or origin of a link, alpha of a joint,
@@ -222,14 +254,11 @@ class _Solution:
         self.origin[link_id] = anchor - turn * self.xy[slot]
 
     def finish(self):
-        """Fill unset joint angles from link orientations, the closure gaps
-        and their norm, the residual."""
+        """Fill unset joint angles from link orientations."""
         g = self.graph
         for jid, joint in g.joints.items():
             if jid not in self.alpha:
                 self.alpha[jid] = self.theta[joint.b[0]] - self.theta[joint.a[0]]
-        self.gap = _closure_gaps(self, g.gaps, self.ok.shape)
-        self.residual = np.sqrt(np.sum(self.gap * self.gap, axis=-1))
         return self
 
 
@@ -380,7 +409,7 @@ class _Tangent:
 
     def __init__(self, sol: _Solution, dgeom: np.ndarray, dfree=None):
         g = sol.graph
-        _one_design(g, "a tangent pass")
+        _one_design(sol, "a tangent pass")
         self.sol = sol
         self.n = len(dgeom)
         pad = (1,) * sol.phi.ndim
@@ -536,7 +565,7 @@ def _design_tangents(sol: _Solution, dgeom: np.ndarray) -> _Tangent:
     return _tangents(sol, dgeom, np.moveaxis(dq, -1, 0))
 
 
-def sweep_tangents(series: dict, dgeom) -> dict:
+def sweep_tangents(series: Mapping, dgeom) -> dict:
     """Exact derivatives of a one-design sweep_series result along the rows
     of ``dgeom``: n directions in the slot space of the design's ``geom``,
     shape (n, P).
@@ -571,7 +600,7 @@ def _closure_jacobian(sol: _Solution) -> np.ndarray:
     the tangent pass seeded on each free angle."""
     g = sol.graph
     nq = len(g.free_joints)
-    return _tangents(sol, np.zeros((nq, g.geom.size)), np.eye(nq)).gaps().T
+    return _tangents(sol, np.zeros((nq, sol.geom.size)), np.eye(nq)).gaps().T
 
 
 def _solve_newton(graph: MechanismGraph, phi: float, q0: np.ndarray) -> _Solution:
@@ -619,8 +648,9 @@ def _free_vector(graph, sol: _Solution) -> np.ndarray:
     return np.stack(angles, axis=-1) if angles else np.empty(sol.ok.shape + (0,))
 
 
-def _one_design(graph: MechanismGraph, what: str) -> None:
-    if graph.geom.ndim != 1:
+def _one_design(state, what: str) -> None:
+    """ValueError unless ``state`` (a graph or a _Solution) holds one design."""
+    if state.geom.ndim != 1:
         raise ValueError(f"{what} takes a graph of one design, not a batch")
 
 
@@ -643,9 +673,10 @@ def _guess_vector(graph, guess, phi: float) -> np.ndarray:
     )
 
 
-def _configuration(graph, sol: _Solution) -> Configuration:
+def _configuration(sol: _Solution) -> Configuration:
     """The Configuration of a single-sample solution."""
-    _one_design(graph, "a Configuration")
+    graph = sol.graph
+    _one_design(sol, "a Configuration")
     joint_angles = {jid: float(sol.alpha[jid]) for jid in graph.joints}
     points: dict[str, tuple[float, float]] = {}
     for (link_id, pname), slot in graph._xy.items():
@@ -696,10 +727,40 @@ def solve_configuration(
         _raise_first_failure(sol)
         if float(sol.residual) > NEWTON_TOL_MM:  # defensive; not expected
             sol = _solve_newton(mech, phi, _free_vector(mech, sol))
-        return _configuration(mech, sol)
+        return _configuration(sol)
     q0 = _guess_vector(mech, guess, phi)
     sol = _solve_newton(mech, phi, q0)
-    return _configuration(mech, sol)
+    return _configuration(sol)
+
+
+class _Series(MutableMapping):
+    """A sweep_series result: a mapping whose derived entries are computed
+    when first read, and kept.  An entry of ``entries`` is its value, or a
+    function of no arguments that makes it (no value is callable)."""
+
+    def __init__(self, entries: dict):
+        self._entries = entries
+        self._pending = {key for key, value in entries.items() if callable(value)}
+
+    def __getitem__(self, key):
+        if key in self._pending:
+            self._entries[key] = self._entries[key]()
+            self._pending.discard(key)
+        return self._entries[key]
+
+    def __setitem__(self, key, value) -> None:
+        self._entries[key] = value
+        self._pending.discard(key)
+
+    def __delitem__(self, key) -> None:
+        del self._entries[key]
+        self._pending.discard(key)
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def sweep_series(
@@ -707,15 +768,21 @@ def sweep_series(
     samples: int = 360,
     strict: bool = True,
     method: str = "auto",
-) -> dict:
+) -> MutableMapping:
     """Sweep one wingbeat and return dense arrays (no Configuration objects).
 
-    Returns a dict with phi, ok, theta_s_deg, theta_e_deg, elbow, tip,
-    residual, margin, transmission, free (free joint angle matrix),
-    max_step_rad and wrap_deviation_rad.  With ``strict`` the first failing
-    sample raises, annotated with its phase; otherwise failures are masked
-    in ``ok``, and a design whose sweep is interrupted gets principal-valued
-    angle series and NaN continuity figures.
+    Returns a mapping with phi, ok, residual, margin, transmission, free
+    (free joint angle matrix), max_step_rad, wrap_deviation_rad,
+    theta_s_deg, theta_e_deg, elbow, tip and _solution.  With ``strict``
+    the first failing sample raises, annotated with its phase; otherwise
+    failures are masked in ``ok``, and a design whose sweep is interrupted
+    gets principal-valued angle series and NaN continuity figures.
+
+    The solve, phi, ok, margin, transmission, _solution and the Newton
+    route's free are computed at once.  Every other entry is computed when
+    it is first read, and kept: a caller pays only for what it reads.  The
+    solution owns a copy of the swept geometry, so editing ``mech.geom``
+    afterwards changes no entry read later, nor any sweep_tangents result.
 
     A batch of B designs (``geom`` of shape (B, P)) sweeps in one pass: every
     array but phi gains a leading axis of B (ok (B, N), tip (B, N, 2), free
@@ -732,60 +799,80 @@ def sweep_series(
         sol = full[:samples]
         if strict:
             _raise_first_failure(sol)
-        free = _free_vector(mech, sol)
-        wrap_free = _free_vector(mech, full)[..., samples, :]
+        free = functools.cache(functools.partial(_free_vector, mech, sol))
+
+        def wrap_free():
+            return _free_vector(mech, full)[..., samples, :]
     else:
         _one_design(mech, "the Newton route")
         # Sequential continuation keeps only the free angles; one forward
         # pass over them then fills the grid solution.
-        free = np.full((samples, len(mech.free_joints)), np.nan)
+        angles = np.full((samples, len(mech.free_joints)), np.nan)
         ok = np.ones(samples, dtype=bool)
         q = _guess_vector(mech, None, float(phi[0]))
         for k in range(samples):
             try:
-                q = free[k] = _free_vector(mech, _solve_newton(mech, float(phi[k]), q))
+                q = angles[k] = _free_vector(mech, _solve_newton(mech, float(phi[k]), q))
             except (NoConvergence, SingularJacobian, NotAssemblable):
                 if strict:
                     raise
                 ok[k] = False
         try:
-            wrap_free = _free_vector(mech, _solve_newton(mech, TWO_PI, q))
+            wrap = _free_vector(mech, _solve_newton(mech, TWO_PI, q))
         except (NoConvergence, SingularJacobian, NotAssemblable):
-            wrap_free = np.full(len(mech.free_joints), np.nan)
-        sol = _forward(mech, phi, free)
+            wrap = np.full(len(mech.free_joints), np.nan)
+
+        def free():
+            return angles
+
+        def wrap_free():
+            return wrap
+
+        sol = _forward(mech, phi, angles)
         sol.ok = ok
 
     all_ok = np.all(sol.ok, axis=-1)  # per design
-    out = {
-        "phi": phi,
-        "ok": sol.ok.copy(),
-        "residual": sol.residual,
-        "margin": dict(sol.margin),
-        "transmission": dict(sol.transmission),
-        "free": free,
-    }
-    # Steps run between consecutive samples, the last onto the wrap sample;
-    # maxima over no free angles are 0.  A design that failed somewhere gets
-    # NaN and principal-valued angles (NaN samples only slow the arithmetic).
-    valid = all_ok & (len(phi) > 1)
-    steps = deviation = math.nan
-    if np.any(valid):
-        cycle = np.concatenate([free, wrap_free[..., None, :]], axis=-2)
-        steps = np.abs(wrap_pi(np.diff(cycle, axis=-2))).max(axis=(-2, -1), initial=0.0)
-        deviation = np.abs(wrap_pi(wrap_free - free[..., 0, :])).max(axis=-1, initial=0.0)
-    out["max_step_rad"] = np.where(valid, steps, math.nan)[()]
-    out["wrap_deviation_rad"] = np.where(valid, deviation, math.nan)[()]
 
-    for name in ("theta_s", "theta_e"):
+    @functools.cache
+    def continuity():
+        # Steps run between consecutive samples, the last onto the wrap
+        # sample; maxima over no free angles are 0.  A design that failed
+        # somewhere gets NaN (NaN samples only slow the arithmetic).
+        valid = all_ok & (len(phi) > 1)
+        steps = deviation = math.nan
+        if np.any(valid):
+            swept, last = free(), wrap_free()
+            cycle = np.concatenate([swept, last[..., None, :]], axis=-2)
+            steps = np.abs(wrap_pi(np.diff(cycle, axis=-2))).max(axis=(-2, -1), initial=0.0)
+            deviation = np.abs(wrap_pi(last - swept[..., 0, :])).max(axis=-1, initial=0.0)
+        return np.where(valid, steps, math.nan)[()], np.where(valid, deviation, math.nan)[()]
+
+    def angle(name):
+        # Unwrapped only for a design that assembled at every sample.
         table, key, sign, offset = mech._angle_outputs[name]
         raw = sol.read(table, key)
         if np.any(all_ok):
             raw = np.where(all_ok[..., None], np.unwrap(raw, axis=-1), raw)
-        out[f"{name}_deg"] = sign * np.degrees(raw) + sol.cols[offset]
-    out["elbow"] = _plane(sol.point_world(*mech._point_outputs["elbow"]), sol.ok.shape)
-    out["tip"] = _plane(sol.point_world(*mech._point_outputs["wingtip"]), sol.ok.shape)
-    out["_solution"] = sol
-    return out
+        return sign * np.degrees(raw) + sol.cols[offset]
+
+    def point(name):
+        return _plane(sol.point_world(*mech._point_outputs[name]), sol.ok.shape)
+
+    return _Series({
+        "phi": phi,
+        "ok": sol.ok.copy(),
+        "residual": lambda: sol.residual,
+        "margin": dict(sol.margin),
+        "transmission": dict(sol.transmission),
+        "free": free,
+        "max_step_rad": lambda: continuity()[0],
+        "wrap_deviation_rad": lambda: continuity()[1],
+        "theta_s_deg": functools.partial(angle, "theta_s"),
+        "theta_e_deg": functools.partial(angle, "theta_e"),
+        "elbow": functools.partial(point, "elbow"),
+        "tip": functools.partial(point, "wingtip"),
+        "_solution": sol,
+    })
 
 
 def sweep_gait(
@@ -802,15 +889,13 @@ def sweep_gait(
             f"a gait sweep needs at least {GAIT_MIN_SAMPLES} samples, got {samples}"
         )
     series = sweep_series(mech, samples, strict=True, method=method)
-    sol = series["_solution"]
-    sol.graph = mech.copy()
     return GaitTrajectory(
         phi=series["phi"],
         theta_s_deg=series["theta_s_deg"],
         theta_e_deg=series["theta_e_deg"],
         elbow_path=series["elbow"],
         tip_path=series["tip"],
-        configurations=_Configurations(sol),
+        configurations=_Configurations(series["_solution"]),
         wrap_deviation_rad=series["wrap_deviation_rad"],
         max_step_rad=series["max_step_rad"],
         residual_max=np.max(series["residual"], axis=-1)[()],

@@ -1,12 +1,26 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from armwing import cli, parse_mechanism_file, read_trajectory_csv, write_mechanism_file
+from armwing import (
+    ArmwingError,
+    cli,
+    parse_mechanism_file,
+    read_trajectory_csv,
+    sample_targets,
+    write_mechanism_file,
+)
+from armwing.io import target_csv_text
 
 from conftest import DEMO_PATH, REFERENCE_PATH
 from test_fitting import _with_a_held_parameter
@@ -490,3 +504,90 @@ def test_a_target_csv_needs_the_gait_sweep_floor(samples, code, tmp_path: Path, 
         8: "",
     }[samples]
     assert (tmp_path / "fit.json").exists() == (code == 0)
+
+
+def _error_names(cls=ArmwingError) -> set[str]:
+    """The names of ArmwingError and of every subclass of it."""
+    return {cls.__name__}.union(*(_error_names(sub) for sub in cls.__subclasses__()))
+
+
+# A valid 12-phase target trajectory, as lines of bytes without line ends.
+_TARGET_LINES = target_csv_text(sample_targets(12)).encode().splitlines()
+# Cell texts beside any float's repr: non-finite, huge and tiny values, and
+# text float() reads or rejects.
+_CELLS = st.sampled_from([
+    "nan", "inf", "-inf", "1e308", "-1.7976931348623157e308", "1e999", "5e-324", "1e300",
+    "", "abc", "1_0", " 7", "0x10", "-0", "1,2",
+]) | st.floats().map(repr) | st.floats(-1e3, 1e3).map(repr)
+
+
+@st.composite
+def _mutated_csvs(draw) -> bytes:
+    """A valid trajectory CSV with up to three row or cell edits (a cell
+    replaced, a row repeated or dropped), then perhaps one byte-level damage:
+    a BOM, bytes that are not UTF-8 or a truncation."""
+    lines = list(_TARGET_LINES)
+    for edit in draw(st.lists(st.sampled_from(["cell", "repeat", "drop"]), max_size=3)):
+        row = draw(st.integers(0, len(lines) - 1), label="row")
+        if edit == "cell":
+            cells = lines[row].split(b",")
+            column = draw(st.integers(0, len(cells) - 1), label="column")
+            cells[column] = draw(_CELLS, label="cell").encode()
+            lines[row] = b",".join(cells)
+        elif edit == "repeat":
+            lines.insert(row, lines[row])
+        else:
+            del lines[row]
+    data = b"".join(line + b"\n" for line in lines)
+    damage = draw(st.sampled_from([None, "bom", "bytes", "truncate"]), label="damage")
+    if damage == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif damage == "bytes":
+        at = draw(st.integers(0, len(data)), label="at")
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00"])) + data[at:]
+    elif damage == "truncate":
+        data = data[: draw(st.integers(0, len(data)), label="length")]
+    return data
+
+
+def _shoulder_cell(value: str) -> bytes:
+    """The valid target with the shoulder angle of its first row set to ``value``."""
+    lines = list(_TARGET_LINES)
+    cells = lines[1].split(b",")
+    cells[1] = value.encode()
+    lines[1] = b",".join(cells)
+    return b"".join(line + b"\n" for line in lines)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=_mutated_csvs())
+@example(data=_shoulder_cell("-12.5"))  # valid: every command succeeds
+@example(data=b"\xef\xbb\xbf" + _shoulder_cell("-12.5"))
+@example(data=_shoulder_cell("1e308"))  # a huge target angle overflowed the fit
+@example(data=_shoulder_cell("1.7976931348623157e308"))
+@example(data=_shoulder_cell("-12.5")[:-5])
+def test_a_mutated_trajectory_csv_reads_or_fails_by_name(data):
+    """A trajectory CSV with broken bytes or cells is read, plotted and fitted
+    to, or the reader raises an ArmwingError and the CLI exits 1 naming one."""
+    names = _error_names()
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "t.csv"
+        csv.write_bytes(data)
+        try:
+            read_trajectory_csv(csv)
+        except ArmwingError:
+            pass
+        for argv in (
+            ["plot", "--csv", csv, "--out", Path(tmp) / "o.svg"],
+            ["optimize", "--mech", REFERENCE_PATH, "--targets", csv, "--stage", "humerus",
+             "--multistarts", "1", "--maxiter", "2", "--out", Path(tmp) / "fit.json"],
+        ):
+            err = io.StringIO()
+            # Cells near the largest double overflow the plot's span: numpy warns.
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    np.errstate(all="ignore"):
+                code = cli.main([str(a) for a in argv])
+            assert code in (0, 1), argv[0]
+            if code == 1:
+                named = re.match(r"error: (\w+): ", err.getvalue())
+                assert named and named.group(1) in names, (argv[0], err.getvalue())

@@ -221,12 +221,19 @@ def _one_material(**overrides) -> dict:
          "materials[0].model.c10_mpa"),
         (json.dumps(_one_material(shore_a=[True, 50.0])), "materials[0].shore_a"),
         (json.dumps(_one_material(shore_a="55")), "materials[0].shore_a"),
+        (json.dumps(_one_material(description=5)), "materials[0].description"),
+        (json.dumps(_one_material(shoer_a=[20.0, 30.0])), "materials[0].shoer_a: unknown key"),
+        (json.dumps(_one_material(model={"type": "mooney-rivlin", "c10_mpa": 0.1,
+                                         "c01_mpa": 0.01, "poisson": 0.49, "poison": 0.4})),
+         "materials[0].model.poison: unknown key"),
+        ('{"format_version": 1, "materials": [5]}', "materials[0]: must be an object"),
     ],
     ids=["invalid-json", "list-top-level", "materials-not-a-list",
          "name-not-a-string", "nan-elongation", "inf-shore", "reversed-shore",
          "shore-over-100", "nan-c10", "inf-c01",
          "model-not-an-object", "huge-shore", "huge-c10", "bool-in-band",
-         "string-band"],
+         "string-band", "description-not-a-string", "unknown-entry-key",
+         "unknown-model-key", "entry-not-an-object"],
 )
 def test_malformed_database_is_a_schema_error(tmp_path: Path, text, where):
     path = tmp_path / "db.json"

@@ -4,8 +4,9 @@ one-design-at-a-time scorer, byte round trips of mechanism and trajectory
 files, the bytes of trajectory CSV and SVG polylines against per-value
 reference formulas, rigid bodies and closed joints in every swept pose, the
 solve routes and mirror symmetry of random Grashof four-bars, the Newton
-Jacobian against central differences of the forward pass, and the compiled
-read-sets against the outputs they claim to bound."""
+Jacobian against central differences of the forward pass, the compiled
+read-sets against the outputs they claim to bound, and sweep entries read on
+demand against every entry read in key order."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import math
 import re
 import tempfile
 import types
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,9 @@ from armwing import (
 )
 from armwing.fitting import _constraint_core
 from armwing.io import TRAJECTORY_COLUMNS, _csv_text, mechanism_to_dict
-from armwing.solver import NEWTON_TOL_MM, _closure_jacobian, _forward, wrap_pi
+from armwing.errors import NotAssemblable, SingularConfiguration
+from armwing.fourbar import COLLINEAR_TOL_RAD
+from armwing.solver import NEWTON_TOL_MM, _closure_jacobian, _forward, sweep_tangents, wrap_pi
 from armwing.svgplot import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _data_range
 
 from conftest import DEMO_PATH, REFERENCE_PATH
@@ -73,16 +77,19 @@ def _write_target(doc: dict, target: str, value: float) -> None:
 
 
 def _same_bits(a, b) -> bool:
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    """Equal keys and, entry by entry, equal shapes, dtypes and bytes; any
+    Mapping (a sweep_series result is not a dict) compares by its entries."""
+    if isinstance(a, Mapping) or isinstance(b, Mapping):
+        return (isinstance(a, Mapping) and isinstance(b, Mapping) and a.keys() == b.keys()
+                and all(_same_bits(a[k], b[k]) for k in a))
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _row(series: dict, b: int) -> dict:
+def _row(series: Mapping, b: int) -> dict:
     """Design b's sweep out of a batched sweep_series result."""
     return {
-        key: value if key == "phi" else _row(value, b) if isinstance(value, dict) else value[b]
+        key: value if key == "phi" else _row(value, b) if isinstance(value, Mapping) else value[b]
         for key, value in series.items()
         if key != "_solution"
     }
@@ -123,6 +130,19 @@ def test_with_parameters_matches_a_fresh_validation(path, data, samples, batch):
             evaluate_constraints(fresh, samples=samples),
         )
     assert mechanism_to_dict(mech.spec) == before
+
+
+def test_same_bits_tells_two_designs_apart():
+    """_same_bits compares the entries of a sweep mapping, not its key names:
+    sweeps of two designs differ, and a sweep equals its repeat."""
+    mech = _shipped(REFERENCE_PATH)
+    nudged = mech.with_parameters({"crank_len": mech.get_parameter("crank_len") * 1.01})
+    a, again, b = (sweep_series(m, 36, strict=False) for m in (mech, mech, nudged))
+    for series in (a, again, b):
+        del series["_solution"]
+    assert _same_bits(a, again) and _same_bits(a, dict(a))
+    assert not _same_bits(a, b)
+    assert not _same_bits(a, {**a, "max_step_rad": a["max_step_rad"] + 1.0})
 
 
 @st.composite
@@ -470,3 +490,91 @@ def test_outputs_move_with_their_read_sets_only(path):
 
     check()
     assert moved == wanted
+
+
+def _on_demand_case(case: str, data):
+    """(graph, method) of a sweep whose entries are read on demand."""
+    if case == "triad":
+        return validate_mechanism(_triad_sixbar()), "newton"
+    if case == "batch":  # three uniform draws in the box: some fail somewhere
+        mech = _shipped(REFERENCE_PATH)
+        columns = {}
+        for name, binding in mech.parameters.items():
+            u = np.array([data.draw(st.floats(0.0, 1.0), label=name) for _ in range(3)])
+            columns[name] = np.clip(binding.min + u * (binding.max - binding.min),
+                                    binding.min, binding.max)
+        return mech.with_parameters(columns), "auto"
+    path = {"reference": REFERENCE_PATH, "demo": DEMO_PATH}[case]
+    return data.draw(_designs_and_mirrors(path), label="design"), "auto"
+
+
+@pytest.mark.parametrize("case", ["reference", "demo", "batch", "triad"])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_entries_read_on_demand_match_reading_all_in_order(case, data):
+    """Entries of a sweep are computed when first read.  One entry read alone
+    from a fresh sweep, or every entry read in a shuffled order, has the
+    bits of every entry read in key order; so do a one-design sweep's
+    tangents taken before any entry is read, and a strict sweep of a design
+    that assembles everywhere."""
+    mech, method = _on_demand_case(case, data)
+
+    def fresh(strict=False):
+        return sweep_series(mech, 36, strict=strict, method=method)
+
+    ordered = fresh()
+    keys = [key for key in ordered if key != "_solution"]
+    want = {key: ordered[key] for key in keys}
+    one = data.draw(st.sampled_from(keys), label="one entry")
+    assert _same_bits(fresh()[one], want[one])
+    shuffled = fresh()
+    order = data.draw(st.permutations(keys), label="order")
+    assert _same_bits({key: shuffled[key] for key in order}, want)
+    assert list(shuffled) == list(ordered)
+    if mech.geom.ndim == 1:
+        dgeom = np.random.default_rng(3).normal(size=(3, mech.geom.size))
+        assert _same_bits(sweep_tangents(fresh(), dgeom), sweep_tangents(ordered, dgeom))
+    if np.all(want["ok"]):
+        strict = fresh(strict=True)
+        assert _same_bits({key: strict[key] for key in keys}, want)
+
+
+def test_a_strict_sweep_raises_at_its_first_failing_phase():
+    """Computing entries on read leaves the strict check eager: a strict sweep
+    raises at the first failed sample of the first failing dyad in plan
+    order, the sample the non-strict sweep's transmissions name."""
+    mech = _shipped(REFERENCE_PATH).with_parameters({"crank_len": 31.0})
+    series = sweep_series(mech, 360, strict=False)
+    assert not np.all(series["ok"])
+    for step in mech.plan:
+        trans = series["transmission"][step.closure]
+        if np.any(np.isnan(trans)):
+            kind, bad = NotAssemblable, np.isnan(trans)
+            break
+        if np.any(trans < COLLINEAR_TOL_RAD):
+            kind, bad = SingularConfiguration, trans < COLLINEAR_TOL_RAD
+            break
+    with pytest.raises(kind) as err:
+        sweep_series(mech, 360)
+    assert err.value.phi == float(series["phi"][bad][0])
+    assert step.closure in str(err.value)
+
+
+@pytest.mark.parametrize("method", ["analytic", "newton"])
+def test_a_sweep_owns_its_geometry(method):
+    """Editing a graph's geometry after a sweep moves no entry of the sweep
+    read afterwards, none of its tangents and none of its configurations."""
+    mech = _shipped(REFERENCE_PATH).copy()
+    ratio = next(step.ratio for kind, step in mech.steps if kind == "gear")
+    dgeom = np.random.default_rng(7).normal(size=(3, mech.geom.size))
+    before = sweep_series(mech, 36, method=method)
+    want = {key: before[key] for key in before if key != "_solution"}
+    want_tangents = sweep_tangents(before, dgeom)
+    want_poses = list(sweep_gait(mech, 36, method=method).configurations)
+    series = sweep_series(mech, 36, method=method)
+    gait = sweep_gait(mech, 36, method=method)
+    mech.geom[ratio] *= 1.5
+    mech.geom += 0.25
+    assert _same_bits({key: series[key] for key in want}, want)
+    assert _same_bits(sweep_tangents(series, dgeom), want_tangents)
+    assert list(gait.configurations) == want_poses

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -171,6 +173,24 @@ def test_non_strict_sweep_masks_failures(reference):
     # Failed samples show a positive assembly margin in some loop.
     margins = np.stack([np.asarray(m) for m in series["margin"].values()])
     assert np.all(np.nanmax(margins[:, ~ok], axis=0) > 0.0)
+
+
+@pytest.mark.parametrize("method", ["analytic", "newton"])
+def test_a_dropped_sweep_is_freed_at_once(reference, method):
+    """A sweep's result holds no reference cycle: dropping it frees its
+    solution without the cycle collector, read entries or not, so batched
+    sensitivity passes keep one pass in memory at a time."""
+    for read in ([], ["ok", "tip"], ["max_step_rad", "theta_s_deg", "residual"]):
+        gc.disable()
+        try:
+            series = sweep_series(reference, 12, method=method)
+            for key in read:
+                series[key]
+            solution = weakref.ref(series["_solution"])
+            del series
+            assert solution() is None, read
+        finally:
+            gc.enable()
 
 
 def test_assembly_report_on_a_healthy_mechanism(reference):
