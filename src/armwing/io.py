@@ -182,9 +182,9 @@ _KINDS = {
 }
 
 
-def _known(doc: dict, section: str, where: str) -> dict:
-    """``doc`` when every key is one ``section`` defines, else SchemaError."""
-    keys = _KEYS[section]
+def _known(doc: dict, keys: frozenset, where: str) -> dict:
+    """``doc`` when every key is one of ``keys``, else SchemaError naming the
+    first unknown one."""
     if not doc.keys() <= keys:
         raise SchemaError(_path(where, min(doc.keys() - keys)), "unknown key")
     return doc
@@ -211,7 +211,7 @@ def _record(raw, section: str, where: str, **values):
     cls, fields = _RECORDS[section]
     if not isinstance(raw, dict):
         raise SchemaError(where, "must be an object")
-    _known(raw, section, where)
+    _known(raw, _KEYS[section], where)
     for key, kind, default in fields:  # _expect, with the common case inlined for speed
         if key in raw:
             values[key] = _KINDS[kind][0](raw[key], where, key)
@@ -259,8 +259,8 @@ def parse_mechanism_text(text: str, source: str = "<string>") -> LinkageSpec:
             f"{source}: unsupported format_version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    _known(doc, "", "")
-    outputs = _known(_expect(doc, "outputs", dict, ""), "outputs", "outputs")
+    _known(doc, _KEYS[""], "")
+    outputs = _known(_expect(doc, "outputs", dict, ""), _KEYS["outputs"], "outputs")
     return LinkageSpec(
         name=_expect(doc, "name", str, "", default="mechanism"),
         links=_records(doc, "links"),

@@ -29,7 +29,7 @@ from .errors import (
     UnknownMaterial,
     VersionError,
 )
-from .io import _number
+from .io import _known, _number
 
 __all__ = [
     "MooneyRivlin",
@@ -144,14 +144,6 @@ def strain_budget_check(
 # The keys a database entry and its model may hold.
 _ENTRY_KEYS = frozenset(("name", "shore_a", "elongation_break_pct", "description", "model"))
 _MODEL_KEYS = frozenset(("type", "c10_mpa", "c01_mpa", "poisson"))
-
-
-def _known(doc: dict, keys: frozenset, where: str) -> dict:
-    """``doc`` when every key is one of ``keys``, else SchemaError naming the
-    first unknown one."""
-    if not doc.keys() <= keys:
-        raise SchemaError(f"{where}.{min(doc.keys() - keys)}", "unknown key")
-    return doc
 
 
 def default_materials_path() -> Path:
