@@ -42,7 +42,7 @@ from .materials import (
 )
 from .sensitivity import RANK_DELTA_MAX, sensitivity_rank, sensitivity_sweep
 from .solver import GAIT_MIN_SAMPLES, METHODS, solve_configuration, sweep_gait
-from .svgplot import PlotSpec, Series, write_svg
+from .svgplot import PlotSpec, Series, _data_range, write_svg
 
 __all__ = ["main", "build_parser"]
 
@@ -343,6 +343,12 @@ def _cmd_plot(args) -> int:
         raise UsageError("plot needs at least one --csv")
     labels = args.label or []
     scales = args.scale or []
+    if args.series in ("tip", "elbow"):
+        columns = (f"{args.series}_x_mm", f"{args.series}_y_mm")
+        x_label, y_label = "x [mm]", "y [mm]"
+    else:
+        columns = ("phi_deg", f"{args.series}_deg")
+        x_label, y_label = "phi [deg]", f"{args.series} [deg]"
     series = []
     for i, path in enumerate(args.csv):
         data = read_trajectory_csv(path)
@@ -350,18 +356,13 @@ def _cmd_plot(args) -> int:
             raise SchemaError(str(path), "a plotted trajectory needs at least 2 rows")
         label = labels[i] if i < len(labels) else Path(path).stem
         scale = scales[i] if i < len(scales) else 1.0
-        if args.series == "tip":
-            x, y = data["tip_x_mm"], data["tip_y_mm"]
-        elif args.series == "elbow":
-            x, y = data["elbow_x_mm"], data["elbow_y_mm"]
-        else:
-            x = data["phi_deg"]
-            y = data[f"{args.series}_deg"]
+        x, y = (data[column] for column in columns)
         series.append(Series(name=label, x=x, y=y, scale=scale))
-    if args.series in ("tip", "elbow"):
-        x_label, y_label = "x [mm]", "y [mm]"
-    else:
-        x_label, y_label = "phi [deg]", f"{args.series} [deg]"
+    for column, values in zip(columns, ([s.x for s in series], [s.y for s in series])):
+        try:
+            _data_range(values)
+        except ValueError as exc:  # the plot has no finite axis over this column
+            raise SchemaError(column, str(exc)) from None
     plot = PlotSpec(
         title=args.title or f"{args.series} overlay",
         x_label=x_label,

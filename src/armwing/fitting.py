@@ -28,7 +28,13 @@ residual Jacobian J are exact: one tangent pass of the solver
 parameters and skips each step none of them moves, so a stage pays for
 its side of the chain alone.  A max or min entry takes the derivative at
 its active sample; penalty entries, and entries whose read-set no live
-parameter reaches, get zero rows.  Starts are independent, each on a
+parameter reaches, get zero rows.  The primal sweep skips those steps
+too: a stage solves the analytic steps whose read-set holds no live slot
+once, and every trial sweep takes their results from that solution (in
+the radius stage, the crank and the humerus dyad).  A trial point
+computes its residuals and cost at once, and its constraint values, its
+tangent pass and its Jacobians when first read; the polish reads none of
+the constraint side.  Starts are independent, each on a
 private mechanism copy, and merge deterministically by (cost, index).
 Failed solves during the search contribute a fixed penalty per sample
 instead of aborting, so the search can skirt the assemblability boundary
@@ -46,6 +52,7 @@ the staged report takes it and its costs from a stage-'all' problem.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import OrderedDict
@@ -55,11 +62,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from .errors import EmptyResidual, FittingError, GridMismatch, NoFeasibleStart
-from .gait import TargetGait, phase_grid
+from .errors import EmptyResidual, FittingError, GridMismatch, NoFeasibleStart, SchemaError
+from .gait import TARGET_ANGLE_MAX_DEG, TargetGait, phase_grid
 from .linkage import MechanismGraph
 from .sensitivity import _sweep_designs
-from .solver import _one_design, sweep_series, sweep_tangents
+from .solver import _one_design, _solve_steps, sweep_series, sweep_tangents
 
 __all__ = [
     "DesignVector",
@@ -198,11 +205,20 @@ def cost(y) -> float:
     return float(y @ y / y.size)
 
 
-def _check_grid(targets: TargetGait) -> None:
+def _check_targets(targets: TargetGait) -> None:
+    """GridMismatch unless the targets lie on the sweep grid; SchemaError
+    naming the series when an angle is not finite or is beyond
+    TARGET_ANGLE_MAX_DEG in magnitude."""
     if not np.array_equal(targets.phi, phase_grid(len(targets.phi))):
         raise GridMismatch(
             "targets must lie on the uniform phase grid 2*pi*k/N used by sweeps"
         )
+    for name in ("shoulder_deg", "elbow_deg"):
+        if not np.all(np.abs(getattr(targets, name)) <= TARGET_ANGLE_MAX_DEG):
+            raise SchemaError(
+                f"targets.{name}",
+                f"target angles must be finite and within +-{TARGET_ANGLE_MAX_DEG:g} degrees",
+            )
 
 
 def _stage_parts(series: Mapping, targets: TargetGait, stage: str):
@@ -349,6 +365,42 @@ def evaluate_constraints(
 # the stage optimizer
 
 
+class _Point:
+    """The stage problem at one trial point: its graph and sweep, the
+    residuals and the cost, computed at once, and the constraint values,
+    the tangent pass and both Jacobians, each computed when first read.
+    The polish reads residuals and their Jacobian alone."""
+
+    def __init__(self, problem: "_StageProblem", graph: MechanismGraph, series: Mapping):
+        # What it reads of the problem, not the problem: the problem keeps
+        # its point, and a cycle would outlive the fit until a collection.
+        self.targets, self.stage, self.dgeom = problem.targets, problem.stage, problem.dgeom
+        self.graph = graph
+        self.series = series
+        self.residuals = _stage_residuals(series, self.targets, self.stage)
+        self.cost = cost(self.residuals)
+
+    @functools.cached_property
+    def constraints(self) -> np.ndarray:
+        """The values of every constraint entry, one per entry."""
+        return _constraint_core(self.graph, self.series)
+
+    @functools.cached_property
+    def tangents(self) -> dict:
+        """The sweep's tangents along the problem's live directions."""
+        return sweep_tangents(self.series, self.dgeom)
+
+    @functools.cached_property
+    def residual_jacobian(self) -> np.ndarray:
+        """d(residuals)/dx, a column per live parameter."""
+        return _stage_jacobian(self.series, self.tangents, self.targets, self.stage)
+
+    @functools.cached_property
+    def constraint_jacobian(self) -> np.ndarray:
+        """d(constraints)/dx, a row per entry and a column per live parameter."""
+        return _constraint_core(self.graph, self.series, self.tangents, self.dgeom)[1]
+
+
 class _StageProblem:
     """Objective/constraint adapters over the stage's live parameters.
 
@@ -359,10 +411,19 @@ class _StageProblem:
     and ``slots`` their geom slots; the others are dead, and every trial
     leaves them at the values they have in ``mech``.  A trial x has an
     entry per live parameter.  It is clipped to the box and written into
-    their slots of a graph copy, so it needs no bounds check.  A last-point
-    memo keeps the sweep at the latest x: the cost, residual and constraint
-    values at one x share one sweep, and their Jacobians, a column per live
-    parameter, share one tangent pass over it along the rows of ``dgeom``.
+    their slots of a graph copy, so it needs no bounds check.
+
+    The analytic steps whose read-set holds no live slot (in the reference's
+    radius stage, the crank and the humerus dyad) give the same results at
+    every trial.  ``frozen`` solves them once, on the sweep grid, and each
+    trial's sweep takes their results from it and runs only the other
+    steps (solver._solve_steps); it is None when every step reads a live
+    slot.  It belongs to this problem alone: a new problem solves its own.
+
+    A last-point memo, keyed on the bytes of x as the adapter gets it, keeps
+    a _Point: the sweep, residuals and cost at that x, and the constraint
+    values and the Jacobians (a column per live parameter, from one tangent
+    pass along the rows of ``dgeom``) once something reads them.
 
     The descent sees the live entries of the constraint vector: those whose
     read-set meets a live slot, split into the inequalities ``ineq_rows``
@@ -395,60 +456,51 @@ class _StageProblem:
         moved = [i for i, e in enumerate(mech.constraints) if set(e.reads) & set(self.slots)]
         self.eq_rows = [i for i in moved if self.symmetric[i]]
         self.ineq_rows = [i for i in moved if not self.symmetric[i]]
-        self._x: np.ndarray | None = None
-        self._point = None  # (cost, residuals, constraints, graph, series) at _x
-        self._jac = None  # (residual Jacobian, constraint Jacobian) at _x
+        self.frozen = None
+        if mech.steps is not None:
+            fixed = [entry for entry in mech.steps if set(entry[1].reads).isdisjoint(self.slots)]
+            if fixed:
+                self.frozen = _solve_steps(mech, self.samples, fixed)
+        self._key: bytes | None = None
+        self._point: _Point | None = None  # the point at _key
 
     def clip(self, x) -> np.ndarray:
         """x moved into the box: the point every adapter evaluates."""
         return np.clip(x, self.lower, self.upper)
 
-    def _evaluate(self, x: np.ndarray):
-        x = self.clip(x)
-        if self._x is None or not np.array_equal(x, self._x):
+    def at(self, x) -> _Point:
+        """The _Point of the box point clip(x): one sweep per new x."""
+        key = np.asarray(x, dtype=float).tobytes()
+        if key != self._key:
             m = self.mech.copy()
-            m.geom[self.slots] = x
-            series = sweep_series(m, self.samples, strict=False)
-            resid = _stage_residuals(series, self.targets, self.stage)
-            self._x = x
-            self._point = (cost(resid), resid, _constraint_core(m, series), m, series)
-            self._jac = None
+            m.geom[self.slots] = self.clip(x)
+            series = sweep_series(m, self.samples, strict=False, _frozen=self.frozen)
+            self._key, self._point = key, _Point(self, m, series)
         return self._point
 
-    def _jacobians(self, x: np.ndarray):
-        """(residual Jacobian, constraint Jacobian) at x, a column per live
-        parameter; the constraint Jacobian has a row per entry."""
-        _, _, _, m, series = self._evaluate(x)
-        if self._jac is None:
-            tangents = sweep_tangents(series, self.dgeom)
-            _, con_jac = _constraint_core(m, series, tangents, self.dgeom)
-            resid_jac = _stage_jacobian(series, tangents, self.targets, self.stage)
-            self._jac = (resid_jac, con_jac)
-        return self._jac
-
     def objective(self, x) -> float:
-        return self._evaluate(x)[0]
+        return self.at(x).cost
 
     def gradient(self, x) -> np.ndarray:
         """d(cost)/dx over the live parameters: 2 J^T r / N."""
-        resid = self._evaluate(x)[1]
-        return 2.0 * (self._jacobians(x)[0].T @ resid) / resid.size
+        point = self.at(x)
+        return 2.0 * (point.residual_jacobian.T @ point.residuals) / point.residuals.size
 
     def residual_vector(self, x) -> np.ndarray:
-        return self._evaluate(x)[1]
+        return self.at(x).residuals
 
     def residual_jacobian(self, x) -> np.ndarray:
-        return self._jacobians(x)[0]
+        return self.at(x).residual_jacobian
 
     def constraint_vector(self, x) -> np.ndarray:
-        return self._evaluate(x)[2]
+        return self.at(x).constraints
 
     def constraint_jacobian(self, x) -> np.ndarray:
-        return self._jacobians(x)[1]
+        return self.at(x).constraint_jacobian
 
     def violation(self, x) -> float:
         """max(0, worst entry), a symmetry equality h counting as |h|."""
-        values = self._evaluate(x)[2]
+        values = self.at(x).constraints
         return float(np.max(np.concatenate([values, -values[self.symmetric]]), initial=0.0))
 
     def feasible(self, x) -> bool:
@@ -576,7 +628,7 @@ def optimize_stage(
         options = FitOptions()
     if stage not in STAGE_CHOICES:
         raise ValueError(f"stage must be one of {STAGE_CHOICES}, got {stage!r}")
-    _check_grid(targets)
+    _check_targets(targets)
     problem = _StageProblem(mech, targets, stage, options)
     initial_cost = problem.objective(problem.x0)
 
@@ -670,7 +722,7 @@ def optimize_armwing(
     """
     if options is None:
         options = FitOptions()
-    _check_grid(targets)
+    _check_targets(targets)
     tagged = {binding.stage for binding in mech.parameters.values()}
     for stage in STAGE_ORDER:
         if stage not in tagged:

@@ -35,6 +35,7 @@ __all__ = [
     "wrap_phase",
     "DOWNSTROKE_START",
     "DOWNSTROKE_END",
+    "TARGET_ANGLE_MAX_DEG",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -43,6 +44,11 @@ TWO_PI = 2.0 * math.pi
 # its +25 deg peak toward its -45 deg trough.
 DOWNSTROKE_START = math.pi / 2.0
 DOWNSTROKE_END = 3.0 * math.pi / 2.0
+
+# The largest target angle magnitude a fit takes, degrees: thousands of
+# turns, far past any wingbeat, and small enough that a fit's squared angle
+# errors, their sums and their gradients stay finite.
+TARGET_ANGLE_MAX_DEG = 1e6
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridMismatch, MechanismSyntaxError, SchemaError, VersionError
 from .fitting import DesignVector, FitReport
-from .gait import TargetGait, phase_grid
+from .gait import TARGET_ANGLE_MAX_DEG, TargetGait, phase_grid
 from .linkage import (
     AngleOutput,
     Driver,
@@ -65,11 +65,6 @@ TRAJECTORY_COLUMNS = (
 
 # ---------------------------------------------------------------------------
 # mechanism documents
-
-# The largest target angle magnitude, degrees: thousands of turns, far past
-# any wingbeat, and small enough that a fit's squared angle errors, their
-# sums and their gradients stay finite.
-TARGET_ANGLE_MAX_DEG = 1e6
 
 _REQUIRED = object()  # a field default: the key must be present
 

@@ -44,6 +44,12 @@ seeded with dq/dp gives every total derivative (``_design_tangents``).
 ``sweep_tangents`` differentiates a sweep's angle outputs, margins and
 transmissions.
 
+``_solve_steps`` solves a subset of the analytic steps once, read-only,
+on a sweep's grid; a sweep handed it (``sweep_series``'s internal
+``_frozen``) takes their results from it and runs only the other steps,
+bit for bit the plain sweep.  A stage fit freezes the steps its live
+parameters cannot move (fitting._StageProblem).
+
 ``sweep_series`` solves and checks at once, and computes every other output
 when a caller first reads it: the angle series (each unwrap on its own
 read), the elbow and tip paths, the continuity figures, the analytic
@@ -303,14 +309,52 @@ def _raise_first_failure(sol: _Solution) -> None:
             )
 
 
-def _solve_analytic(graph: MechanismGraph, phi) -> _Solution:
+def _solve_analytic(graph: MechanismGraph, phi, frozen=None) -> _Solution:
     """Execute the validated step order; vectorized over ``phi``.
 
     Failed samples are masked in ``sol.ok`` and NaNs propagate through
     dependent quantities, while per-loop assembly margins stay finite
     wherever computable; _raise_first_failure turns them into errors.
+    The steps a ``frozen`` solution holds (see _solve_steps) are taken
+    from it, not run.
     """
-    return _run_steps(_Solution(graph, phi), graph.steps)
+    return _run_steps(_Solution(graph, phi), graph.steps, frozen).finish()
+
+
+def _solve_steps(graph: MechanismGraph, samples: int, steps) -> _Solution:
+    """The analytic ``steps`` alone on sweep_series's grid of ``samples``
+    phases and its wrap sample: a read-only partial solution that sweeps
+    start from.
+
+    ``steps`` are entries of ``graph.steps``, in their order, that include
+    every step they read from.  The steps whose read-set misses a given set
+    of slots do, since a read-set holds those of the steps it reads.  A
+    sweep of a graph of the same topology, with geometry equal to
+    ``graph``'s on their read-sets, takes their results from it
+    (sweep_series's ``_frozen``).  Such sweeps share its arrays, so none is
+    writeable.
+    """
+    _one_design(graph, "a frozen solve")
+    sol = _run_steps(_Solution(graph, np.append(phase_grid(samples), TWO_PI)), steps)
+    tables = (sol.theta, sol.turn, sol.origin, sol.alpha, sol.margin, sol.transmission)
+    for array in (sol.phi, sol.geom, sol.cols, sol.xy, sol.ok,
+                  *(value for table in tables for value in table.values())):
+        array.flags.writeable = False
+    return sol
+
+
+def _check_frozen(mech: MechanismGraph, phi: np.ndarray, frozen: _Solution) -> None:
+    """ValueError unless ``frozen`` was solved for ``mech``'s topology on
+    the phases ``phi``, with geometry equal to ``mech.geom``, bit for bit,
+    on its steps' read-sets."""
+    if frozen.graph.steps is not mech.steps:
+        raise ValueError("a frozen solution resumes a sweep of its own topology only")
+    reads = sorted({slot for _, step in frozen.steps for slot in step.reads})
+    if frozen.phi.tobytes() != phi.tobytes():
+        raise ValueError("a frozen solution was solved on another phase grid")
+    if (frozen.geom.shape != mech.geom.shape
+            or frozen.geom[reads].tobytes() != mech.geom[reads].tobytes()):
+        raise ValueError("the geometry differs from the frozen solution's on its read-sets")
 
 
 def _forward(graph: MechanismGraph, phi, q) -> _Solution:
@@ -321,18 +365,31 @@ def _forward(graph: MechanismGraph, phi, q) -> _Solution:
     sol = _Solution(graph, phi)
     for k, jid in enumerate(graph.free_joints):
         sol.alpha[jid] = q[..., k]
-    return _run_steps(sol, graph.newton_steps)
+    return _run_steps(sol, graph.newton_steps).finish()
 
 
-def _run_steps(sol: _Solution, steps) -> _Solution:
-    """Set the driven angle and place every link by executing ``steps``;
-    the one forward pass of both solve routes."""
+def _run_steps(sol: _Solution, steps, frozen=None) -> _Solution:
+    """Set the driven angle and place links by executing ``steps``; the one
+    forward pass of both solve routes.  A step that ``frozen`` (a partial
+    solution of the same grid and geometry) holds is not run: its results,
+    and its failed samples, are taken from it.  Joint angles no step sets
+    are left to finish()."""
     g = sol.graph
     drv = g._spec.driver
     sol.alpha[drv.joint] = drv.sign * sol.phi + np.radians(sol.cols[g._driver_slot])
     sol.steps = steps
-    for kind, step in steps:
-        if kind == "tree":
+    lent = ()
+    if frozen is not None:
+        lent = frozen.steps
+        sol.ok = frozen.ok.copy()
+    for entry in steps:
+        kind, step = entry
+        if entry in lent:
+            for table, key in _results(kind, step):
+                getattr(sol, table)[key] = getattr(frozen, table)[key]
+                if table == "theta":
+                    sol.turn[key] = frozen.turn[key]
+        elif kind == "tree":
             theta = sol.theta[step.parent] + step.sign * sol.alpha[step.joint]
             sol.place(step.child, theta, sol.point_world(step.parent, step.anchor), step.local)
         elif kind == "gear":
@@ -342,7 +399,7 @@ def _run_steps(sol: _Solution, steps) -> _Solution:
             )
         else:
             _place_dyad(sol, step)
-    return sol.finish()
+    return sol
 
 
 def _gear_input(state, step):
@@ -768,6 +825,8 @@ def sweep_series(
     samples: int = 360,
     strict: bool = True,
     method: str = "auto",
+    *,
+    _frozen: _Solution | None = None,
 ) -> MutableMapping:
     """Sweep one wingbeat and return dense arrays (no Configuration objects).
 
@@ -788,6 +847,12 @@ def sweep_series(
     array but phi gains a leading axis of B (ok (B, N), tip (B, N, 2), free
     (B, N, nq), max_step_rad (B,), ...), and row b equals the sweep of design
     b alone, bit for bit.  The Newton route sweeps one design at a time.
+
+    ``_frozen``, internal to the fit, is a _solve_steps solution of some
+    analytic steps on this grid.  The sweep takes those steps' results from
+    it and runs only the others; every entry is the plain sweep's, bit for
+    bit.  ValueError when the route is not analytic, or when ``mech.geom``
+    differs from the frozen solution's on its steps' read-sets.
     """
     phi = phase_grid(samples)
     analytic = _analytic_route(mech, method)
@@ -795,7 +860,10 @@ def sweep_series(
     if analytic:
         # The wrap sample 2*pi rides along in the grid solve; it never
         # raises and is cut off every returned array.
-        full = _solve_analytic(mech, np.append(phi, TWO_PI))
+        grid = np.append(phi, TWO_PI)
+        if _frozen is not None:
+            _check_frozen(mech, grid, _frozen)
+        full = _solve_analytic(mech, grid, _frozen)
         sol = full[:samples]
         if strict:
             _raise_first_failure(sol)
@@ -804,6 +872,8 @@ def sweep_series(
         def wrap_free():
             return _free_vector(mech, full)[..., samples, :]
     else:
+        if _frozen is not None:
+            raise ValueError("a frozen solution resumes an analytic sweep only")
         _one_design(mech, "the Newton route")
         # Sequential continuation keeps only the free angles; one forward
         # pass over them then fills the grid solution.

@@ -10,6 +10,7 @@ produce the same bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +78,11 @@ def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _data_range(values: list[np.ndarray], explicit) -> tuple[float, float]:
+def _data_range(values: list[np.ndarray], explicit=None) -> tuple[float, float]:
+    """The padded (lo, hi) of an axis over the finite ``values``, or over
+    ``explicit``.  ValueError when its span hi - lo is not finite or is
+    zero: the data are too far apart, or too large for the padding to move
+    them, and every pixel would be NaN."""
     if explicit is not None:
         lo, hi = float(explicit[0]), float(explicit[1])
     else:
@@ -90,6 +95,9 @@ def _data_range(values: list[np.ndarray], explicit) -> tuple[float, float]:
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
+    span = (hi + pad) - (lo - pad)
+    if not (math.isfinite(span) and span != 0.0):
+        raise ValueError(f"values from {lo:.6g} to {hi:.6g} give no finite, nonzero axis span")
     return lo - pad, hi + pad
 
 
@@ -99,8 +107,9 @@ def render_svg(plot: PlotSpec) -> str:
     Each series maps to pixels as whole arrays and draws as polylines of
     "x,y" pairs at two decimals, split wherever a sample is not finite.
 
-    Raises ValueError when no series are given and GridMismatch when the
-    overlaid series do not share one sample count.
+    Raises ValueError when no series are given or an axis span is not
+    finite (see _data_range), and GridMismatch when the overlaid series do
+    not share one sample count.
     """
     if not plot.series:
         raise ValueError("plot needs at least one series")

@@ -485,6 +485,29 @@ def test_a_plot_needs_two_rows_per_csv(rows, tmp_path: Path, capsys):
     assert not (tmp_path / "o.svg").exists()
 
 
+@pytest.mark.parametrize("series, column", [("tip", "tip_x_mm"), ("theta_e", "theta_e_deg")])
+def test_a_plot_axis_that_overflows_names_its_column(series, column, tmp_path: Path, capsys):
+    """A cell near the largest double leaves no finite axis span: the plot
+    exits 1 with a one-line SchemaError naming the column, and writes no
+    SVG (which would hold NaN points and tick labels)."""
+    full = tmp_path / "full.csv"
+    run(capsys, "sweep", "--mech", DEMO_PATH, "--samples", "24", "--out", full)
+    lines = full.read_text().splitlines(keepends=True)
+    at = lines[0].strip().split(",").index(column)
+    cells = lines[3].split(",")
+    cells[at] = "-1.7976931348623157e308"
+    lines[3] = ",".join(cells) + ("" if cells[-1].endswith("\n") else "\n")
+    huge = tmp_path / "huge.csv"
+    huge.write_text("".join(lines))
+    code, _, err = run(capsys, "plot", "--csv", full, "--csv", huge, "--series", series,
+                       "--out", tmp_path / "o.svg")
+    assert code == 1
+    assert err.startswith(f"error: SchemaError: {column}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.svg").exists()
+    code, _, _ = run(capsys, "plot", "--csv", full, "--series", series, "--out", tmp_path / "o.svg")
+    assert code == 0 and "nan" not in (tmp_path / "o.svg").read_text().lower()
+
+
 @pytest.mark.parametrize("samples, code", [(0, 1), (1, 1), (7, 1), (8, 0)])
 def test_a_target_csv_needs_the_gait_sweep_floor(samples, code, tmp_path: Path, capsys):
     """A wingbeat target is fitted from GAIT_MIN_SAMPLES = 8 phases up; a
@@ -591,3 +614,5 @@ def test_a_mutated_trajectory_csv_reads_or_fails_by_name(data):
             if code == 1:
                 named = re.match(r"error: (\w+): ", err.getvalue())
                 assert named and named.group(1) in names, (argv[0], err.getvalue())
+            elif argv[0] == "plot":
+                assert "nan" not in (Path(tmp) / "o.svg").read_text().lower()

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 
 from armwing import (
     DesignVector,
@@ -15,6 +18,7 @@ from armwing import (
     NoFeasibleStart,
     NotAssemblable,
     ParameterBinding,
+    SchemaError,
     SymmetryConstraint,
     constraint_names,
     cost,
@@ -28,11 +32,11 @@ from armwing import (
 )
 from armwing.fitting import (FEASIBILITY_TOL, PENALTY_DEG, _constraint_core, _stage_jacobian,
                              _stage_residuals, _StageProblem)
-from armwing.gait import TargetGait
+from armwing.gait import TARGET_ANGLE_MAX_DEG, TargetGait
 from armwing.io import report_to_dict
 from armwing.solver import _results, _tangents, sweep_tangents
 from conftest import DEMO_PATH, REFERENCE_PATH
-from test_properties import perturbed_designs
+from test_properties import _same_bits, perturbed_designs
 from test_solver import _geared_fivebar, _triad_sixbar
 
 FAST = FitOptions(seed=0, multistarts=2, maxiter=25)
@@ -93,6 +97,32 @@ def test_grid_mismatch_both_ways(demo_fourbar):
             optimize_stage(demo_fourbar, targets, "humerus", FAST)
         with pytest.raises(GridMismatch):
             optimize_armwing(demo_fourbar, targets, FAST)
+
+
+@pytest.mark.parametrize("series", ["shoulder_deg", "elbow_deg"])
+@pytest.mark.parametrize("value", [1e308, np.nan], ids=["huge", "nan"])
+def test_a_target_angle_out_of_bounds_is_refused_by_name(series, value, demo_fourbar,
+                                                         monkeypatch):
+    """A TargetGait built through the API with a non-finite angle, or one
+    beyond TARGET_ANGLE_MAX_DEG, is a SchemaError naming the series before
+    any sweep; near 1e308 it once reached the polish's least_squares as a
+    raw ValueError."""
+    def never(*args, **kwargs):
+        raise AssertionError("no sweep before the targets are checked")
+
+    monkeypatch.setattr("armwing.fitting.sweep_series", never)
+    base = sample_targets(36)
+    angles = getattr(base, series).copy()
+    angles[3] = value
+    targets = replace(base, **{series: angles})
+    for fit in (lambda: optimize_stage(demo_fourbar, targets, "humerus", FAST),
+                lambda: optimize_armwing(demo_fourbar, targets, FAST)):
+        with pytest.raises(SchemaError, match=f"^targets.{series}: "):
+            fit()
+    at_bound = replace(base, **{series: np.where(np.arange(36) == 3, TARGET_ANGLE_MAX_DEG,
+                                                 getattr(base, series))})
+    monkeypatch.undo()
+    optimize_stage(demo_fourbar, at_bound, "humerus", FitOptions(multistarts=1, maxiter=1))
 
 
 def test_flagged_residuals_use_the_fixed_penalty():
@@ -395,7 +425,8 @@ def test_a_stage_differentiates_only_what_it_moves(reference, demo_fourbar):
         assert np.array_equal(np.flatnonzero(problem.dgeom), np.ravel_multi_index(
             (range(len(problem.slots)), problem.slots), problem.dgeom.shape))
         assert np.all(problem.dgeom[problem.dgeom != 0.0] == 1.0)
-        for jac in problem._jacobians(problem.x0):
+        point = problem.at(problem.x0)
+        for jac in (point.residual_jacobian, point.constraint_jacobian):
             assert jac.shape[1] == len(tagged) - len(dead)
 
     problem = _StageProblem(reference, targets, "radius", FitOptions())
@@ -415,7 +446,8 @@ def _full_pass(problem, x):
     """The stage's (residual, constraint) Jacobians at x from one tangent
     pass over every stage-tagged direction, live or dead: a column per
     stage-tagged parameter."""
-    _, _, _, m, series = problem._evaluate(x)
+    point = problem.at(x)
+    m, series = point.graph, point.series
     tagged = problem.base.indices_for_stage(problem.stage)
     dgeom = np.zeros((len(tagged), m.geom.size))
     dgeom[range(len(tagged)), [m._targets[problem.base.names[i]] for i in tagged]] = 1.0
@@ -443,10 +475,12 @@ def test_live_directions_give_the_full_pass_jacobians(name, stage, reference, de
     points = [problem.x0] + [problem.lower + rng.uniform(size=span.size) * span for _ in range(4)]
     assembled = []
     for x in points:
-        for got, full in zip(problem._jacobians(x), _full_pass(problem, x)):
+        point = problem.at(x)
+        jacobians = (point.residual_jacobian, point.constraint_jacobian)
+        for got, full in zip(jacobians, _full_pass(problem, x)):
             assert np.array_equal(got + 0.0, full[:, live] + 0.0)
             assert np.all(full[:, dead] == 0.0)
-        assembled.append(bool(np.all(problem._evaluate(x)[4]["ok"])))
+        assembled.append(bool(np.all(point.series["ok"])))
     assert assembled[0] and not all(assembled)
 
 
@@ -518,3 +552,104 @@ def test_a_stage_with_no_live_parameter_descends_nowhere(reference, monkeypatch)
     assert [s.message for s in report.starts] == ["no stage parameter moves a fitted output"]
     assert report.final_cost == report.initial_cost > 0.0
     assert np.array_equal(report.design.values, DesignVector.from_mechanism(mech).values)
+
+
+def test_a_radius_polish_evaluates_no_constraint_in_its_residual_calls(reference, monkeypatch):
+    """The polish reads residuals and their Jacobian alone: none of its
+    residual_vector or residual_jacobian calls evaluates the constraint
+    vector, which a trial point computes when first read."""
+    calls = []
+    core = _constraint_core
+
+    def counted(*args, **kwargs):
+        calls.append(len(args))
+        return core(*args, **kwargs)
+
+    inside = {"residual_vector": [], "residual_jacobian": []}
+
+    def watched(name, fn):
+        def call(x):
+            before = len(calls)
+            out = fn(x)
+            inside[name].append(len(calls) - before)
+            return out
+        return call
+
+    def spy(fun, x0, jac, **kwargs):
+        return least_squares(watched("residual_vector", fun), x0,
+                             jac=watched("residual_jacobian", jac), **kwargs)
+
+    monkeypatch.setattr("armwing.fitting._constraint_core", counted)
+    monkeypatch.setattr("armwing.fitting.least_squares", spy)
+    optimize_stage(reference, sample_targets(36), "radius",
+                   FitOptions(seed=0, multistarts=1, maxiter=10, polish=True))
+    assert len(inside["residual_vector"]) > 5 and len(inside["residual_jacobian"]) > 5
+    assert not any(inside["residual_vector"] + inside["residual_jacobian"])
+    assert calls
+
+
+def _labels(steps) -> list[tuple[str, str]]:
+    return [(kind, getattr(step, "joint", None) or getattr(step, "closure", None) or step.id)
+            for kind, step in steps]
+
+
+def test_every_stage_fit_solves_its_own_frozen_steps(reference, monkeypatch):
+    """The radius stage freezes the crank and the humerus dyad, the steps no
+    live slot reaches; the humerus and 'all' stages freeze nothing.  Every
+    optimize_stage call solves its own frozen steps: two graphs that differ
+    only in crank_len, a humerus slot the humerus dyad reads, each get trial
+    sweeps equal to their own plain sweeps, and one graph's frozen solution
+    is refused by the other's sweep."""
+    targets = sample_targets(36)
+    for stage in ("humerus", "all"):
+        assert _StageProblem(reference, targets, stage, FitOptions()).frozen is None
+    problem = _StageProblem(reference, targets, "radius", FitOptions())
+    assert _labels(problem.frozen.steps) == [("tree", "j1_drive"), ("dyad", "j4_wrist")]
+    slot = reference._targets["crank_len"]
+    assert slot in dict(problem.frozen.steps)["dyad"].reads
+
+    sweeps = []
+
+    def spy(mech, samples, strict=True, method="auto", **kwargs):
+        series = sweep_series(mech, samples, strict, method, **kwargs)
+        sweeps.append((mech, kwargs["_frozen"], series))
+        return series
+
+    monkeypatch.setattr("armwing.fitting.sweep_series", spy)
+    options = FitOptions(seed=0, multistarts=2, maxiter=3, polish=False)
+    frozen, graphs = [], []
+    for crank_len in (reference.get_parameter("crank_len"), 20.5):
+        mech = reference.with_parameters({"crank_len": crank_len})
+        first = len(sweeps)
+        optimize_stage(mech, targets, "radius", options)
+        calls = sweeps[first:]
+        assert len(calls) > 3 and len({id(f) for _, f, _ in calls}) == 1
+        for graph, _, series in calls:
+            assert graph.get_parameter("crank_len") == crank_len
+            plain = sweep_series(graph, 36, strict=False)
+            assert _same_bits({k: series[k] for k in series if k != "_solution"},
+                              {k: plain[k] for k in plain if k != "_solution"})
+        frozen.append(calls[0][1])
+        graphs.append(calls[0][0])
+    assert frozen[0] is not frozen[1]
+    assert not np.array_equal(frozen[0].margin["j4_wrist"], frozen[1].margin["j4_wrist"])
+    with pytest.raises(ValueError, match="read-sets"):
+        sweep_series(graphs[1], 36, strict=False, _frozen=frozen[0])
+
+
+def test_a_dropped_stage_problem_is_freed_at_once(reference):
+    """A stage problem and its trial point hold no reference cycle: dropping
+    the problem frees its frozen solution and its last point's sweep without
+    the cycle collector, read Jacobians or not."""
+    for read in (False, True):
+        gc.disable()
+        try:
+            problem = _StageProblem(reference, sample_targets(12), "radius", FitOptions())
+            point = problem.at(problem.x0)
+            if read:
+                point.constraint_jacobian, point.residual_jacobian
+            refs = [weakref.ref(problem.frozen), weakref.ref(point.series["_solution"])]
+            del problem, point
+            assert all(ref() is None for ref in refs), read
+        finally:
+            gc.enable()

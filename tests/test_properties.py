@@ -5,8 +5,9 @@ files, the bytes of trajectory CSV and SVG polylines against per-value
 reference formulas, rigid bodies and closed joints in every swept pose, the
 solve routes and mirror symmetry of random Grashof four-bars, the Newton
 Jacobian against central differences of the forward pass, the compiled
-read-sets against the outputs they claim to bound, and sweep entries read on
-demand against every entry read in key order."""
+read-sets against the outputs they claim to bound, sweep entries read on
+demand against every entry read in key order, and a stage fit's trial sweeps,
+which start from its frozen steps, against plain sweeps."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from armwing import (
+    FitOptions,
     PlotSpec,
     Series,
     constraint_names,
@@ -35,13 +37,14 @@ from armwing import (
     parse_mechanism_text,
     read_trajectory_csv,
     render_svg,
+    sample_targets,
     sensitivity_rank,
     sweep_gait,
     sweep_series,
     trajectory_csv_text,
     validate_mechanism,
 )
-from armwing.fitting import _constraint_core
+from armwing.fitting import _constraint_core, _StageProblem
 from armwing.io import TRAJECTORY_COLUMNS, _csv_text, mechanism_to_dict
 from armwing.errors import NotAssemblable, SingularConfiguration
 from armwing.fourbar import COLLINEAR_TOL_RAD
@@ -310,12 +313,22 @@ _NAN, _INF = math.nan, math.inf
     x_range=None, y_range=None, size=(720, 480),
 )
 def test_svg_polylines_match_per_point_formatting(points, x_range, y_range, size):
+    """The polylines of a plot are its points mapped one at a time; a plot
+    whose data span no finite axis (values near 1e308) raises ValueError,
+    and no SVG holds a NaN."""
     x, y = (np.array(v, dtype=float) for v in zip(*points))
     plot = PlotSpec(title="t", x_label="x", y_label="y", series=[Series("s", x, y)],
                     width=size[0], height=size[1], x_range=x_range, y_range=y_range)
-    with np.errstate(all="ignore"):  # spans near 1e308 overflow
+    try:
+        _data_range([x], x_range), _data_range([y], y_range)
+    except ValueError:
+        with pytest.raises(ValueError, match="axis span"):
+            render_svg(plot)
+        return
+    with np.errstate(all="ignore"):  # points far outside an explicit range overflow
         svg = render_svg(plot)
         want = _polylines_reference(x, y, x_range, y_range, *size)
+    assert "nan" not in svg.lower()
     assert re.findall(r'<polyline points="([^"]*)"', svg) == want
 
 
@@ -578,3 +591,44 @@ def test_a_sweep_owns_its_geometry(method):
     assert _same_bits({key: series[key] for key in want}, want)
     assert _same_bits(sweep_tangents(series, dgeom), want_tangents)
     assert list(gait.configurations) == want_poses
+
+
+def _entries(series: Mapping) -> dict:
+    """Every entry of a sweep_series result but the solution object."""
+    return {key: series[key] for key in series if key != "_solution"}
+
+
+@pytest.mark.parametrize("path, stage, values", [
+    (REFERENCE_PATH, "humerus", {}), (REFERENCE_PATH, "radius", {}), (REFERENCE_PATH, "all", {}),
+    (DEMO_PATH, "humerus", {}), (DEMO_PATH, "all", {}),
+    # The radius stage's frozen humerus dyad fails at 7 of 36 phases.
+    (REFERENCE_PATH, "radius", {"shoulder_y": -45.0}),
+], ids=["reference-humerus", "reference-radius", "reference-all", "demo-humerus", "demo-all",
+        "reference-radius-failing-frozen-dyad"])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(units=st.lists(st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24),
+                      min_size=1, max_size=3))
+def test_a_stage_trial_sweep_is_the_plain_sweep(path, stage, values, units):
+    """A stage trial's sweep, which takes the steps no live slot moves from
+    the stage's frozen solution, equals the plain sweep of the same graph
+    entry for entry, bit for bit (ok, margins, transmissions, angles, tip,
+    elbow, residual, free and the continuity figures), and so do their
+    tangents along the live directions and along every slot.  Points: x0,
+    the lower box corner, which does not assemble, and random box points."""
+    mech = _shipped(path).with_parameters(values) if values else _shipped(path)
+    problem = _StageProblem(mech, sample_targets(36), stage, FitOptions())
+    frozen_ok = problem.frozen is None or bool(np.all(problem.frozen.ok))
+    assert frozen_ok == (not values)
+    span = problem.upper - problem.lower
+    points = [problem.x0, problem.lower] + [problem.lower + np.array(u[: span.size]) * span
+                                            for u in units]
+    every = np.eye(problem.mech.geom.size)
+    assembled = []
+    for x in points:
+        point = problem.at(x)
+        plain = sweep_series(point.graph, 36, strict=False)
+        assert _same_bits(_entries(point.series), _entries(plain))
+        for dgeom in (problem.dgeom, every):
+            assert _same_bits(sweep_tangents(point.series, dgeom), sweep_tangents(plain, dgeom))
+        assembled.append(bool(np.all(plain["ok"])))
+    assert assembled[0] == frozen_ok and not assembled[1]

@@ -31,7 +31,7 @@ from armwing import (
     validate_mechanism,
 )
 from armwing.gait import phase_grid
-from armwing.solver import wrap_pi
+from armwing.solver import _solve_steps, wrap_pi
 
 from conftest import DEMO_PATH, REFERENCE_PATH
 
@@ -191,6 +191,46 @@ def test_a_dropped_sweep_is_freed_at_once(reference, method):
             assert solution() is None, read
         finally:
             gc.enable()
+
+
+def _frozen_radius_steps(mech) -> list:
+    """The reference's steps that read no radius-stage slot: the crank and
+    the humerus dyad."""
+    radius = {mech._targets[b.name] for b in mech.parameters.values() if b.stage == "radius"}
+    return [entry for entry in mech.steps if radius.isdisjoint(entry[1].reads)]
+
+
+def test_a_frozen_solution_is_read_only_and_refuses_a_foreign_sweep(reference, demo_fourbar):
+    """A frozen solution's arrays are shared by every sweep that takes it:
+    none is writeable.  A sweep takes it only on its own phase grid and
+    topology, on the analytic route, and with geometry equal to its own on
+    the frozen steps' read-sets; geometry that differs elsewhere sweeps as
+    the plain sweep does."""
+    steps = _frozen_radius_steps(reference)
+    frozen = _solve_steps(reference, 12, steps)
+    assert frozen.steps == steps and "j4_wrist" in frozen.margin
+    arrays = [frozen.ok, frozen.geom, frozen.phi, frozen.xy, frozen.theta["crank"],
+              frozen.turn["crank"], frozen.margin["j4_wrist"]]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    reads = sorted({slot for _, step in steps for slot in step.reads})
+    elsewhere = next(i for i in range(reference.geom.size) if i not in reads)
+    moved = reference.copy()
+    moved.geom[elsewhere] += 0.5
+    series = sweep_series(moved, 12, strict=False, _frozen=frozen)
+    plain = sweep_series(moved, 12, strict=False)
+    for key in ("ok", "theta_s_deg", "theta_e_deg", "tip", "residual", "free"):
+        assert series[key].tobytes() == plain[key].tobytes(), key
+    moved.geom[reads[-1]] += 0.5
+    with pytest.raises(ValueError, match="read-sets"):
+        sweep_series(moved, 12, strict=False, _frozen=frozen)
+    with pytest.raises(ValueError, match="phase grid"):
+        sweep_series(reference, 36, strict=False, _frozen=frozen)
+    with pytest.raises(ValueError, match="topology"):
+        sweep_series(demo_fourbar, 12, strict=False, _frozen=frozen)
+    with pytest.raises(ValueError, match="analytic"):
+        sweep_series(reference, 12, strict=False, method="newton", _frozen=frozen)
 
 
 def test_assembly_report_on_a_healthy_mechanism(reference):

@@ -124,3 +124,15 @@ def test_explicit_ranges_are_honored(reference):
     text = render_svg(pinned)
     assert "360" in text
     assert text != render_svg(plot)
+
+
+@pytest.mark.parametrize("x, x_range", [
+    ([-1.7976931348623157e308, 0.0, 1.0], None),  # the span overflows
+    ([1e300, 1e300, 1e300], None),  # padding cannot move values this large
+    ([0.0, 1.0, 2.0], (0.0, float("inf"))),
+])
+def test_an_axis_with_no_finite_span_is_a_value_error(x, x_range):
+    plot = PlotSpec(title="t", x_label="x", y_label="y",
+                    series=[Series("s", np.array(x), np.arange(3.0))], x_range=x_range)
+    with pytest.raises(ValueError, match="axis span"):
+        render_svg(plot)
