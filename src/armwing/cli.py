@@ -227,7 +227,10 @@ def _parse_range(text: str) -> list[float]:
     if steps >= RANGE_MAX_SCALES - 0.5:  # more than the maximum once rounded
         raise argparse.ArgumentTypeError(f"range gives more than {RANGE_MAX_SCALES} scales")
     scales = [lo + k * step for k in range(round(steps) + 1)]
-    return [1.0 if abs(s - 1.0) <= 1e-9 else s for s in scales]
+    scales = [1.0 if abs(s - 1.0) <= 1e-9 else s for s in scales]
+    if 1.0 not in scales:
+        raise argparse.ArgumentTypeError("range must include the nominal scale 1.0")
+    return scales
 
 
 def _cmd_sensitivity(args) -> int:

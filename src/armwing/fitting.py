@@ -45,9 +45,10 @@ target, 'radius' fits the elbow-drive parameters against the elbow target,
 'all' fits both parameter groups against both angle series at once.  The
 staged driver optimize_armwing runs optimize_stage for humerus then radius,
 always in that order; stage-1 values are excluded from the stage-2 design
-vector, so they stay bit-identical.  Every report's
-constraint_violation_max is _StageProblem.violation, max(0, worst entry);
-the staged report takes it and its costs from a stage-'all' problem.
+vector, so they stay bit-identical.  A fit reads every design it evaluates
+from a _Point: SLSQP, the polish and the start records read trial points,
+and the staged report a closing point of one plain sweep.  Every report's
+constraint_violation_max is a point's violation.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .errors import EmptyResidual, FittingError, GridMismatch, NoFeasibleStart, 
 from .gait import TARGET_ANGLE_MAX_DEG, TargetGait, phase_grid
 from .linkage import MechanismGraph
 from .sensitivity import _sweep_designs
-from .solver import _one_design, _solve_steps, sweep_series, sweep_tangents
+from .solver import GAIT_MIN_SAMPLES, _one_design, _solve_steps, sweep_series, sweep_tangents
 
 __all__ = [
     "DesignVector",
@@ -206,10 +207,14 @@ def cost(y) -> float:
 
 
 def _check_targets(targets: TargetGait) -> None:
-    """GridMismatch unless the targets lie on the sweep grid; SchemaError
+    """GridMismatch unless the targets lie on the sweep grid of at least
+    GAIT_MIN_SAMPLES phases, the floor a target file has; SchemaError
     naming the series when an angle is not finite or is beyond
     TARGET_ANGLE_MAX_DEG in magnitude."""
-    if not np.array_equal(targets.phi, phase_grid(len(targets.phi))):
+    n = len(targets.phi)
+    if n < GAIT_MIN_SAMPLES:
+        raise GridMismatch(f"a wingbeat target needs at least {GAIT_MIN_SAMPLES} phases, got {n}")
+    if not np.array_equal(targets.phi, phase_grid(n)):
         raise GridMismatch(
             "targets must lie on the uniform phase grid 2*pi*k/N used by sweeps"
         )
@@ -354,11 +359,13 @@ def evaluate_constraints(
     _one_design(mech, "evaluate_constraints")
     if q is not None:
         mech = q.apply(mech)
-    values = _constraint_core(mech, sweep_series(mech, samples, strict=False))
-    published = []
-    for entry, value in zip(mech.constraints, values):
-        published += [value, -value] if entry.kind == "symmetry" else [value]
-    return np.array(published)
+    return _published(mech, _constraint_core(mech, sweep_series(mech, samples, strict=False)))
+
+
+def _published(mech: MechanismGraph, values: np.ndarray) -> np.ndarray:
+    """f_c of the entry values: a symmetry equality h = 0 as the pair (h, -h)."""
+    pairs = [[v, -v] if e.kind == "symmetry" else [v] for e, v in zip(mech.constraints, values)]
+    return np.array([v for pair in pairs for v in pair])
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +373,17 @@ def evaluate_constraints(
 
 
 class _Point:
-    """The stage problem at one trial point: its graph and sweep, the
-    residuals and the cost, computed at once, and the constraint values,
-    the tangent pass and both Jacobians, each computed when first read.
-    The polish reads residuals and their Jacobian alone."""
+    """One evaluated design: its graph and sweep, the stage's residuals and
+    cost, computed at once, and the constraint values, the violation, the
+    tangent pass along the rows of ``dgeom`` and the Jacobians, each when
+    first read.  The polish reads residuals and their Jacobian alone."""
 
-    def __init__(self, problem: "_StageProblem", graph: MechanismGraph, series: Mapping):
-        # What it reads of the problem, not the problem: the problem keeps
-        # its point, and a cycle would outlive the fit until a collection.
-        self.targets, self.stage, self.dgeom = problem.targets, problem.stage, problem.dgeom
+    def __init__(self, graph: MechanismGraph, series: Mapping, targets: TargetGait, stage: str,
+                 dgeom: np.ndarray | None = None):
         self.graph = graph
         self.series = series
-        self.residuals = _stage_residuals(series, self.targets, self.stage)
+        self.targets, self.stage, self.dgeom = targets, stage, dgeom
+        self.residuals = _stage_residuals(series, targets, stage)
         self.cost = cost(self.residuals)
 
     @functools.cached_property
@@ -386,8 +392,25 @@ class _Point:
         return _constraint_core(self.graph, self.series)
 
     @functools.cached_property
+    def violation(self) -> float:
+        """max(0, worst entry of f_c), so a symmetry equality h counts as
+        |h|.  A satisfied pair (0.0, -0.0) has the max -0.0; adding 0.0
+        makes it +0.0."""
+        return float(np.max(_published(self.graph, self.constraints), initial=0.0)) + 0.0
+
+    @property
+    def feasible(self) -> bool:
+        return self.violation <= FEASIBILITY_TOL
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """d(cost)/dx: 2 J^T r / N."""
+        return 2.0 * (self.residual_jacobian.T @ self.residuals) / self.residuals.size
+
+    @functools.cached_property
     def tangents(self) -> dict:
-        """The sweep's tangents along the problem's live directions."""
+        """The sweep's tangents along the rows of ``dgeom``, a stage's live
+        directions."""
         return sweep_tangents(self.series, self.dgeom)
 
     @functools.cached_property
@@ -402,7 +425,7 @@ class _Point:
 
 
 class _StageProblem:
-    """Objective/constraint adapters over the stage's live parameters.
+    """A stage's live parameters, and its trial points over them.
 
     The live parameters are the stage-tagged ones whose geom slot a fit
     reads: the driver or an angle-output offset, or a slot in the read-set
@@ -420,15 +443,17 @@ class _StageProblem:
     steps (solver._solve_steps); it is None when every step reads a live
     slot.  It belongs to this problem alone: a new problem solves its own.
 
-    A last-point memo, keyed on the bytes of x as the adapter gets it, keeps
-    a _Point: the sweep, residuals and cost at that x, and the constraint
-    values and the Jacobians (a column per live parameter, from one tangent
-    pass along the rows of ``dgeom``) once something reads them.
+    ``at(x)`` is the _Point of a trial x.  A last-point memo, keyed on the
+    bytes of x as the caller hands it, keeps it: the sweep, residuals and
+    cost at that x, and the constraint values and the Jacobians (a column
+    per live parameter, from one tangent pass along the rows of ``dgeom``)
+    once something reads them.
 
     The descent sees the live entries of the constraint vector: those whose
     read-set meets a live slot, split into the inequalities ``ineq_rows``
     and the symmetry equalities ``eq_rows``.  The others cannot move in
-    the stage; ``violation`` and ``feasible`` still check every entry.
+    the stage; a point's ``violation`` and ``feasible`` still check every
+    entry.
     """
 
     def __init__(self, mech, targets, stage, options: FitOptions):
@@ -452,10 +477,9 @@ class _StageProblem:
         self.x0 = self.base.values[self.index]
         self.dgeom = np.zeros((len(self.slots), mech.geom.size))
         self.dgeom[range(len(self.slots)), self.slots] = 1.0
-        self.symmetric = np.array([e.kind == "symmetry" for e in mech.constraints], dtype=bool)
         moved = [i for i, e in enumerate(mech.constraints) if set(e.reads) & set(self.slots)]
-        self.eq_rows = [i for i in moved if self.symmetric[i]]
-        self.ineq_rows = [i for i in moved if not self.symmetric[i]]
+        self.eq_rows = [i for i in moved if mech.constraints[i].kind == "symmetry"]
+        self.ineq_rows = [i for i in moved if mech.constraints[i].kind != "symmetry"]
         self.frozen = None
         if mech.steps is not None:
             fixed = [entry for entry in mech.steps if set(entry[1].reads).isdisjoint(self.slots)]
@@ -465,7 +489,7 @@ class _StageProblem:
         self._point: _Point | None = None  # the point at _key
 
     def clip(self, x) -> np.ndarray:
-        """x moved into the box: the point every adapter evaluates."""
+        """x moved into the box: the point at(x) evaluates."""
         return np.clip(x, self.lower, self.upper)
 
     def at(self, x) -> _Point:
@@ -475,36 +499,8 @@ class _StageProblem:
             m = self.mech.copy()
             m.geom[self.slots] = self.clip(x)
             series = sweep_series(m, self.samples, strict=False, _frozen=self.frozen)
-            self._key, self._point = key, _Point(self, m, series)
+            self._key, self._point = key, _Point(m, series, self.targets, self.stage, self.dgeom)
         return self._point
-
-    def objective(self, x) -> float:
-        return self.at(x).cost
-
-    def gradient(self, x) -> np.ndarray:
-        """d(cost)/dx over the live parameters: 2 J^T r / N."""
-        point = self.at(x)
-        return 2.0 * (point.residual_jacobian.T @ point.residuals) / point.residuals.size
-
-    def residual_vector(self, x) -> np.ndarray:
-        return self.at(x).residuals
-
-    def residual_jacobian(self, x) -> np.ndarray:
-        return self.at(x).residual_jacobian
-
-    def constraint_vector(self, x) -> np.ndarray:
-        return self.at(x).constraints
-
-    def constraint_jacobian(self, x) -> np.ndarray:
-        return self.at(x).constraint_jacobian
-
-    def violation(self, x) -> float:
-        """max(0, worst entry), a symmetry equality h counting as |h|."""
-        values = self.at(x).constraints
-        return float(np.max(np.concatenate([values, -values[self.symmetric]]), initial=0.0))
-
-    def feasible(self, x) -> bool:
-        return self.violation(x) <= FEASIBILITY_TOL
 
 
 def _screened_starts(problem: _StageProblem, rng, k: int) -> list[np.ndarray]:
@@ -530,29 +526,38 @@ def _screened_starts(problem: _StageProblem, rng, k: int) -> list[np.ndarray]:
     return [problem.x0] + [candidates[i] for *_, i in keys[: k - 1]]
 
 
-def _run_start(problem: _StageProblem, x0: np.ndarray):
-    """One SLSQP descent over the live parameters from the box point x0.
+def _outcome(problem: _StageProblem, x: np.ndarray, iterations: int, message: str,
+             budget: bool = False, polished: bool = False) -> tuple:
+    """A start's outcome at its final box point x, with the point's floats
+    read at once, so no point outlives its start: (x, cost, feasible,
+    violation, iterations, status message, budget-limited, polished)."""
+    point = problem.at(x)
+    return x, point.cost, point.feasible, point.violation, iterations, message, budget, polished
 
-    Returns (x, true cost, iterations, status message, budget-limited,
-    polished).  x is the least-cost feasible point the descent evaluated,
-    or its last point when it evaluated none: SLSQP walks an infeasible
-    path and may stop there on its budget.  The polish then starts from x.
+
+def _run_start(problem: _StageProblem, x0: np.ndarray) -> tuple:
+    """One SLSQP descent over the live parameters from the box point x0,
+    and its _outcome.
+
+    x is the least-cost feasible point the descent evaluated, or its last
+    point when it evaluated none: SLSQP walks an infeasible path and may
+    stop there on its budget.  The polish then starts from x.
     """
     opts = problem.options
     best: tuple[float, np.ndarray | None] = (math.inf, None)
 
     def objective(x) -> float:
         nonlocal best
-        value = problem.objective(x)
-        if value < best[0] and problem.feasible(x):
-            best = (value, problem.clip(x))
-        return value
+        point = problem.at(x)
+        if point.cost < best[0] and point.feasible:
+            best = (point.cost, problem.clip(x))
+        return point.cost
 
     # SLSQP takes equalities as h = 0 and inequalities as g >= 0.
     constraints = [
         {"type": kind,
-         "fun": lambda x, rows=rows, sign=sign: sign * problem.constraint_vector(x)[rows],
-         "jac": lambda x, rows=rows, sign=sign: sign * problem.constraint_jacobian(x)[rows]}
+         "fun": lambda x, rows=rows, sign=sign: sign * problem.at(x).constraints[rows],
+         "jac": lambda x, rows=rows, sign=sign: sign * problem.at(x).constraint_jacobian[rows]}
         for kind, rows, sign in (("eq", problem.eq_rows, 1.0), ("ineq", problem.ineq_rows, -1.0))
         if rows
     ]
@@ -562,7 +567,7 @@ def _run_start(problem: _StageProblem, x0: np.ndarray):
             objective,
             x0,
             method="SLSQP",
-            jac=problem.gradient,
+            jac=lambda x: problem.at(x).gradient,
             bounds=list(zip(problem.lower, problem.upper)),
             constraints=constraints,
             options={"maxiter": opts.maxiter},
@@ -576,22 +581,22 @@ def _run_start(problem: _StageProblem, x0: np.ndarray):
         x_new = _polish(problem, x)
         if x_new is not None:
             x, polished = x_new, True
-    return x, problem.objective(x), iterations, message, budget, polished
+    return _outcome(problem, x, iterations, message, budget, polished)
 
 
 def _polish(problem: _StageProblem, x: np.ndarray) -> np.ndarray | None:
     """Bound-constrained least-squares refinement of the live parameters,
     accepted only when it strictly improves the cost and keeps the
     constraint vector feasible."""
-    before = problem.objective(x)
+    before = problem.at(x).cost
     if before == 0.0:
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = least_squares(
-            problem.residual_vector,
+            lambda x: problem.at(x).residuals,
             x,
-            jac=problem.residual_jacobian,
+            jac=lambda x: problem.at(x).residual_jacobian,
             bounds=(problem.lower, problem.upper),
             method="trf",
             xtol=1e-15,
@@ -600,7 +605,8 @@ def _polish(problem: _StageProblem, x: np.ndarray) -> np.ndarray | None:
             max_nfev=200 * (len(x) + 1),
         )
     x_new = problem.clip(result.x)
-    if problem.objective(x_new) < before and problem.feasible(x_new):
+    point = problem.at(x_new)
+    if point.cost < before and point.feasible:
         return x_new
     return None
 
@@ -630,29 +636,27 @@ def optimize_stage(
         raise ValueError(f"stage must be one of {STAGE_CHOICES}, got {stage!r}")
     _check_targets(targets)
     problem = _StageProblem(mech, targets, stage, options)
-    initial_cost = problem.objective(problem.x0)
+    initial_cost = problem.at(problem.x0).cost
 
-    # Each outcome is (x, cost, iterations, message, budget-limited, polished).
-    if initial_cost <= 1e-12 and problem.feasible(problem.x0):
+    if initial_cost <= 1e-12 and problem.at(problem.x0).feasible:
         # Already tracking the target; nothing to descend.
-        outcomes = [(problem.x0, initial_cost, 0, "initial design already optimal", False, False)]
+        outcomes = [_outcome(problem, problem.x0, 0, "initial design already optimal")]
     elif not problem.index:
-        outcomes = [(problem.x0, initial_cost, 0, "no stage parameter moves a fitted output",
-                     False, False)]
+        outcomes = [_outcome(problem, problem.x0, 0, "no stage parameter moves a fitted output")]
     else:
         k = max(1, int(options.multistarts))
         starts = _screened_starts(problem, np.random.default_rng(options.seed), k)
-        # A generator, so each start is checked for feasibility before the
-        # next one moves the problem's last-point memo.
+        # Each start reads its outcome off its own point (_outcome) before
+        # the next one moves the problem's last-point memo.
         outcomes = (_run_start(problem, x0) for x0 in starts)
 
     records: list[StartRecord] = []
     incumbent: tuple[float, int] | None = None
-    incumbent_x = None
+    incumbent_x = incumbent_violation = None
     history: list[tuple[int, float]] = []
     budget_flags: set[int] = set()
-    for index, (x, final, iterations, message, budget, polished) in enumerate(outcomes):
-        feasible = problem.feasible(x)
+    for index, (x, final, feasible, violation, iterations, message, budget,
+                polished) in enumerate(outcomes):
         records.append(
             StartRecord(
                 index=index,
@@ -667,7 +671,7 @@ def optimize_stage(
             budget_flags.add(index)
         if feasible and (incumbent is None or (final, index) < incumbent):
             incumbent = (final, index)
-            incumbent_x = x
+            incumbent_x, incumbent_violation = x, violation
         if incumbent is not None:
             history.append((index, incumbent[0]))
 
@@ -684,7 +688,7 @@ def optimize_stage(
         final_cost=final_cost,
         iterations=records[winner].iterations,
         winner_start=winner,
-        constraint_violation_max=problem.violation(incumbent_x),
+        constraint_violation_max=incumbent_violation,
         design=problem.base.with_values(values),
         starts=tuple(records),
         incumbent_history=tuple(history),
@@ -695,10 +699,9 @@ def optimize_stage(
     )
 
 
-def _closing_point(mech: MechanismGraph, targets: TargetGait, options: FitOptions):
-    """(cost, constraint violation) of a design over both stages: one sweep."""
-    problem = _StageProblem(mech, targets, "all", options)
-    return problem.objective(problem.x0), problem.violation(problem.x0)
+def _closing_point(mech: MechanismGraph, targets: TargetGait) -> _Point:
+    """A design evaluated over both stages: one plain sweep."""
+    return _Point(mech, sweep_series(mech, len(targets.phi), strict=False), targets, "all")
 
 
 def optimize_armwing(
@@ -716,9 +719,9 @@ def optimize_armwing(
     parameters, which is checked before either runs (FittingError).
 
     The staged report's initial and final costs and its constraint
-    violation are those of a stage-'all' problem at the input design and
-    at the fitted one: the same definitions every stage report uses.  Its
-    ``multistarts`` is the most starts either stage ran.
+    violation are those of the input design and of the fitted one against
+    both targets (_closing_point): the same definitions every stage report
+    uses.  Its ``multistarts`` is the most starts either stage ran.
     """
     if options is None:
         options = FitOptions()
@@ -728,21 +731,21 @@ def optimize_armwing(
         if stage not in tagged:
             raise FittingError(f"no parameters tagged for stage {stage!r}")
 
-    initial_cost, _ = _closing_point(mech, targets, options)
+    initial_cost = _closing_point(mech, targets).cost
     current = mech
     stage_reports: "OrderedDict[str, FitReport]" = OrderedDict()
     for stage in STAGE_ORDER:
         report = optimize_stage(current, targets, stage, options)
         stage_reports[stage] = report
         current = report.design.apply(mech)
-    final_cost, violation = _closing_point(current, targets, options)
+    closing = _closing_point(current, targets)
     return FitReport(
         stage="staged",
         initial_cost=initial_cost,
-        final_cost=final_cost,
+        final_cost=closing.cost,
         iterations=sum(r.iterations for r in stage_reports.values()),
         winner_start=-1,
-        constraint_violation_max=violation,
+        constraint_violation_max=closing.violation,
         design=stage_reports[STAGE_ORDER[-1]].design,
         stage_reports=stage_reports,
         flags=tuple(f"budget_exhausted:{stage}" for stage in STAGE_ORDER

@@ -243,8 +243,13 @@ class _Solution:
 
     def read(self, table: str, key: str) -> np.ndarray:
         """The state table[key]: theta or origin of a link, alpha of a joint,
-        margin or transmission of a loop."""
-        return getattr(self, table)[key]
+        margin or transmission of a loop.  A joint angle no step set is its
+        b-side less its a-side link orientation, computed on each read."""
+        values = getattr(self, table)
+        if key in values or table != "alpha":
+            return values[key]
+        joint = self.graph.joints[key]
+        return self.theta[joint.b[0]] - self.theta[joint.a[0]]
 
     def point_world(self, link_id: str, slot: int) -> np.ndarray:
         """The world point at ``slot`` of a link, or of ground, complex."""
@@ -258,14 +263,6 @@ class _Solution:
         self.theta[link_id] = theta
         self.turn[link_id] = turn = np.cos(theta) + 1j * np.sin(theta)
         self.origin[link_id] = anchor - turn * self.xy[slot]
-
-    def finish(self):
-        """Fill unset joint angles from link orientations."""
-        g = self.graph
-        for jid, joint in g.joints.items():
-            if jid not in self.alpha:
-                self.alpha[jid] = self.theta[joint.b[0]] - self.theta[joint.a[0]]
-        return self
 
 
 def _closure_gaps(state, gaps, shape: tuple) -> np.ndarray:
@@ -318,7 +315,7 @@ def _solve_analytic(graph: MechanismGraph, phi, frozen=None) -> _Solution:
     The steps a ``frozen`` solution holds (see _solve_steps) are taken
     from it, not run.
     """
-    return _run_steps(_Solution(graph, phi), graph.steps, frozen).finish()
+    return _run_steps(_Solution(graph, phi), graph.steps, frozen)
 
 
 def _solve_steps(graph: MechanismGraph, samples: int, steps) -> _Solution:
@@ -365,15 +362,15 @@ def _forward(graph: MechanismGraph, phi, q) -> _Solution:
     sol = _Solution(graph, phi)
     for k, jid in enumerate(graph.free_joints):
         sol.alpha[jid] = q[..., k]
-    return _run_steps(sol, graph.newton_steps).finish()
+    return _run_steps(sol, graph.newton_steps)
 
 
 def _run_steps(sol: _Solution, steps, frozen=None) -> _Solution:
     """Set the driven angle and place links by executing ``steps``; the one
     forward pass of both solve routes.  A step that ``frozen`` (a partial
     solution of the same grid and geometry) holds is not run: its results,
-    and its failed samples, are taken from it.  Joint angles no step sets
-    are left to finish()."""
+    and its failed samples, are taken from it.  A joint angle no step sets
+    is computed when read (_Solution.read)."""
     g = sol.graph
     drv = g._spec.driver
     sol.alpha[drv.joint] = drv.sign * sol.phi + np.radians(sol.cols[g._driver_slot])
@@ -484,7 +481,7 @@ class _Tangent:
     def read(self, table: str, key: str):
         """The tangent table[key].  Ground reads as 0.0, and a joint angle
         no step set is its b-side less its a-side link orientation, as in
-        _Solution.finish."""
+        _Solution.read."""
         tangents = getattr(self, table)
         if key in tangents:
             return tangents[key]
@@ -539,9 +536,8 @@ def _tangents(sol: _Solution, dgeom: np.ndarray, dfree=None) -> _Tangent:
             dtheta = t.read("theta", step.parent) + step.sign * t.read("alpha", step.joint)
             t.place(step.child, t.point_world(step.parent, step.anchor), step.local, dtheta)
         elif kind == "gear":
-            # sol.alpha[joint_in] is the input value the primal step read.
             t.alpha[step.joint_out] = (
-                t.dcols[step.ratio] * sol.alpha[step.joint_in]
+                t.dcols[step.ratio] * _gear_input(sol, step)
                 + sol.cols[step.ratio] * _gear_input(t, step)
                 + np.radians(t.dcols[step.offset])
             )
@@ -701,7 +697,7 @@ def _solve_newton(graph: MechanismGraph, phi: float, q0: np.ndarray) -> _Solutio
 
 def _free_vector(graph, sol: _Solution) -> np.ndarray:
     """The free joint angles, shape (..., nq); nq may be 0."""
-    angles = [sol.alpha[jid] for jid in graph.free_joints]
+    angles = [sol.read("alpha", jid) for jid in graph.free_joints]
     return np.stack(angles, axis=-1) if angles else np.empty(sol.ok.shape + (0,))
 
 
@@ -722,7 +718,7 @@ def _guess_vector(graph, guess, phi: float) -> np.ndarray:
         try:
             sol = _solve_analytic(graph, phi)
             _raise_first_failure(sol)
-            return np.array([float(sol.alpha[jid]) for jid in graph.free_joints])
+            return np.array([float(sol.read("alpha", jid)) for jid in graph.free_joints])
         except (NotAssemblable, SingularConfiguration):
             pass
     return np.array(
@@ -734,7 +730,7 @@ def _configuration(sol: _Solution) -> Configuration:
     """The Configuration of a single-sample solution."""
     graph = sol.graph
     _one_design(sol, "a Configuration")
-    joint_angles = {jid: float(sol.alpha[jid]) for jid in graph.joints}
+    joint_angles = {jid: float(sol.read("alpha", jid)) for jid in graph.joints}
     points: dict[str, tuple[float, float]] = {}
     for (link_id, pname), slot in graph._xy.items():
         w = sol.point_world(link_id, slot)

@@ -105,7 +105,7 @@ def render_svg(plot: PlotSpec) -> str:
     """Render the plot to an SVG string.
 
     Each series maps to pixels as whole arrays and draws as polylines of
-    "x,y" pairs at two decimals, split wherever a sample is not finite.
+    "x,y" pairs at two decimals, split wherever a pixel is not finite.
 
     Raises ValueError when no series are given or an axis span is not
     finite (see _data_range), and GridMismatch when the overlaid series do
@@ -185,9 +185,13 @@ def render_svg(plot: PlotSpec) -> str:
         width_px = 2.0 if s.scale == 1.0 else 1.3
         # sx and sy map whole arrays with the float operations they apply to
         # one sample, so each coordinate is the double a per-sample call gives.
-        finite = (np.isfinite(s.x) & np.isfinite(s.y)).tolist()
+        # A sample far outside an explicit range maps to an infinite pixel,
+        # as a non-finite sample does: the line splits at either.
+        with np.errstate(over="ignore"):
+            px, py = sx(s.x), sy(s.y)
+        finite = (np.isfinite(px) & np.isfinite(py)).tolist()
         pts = []
-        for keep, u, v in zip(finite, sx(s.x).tolist(), sy(s.y).tolist()):
+        for keep, u, v in zip(finite, px.tolist(), py.tolist()):
             if keep:
                 pts.append("%.2f,%.2f" % (u, v))
             elif pts:

@@ -423,6 +423,8 @@ def test_optimize_stage_without_parameters_is_a_fitting_error(tmp_path: Path, ca
         # 200001 scales: over the maximum, yet cheap to list if the check were gone
         (["sensitivity", "--mech", REFERENCE_PATH, "--param", "crank_len",
           "--range", "0.9:1.1:1e-6", "--samples", "4"], "--range"),
+        (["sensitivity", "--mech", REFERENCE_PATH, "--param", "crank_len",
+          "--range", "0.9:0.95:0.05"], "--range"),
         (["plot", "--csv", REFERENCE_PATH, "--out", "p.svg", "--scale", "nan"], "--scale"),
         (["plot", "--csv", REFERENCE_PATH, "--out", "p.svg", "--scale", "inf"], "--scale"),
     ],
@@ -430,7 +432,7 @@ def test_optimize_stage_without_parameters_is_a_fitting_error(tmp_path: Path, ca
          "multistarts-0", "multistarts-neg", "maxiter-0", "maxiter-neg", "seed-negative",
          "phi-nan", "phi-inf",
          "phi-text", "safety-factor-low", "safety-factor-nan", "strain-neg", "strain-nan",
-         "range-inf", "range-huge", "scale-nan", "scale-inf"],
+         "range-inf", "range-huge", "range-no-nominal", "scale-nan", "scale-inf"],
 )
 def test_invalid_counts_are_usage_errors(capsys, tmp_path: Path, argv, flag):
     if argv[0] == "optimize":
@@ -616,3 +618,25 @@ def test_a_mutated_trajectory_csv_reads_or_fails_by_name(data):
                 assert named and named.group(1) in names, (argv[0], err.getvalue())
             elif argv[0] == "plot":
                 assert "nan" not in (Path(tmp) / "o.svg").read_text().lower()
+
+
+_SCALES = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, 0.5, 0.9, 0.95, 1.0]))
+_STEPS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.05, 0.1, 0.5]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(low=_SCALES, step=_STEPS, count=st.integers(-1, 3))
+@example(low=0.9, step=0.05, count=1)  # no scale snaps to 1.0
+@example(low=0.9, step=0.05, count=3)
+def test_a_scale_range_sweeps_or_is_refused(low, step, count):
+    """A family sweep over --range min:max:step, of at most a few scales,
+    returns 0 or 1 or is a usage error (exit 2); it raises nothing else."""
+    text = f"{low!r}:{low + count * step!r}:{step!r}"
+    argv = ["sensitivity", "--mech", REFERENCE_PATH, "--param", "crank_len", "--range", text,
+            "--samples", "8"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2), text

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import weakref
 from dataclasses import replace
 
@@ -30,11 +31,11 @@ from armwing import (
     sweep_series,
     validate_mechanism,
 )
-from armwing.fitting import (FEASIBILITY_TOL, PENALTY_DEG, _constraint_core, _stage_jacobian,
-                             _stage_residuals, _StageProblem)
+from armwing.fitting import (FEASIBILITY_TOL, PENALTY_DEG, _constraint_core, _run_start,
+                             _stage_jacobian, _stage_residuals, _StageProblem)
 from armwing.gait import TARGET_ANGLE_MAX_DEG, TargetGait
 from armwing.io import report_to_dict
-from armwing.solver import _results, _tangents, sweep_tangents
+from armwing.solver import _results, _solve_steps, _tangents, sweep_tangents
 from conftest import DEMO_PATH, REFERENCE_PATH
 from test_properties import _same_bits, perturbed_designs
 from test_solver import _geared_fivebar, _triad_sixbar
@@ -86,13 +87,14 @@ def test_perfect_targets_cost_zero(demo_fourbar):
 
 def test_grid_mismatch_both_ways(demo_fourbar):
     """Targets off the uniform sweep grid are refused by a stage fit and by
-    the staged fit: phases shifted by half a step, and a grid that is not
-    uniform."""
+    the staged fit: phases shifted by half a step, a grid that is not
+    uniform, and grids of fewer than the 8 phases a target file needs (a
+    fit on them would check assembly at too few phases)."""
     base = sample_targets(180)
     shifted = base.phi + np.pi / 180
     uneven = np.concatenate([base.phi[:90], base.phi[90:] + np.pi / 360])
-    for phi in (shifted, uneven):
-        targets = TargetGait(phi=phi, shoulder_deg=base.shoulder_deg, elbow_deg=base.elbow_deg)
+    for targets in [replace(base, phi=shifted), replace(base, phi=uneven),
+                    sample_targets(3), sample_targets(7)]:
         with pytest.raises(GridMismatch):
             optimize_stage(demo_fourbar, targets, "humerus", FAST)
         with pytest.raises(GridMismatch):
@@ -211,18 +213,18 @@ def test_one_table_lays_out_names_values_and_stage_bounds(name, reference, demo_
     monkeypatch.setattr("armwing.fitting.sweep_series", counted)
     problem = _StageProblem(mech, sample_targets(12), "humerus", FitOptions())
     assert sweeps == []
-    assert np.array_equal(problem.symmetric, symmetric)
     # The descent gets the entries a live slot moves: symmetry entries as
     # equalities, the rest as inequalities, each in table order.
     moved = [i for i, entry in enumerate(table) if set(problem.slots) & set(entry.reads)]
     assert problem.eq_rows == [i for i in moved if symmetric[i]]
     assert problem.ineq_rows == [i for i in moved if not symmetric[i]]
-    values = problem.constraint_vector(problem.x0)
+    point = problem.at(problem.x0)
+    values = point.constraints
     assert len(sweeps) == 1
     expected = [-values[i] if suffix == "-" else values[i] for i, suffix in published]
     assert np.array_equal(evaluate_constraints(mech, samples=12), expected)
-    assert problem.violation(problem.x0) == max(0.0, *expected)
-    jac = problem.constraint_jacobian(problem.x0)
+    assert point.violation == max(0.0, *expected)
+    jac = point.constraint_jacobian
     assert jac.shape == (len(table), len(problem.index))
 
 
@@ -375,9 +377,10 @@ def test_staged_violation_is_the_stage_measure(reference):
     fitted = report.design.apply(mech)
     assert np.max(evaluate_constraints(fitted, samples=90)) < 0.0
     assert report.constraint_violation_max == 0.0
-    closing = _StageProblem(fitted, targets, "all", FitOptions())
-    assert report.constraint_violation_max == closing.violation(closing.x0)
-    assert report.final_cost == closing.objective(closing.x0)
+    problem = _StageProblem(fitted, targets, "all", FitOptions())
+    closing = problem.at(problem.x0)
+    assert report.constraint_violation_max == closing.violation
+    assert report.final_cost == closing.cost
 
 
 def test_a_batch_of_designs_is_refused_with_a_clear_error(reference):
@@ -438,7 +441,7 @@ def test_a_stage_differentiates_only_what_it_moves(reference, demo_fourbar):
     moves = problem.dgeom != 0.0
     live = [bool(moves[:, list(entry.reads)].any()) for entry in reference.constraints]
     assert live == [False, True, False, False, False, True, False, False]
-    jac = problem.constraint_jacobian(problem.x0)
+    jac = problem.at(problem.x0).constraint_jacobian
     assert not np.any(jac[~np.array(live)]) and np.all(np.any(jac[live], axis=1))
 
 
@@ -520,7 +523,8 @@ def test_a_short_stage_fit_ends_feasible_or_raises(path, stage, data, seed, poli
     targets = sample_targets(36)
     options = FitOptions(seed=seed, multistarts=2, maxiter=5, polish=polish)
     start = _StageProblem(mech, targets, stage, options)
-    feasible_start = start.feasible(start.x0)
+    nominal = start.at(start.x0)
+    feasible_start, nominal_cost = nominal.feasible, nominal.cost
     try:
         report = optimize_stage(mech, targets, stage, options)
     except NoFeasibleStart:
@@ -533,7 +537,7 @@ def test_a_short_stage_fit_ends_feasible_or_raises(path, stage, data, seed, poli
     again = optimize_stage(mech, targets, stage, options)
     assert json.dumps(report_to_dict(again)) == json.dumps(report_to_dict(report))
     if feasible_start:
-        assert report.final_cost <= start.objective(start.x0) == report.initial_cost
+        assert report.final_cost <= nominal_cost == report.initial_cost
 
 
 def test_a_stage_with_no_live_parameter_descends_nowhere(reference, monkeypatch):
@@ -556,8 +560,8 @@ def test_a_stage_with_no_live_parameter_descends_nowhere(reference, monkeypatch)
 
 def test_a_radius_polish_evaluates_no_constraint_in_its_residual_calls(reference, monkeypatch):
     """The polish reads residuals and their Jacobian alone: none of its
-    residual_vector or residual_jacobian calls evaluates the constraint
-    vector, which a trial point computes when first read."""
+    residual or residual-Jacobian calls evaluates the constraint vector,
+    which a trial point computes when first read."""
     calls = []
     core = _constraint_core
 
@@ -653,3 +657,52 @@ def test_a_dropped_stage_problem_is_freed_at_once(reference):
             assert all(ref() is None for ref in refs), read
         finally:
             gc.enable()
+
+
+def test_a_fit_sweeps_no_design_twice_to_report_it(reference, demo_fourbar, monkeypatch):
+    """A stage fit reads each start's cost, feasibility and violation when
+    the start returns, so it makes no sweep after its last start, though
+    its winner is not the last start.  A staged fit's closing points are
+    one plain sweep each: no frozen solution, and no frozen solve, though
+    the demo's 'all' stage has a frozen step."""
+    events = []
+
+    def spy(name, fn, label, begins=False):
+        def call(*args, **kwargs):
+            if begins:
+                events.append(f"{label} begins")
+            out = fn(*args, **kwargs)
+            events.append((label, kwargs.get("_frozen")))
+            return out
+        monkeypatch.setattr(name, call)
+
+    spy("armwing.fitting.sweep_series", sweep_series, "sweep")
+    spy("armwing.fitting._run_start", _run_start, "start")
+    report = optimize_stage(reference, sample_targets(36), "radius",
+                            FitOptions(seed=0, multistarts=2, maxiter=5))
+    assert report.winner_start == 0 and events.count(("start", None)) == 2
+    assert events[-1] == ("start", None)
+
+    spec = demo_fourbar.spec
+    spec.parameters[-1].stage = "radius"
+    demo = validate_mechanism(spec)
+    assert _StageProblem(demo, sample_targets(36), "all", FitOptions()).frozen is not None
+    for module in ("fitting", "solver"):
+        spy(f"armwing.{module}._solve_steps", _solve_steps, "frozen solve")
+    spy("armwing.fitting.optimize_stage", optimize_stage, "stage fit", begins=True)
+    del events[:]
+    optimize_armwing(demo, sample_targets(36), FitOptions(seed=0, multistarts=2, maxiter=5))
+    first = events.index("stage fit begins")
+    last = len(events) - events[::-1].index(("stage fit", None))
+    assert events[:first] == events[last:] == [("sweep", None)]
+
+
+def test_a_feasible_report_reads_plus_zero(reference):
+    """A satisfied symmetry pair publishes (+0.0, -0.0), whose max is -0.0;
+    every level of a staged report still gives a violation of +0.0."""
+    report = optimize_armwing(reference, sample_targets(36), FitOptions(multistarts=2, maxiter=10))
+    for level in (report, *report.stage_reports.values()):
+        assert level.constraint_violation_max == 0.0
+        assert math.copysign(1.0, level.constraint_violation_max) == 1.0
+    assert json.dumps(report_to_dict(report)).count('"constraint_violation_max": 0.0') == 3
+

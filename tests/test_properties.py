@@ -17,6 +17,7 @@ import math
 import re
 import tempfile
 import types
+import warnings
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from armwing import (
     trajectory_csv_text,
     validate_mechanism,
 )
-from armwing.fitting import _constraint_core, _StageProblem
+from armwing.fitting import _constraint_core, _Point, _StageProblem
 from armwing.io import TRAJECTORY_COLUMNS, _csv_text, mechanism_to_dict
 from armwing.errors import NotAssemblable, SingularConfiguration
 from armwing.fourbar import COLLINEAR_TOL_RAD
@@ -273,7 +274,7 @@ def test_csv_text_matches_per_value_formatting(rows):
 
 def _polylines_reference(x, y, x_range, y_range, width: int, height: int) -> list[str]:
     """The points of each polyline of one series, mapped and formatted one
-    sample at a time and split at non-finite samples."""
+    sample at a time, as Python floats, and split at non-finite pixels."""
     x_lo, x_hi = _data_range([x], x_range)
     y_lo, y_hi = _data_range([y], y_range)
     px_lo, px_hi = _MARGIN_L, float(width) - _MARGIN_R
@@ -286,9 +287,9 @@ def _polylines_reference(x, y, x_range, y_range, width: int, height: int) -> lis
         return py_lo + (v - y_lo) / (y_hi - y_lo) * (py_hi - py_lo)
 
     lines, pts = [], []
-    for xv, yv in zip(x, y):
-        if np.isfinite(xv) and np.isfinite(yv):
-            pts.append(f"{sx(xv):.2f},{sy(yv):.2f}")
+    for u, v in zip(map(sx, x.tolist()), map(sy, y.tolist())):
+        if math.isfinite(u) and math.isfinite(v):
+            pts.append(f"{u:.2f},{v:.2f}")
         elif pts:
             lines.append(" ".join(pts))
             pts = []
@@ -312,10 +313,15 @@ _NAN, _INF = math.nan, math.inf
             (4.5, 5.0), (-_INF, 6.0), (5.5, 7.0), (6.5, _NAN)],
     x_range=None, y_range=None, size=(720, 480),
 )
+@example(  # finite samples that map to infinite pixels
+    points=[(0.5, 1.0), (1e308, 2.0), (0.75, 3.0), (-1e308, 1e308), (0.25, 0.5)],
+    x_range=(0.0, 1.0), y_range=None, size=(720, 480),
+)
 def test_svg_polylines_match_per_point_formatting(points, x_range, y_range, size):
-    """The polylines of a plot are its points mapped one at a time; a plot
-    whose data span no finite axis (values near 1e308) raises ValueError,
-    and no SVG holds a NaN."""
+    """The polylines of a plot are its points mapped one at a time, split
+    where a pixel is not finite, and rendering warns of no overflow; a
+    plot whose data span no finite axis (values near 1e308) raises
+    ValueError, and no SVG holds a NaN or an infinity."""
     x, y = (np.array(v, dtype=float) for v in zip(*points))
     plot = PlotSpec(title="t", x_label="x", y_label="y", series=[Series("s", x, y)],
                     width=size[0], height=size[1], x_range=x_range, y_range=y_range)
@@ -325,10 +331,11 @@ def test_svg_polylines_match_per_point_formatting(points, x_range, y_range, size
         with pytest.raises(ValueError, match="axis span"):
             render_svg(plot)
         return
-    with np.errstate(all="ignore"):  # points far outside an explicit range overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         svg = render_svg(plot)
-        want = _polylines_reference(x, y, x_range, y_range, *size)
-    assert "nan" not in svg.lower()
+    want = _polylines_reference(x, y, x_range, y_range, *size)
+    assert "nan" not in svg.lower() and "inf" not in svg.lower()
     assert re.findall(r'<polyline points="([^"]*)"', svg) == want
 
 
@@ -613,8 +620,10 @@ def test_a_stage_trial_sweep_is_the_plain_sweep(path, stage, values, units):
     the stage's frozen solution, equals the plain sweep of the same graph
     entry for entry, bit for bit (ok, margins, transmissions, angles, tip,
     elbow, residual, free and the continuity figures), and so do their
-    tangents along the live directions and along every slot.  Points: x0,
-    the lower box corner, which does not assemble, and random box points."""
+    tangents along the live directions and along every slot, and what a fit
+    reads of the point: its cost, violation, feasibility, gradient and
+    constraint Jacobian.  Points: x0, the lower box corner, which does not
+    assemble, and random box points."""
     mech = _shipped(path).with_parameters(values) if values else _shipped(path)
     problem = _StageProblem(mech, sample_targets(36), stage, FitOptions())
     frozen_ok = problem.frozen is None or bool(np.all(problem.frozen.ok))
@@ -630,5 +639,8 @@ def test_a_stage_trial_sweep_is_the_plain_sweep(path, stage, values, units):
         assert _same_bits(_entries(point.series), _entries(plain))
         for dgeom in (problem.dgeom, every):
             assert _same_bits(sweep_tangents(point.series, dgeom), sweep_tangents(plain, dgeom))
+        want = _Point(point.graph, plain, problem.targets, stage, problem.dgeom)
+        for name in ("cost", "violation", "feasible", "gradient", "constraint_jacobian"):
+            assert _same_bits(getattr(point, name), getattr(want, name)), name
         assembled.append(bool(np.all(plain["ok"])))
     assert assembled[0] == frozen_ok and not assembled[1]
