@@ -3,8 +3,9 @@
 One binary, eight subcommands: solve, sweep, target, optimize, sensitivity,
 material, plot, validate.  Angles cross the CLI boundary in degrees; files
 are UTF-8.  Exit codes: 0 success, 1 domain error (one line on stderr in
-the form ``error: <Kind>: <detail>``), 2 usage.  The material database
-path defaults to the bundled file and can be overridden with the
+the form ``error: <Kind>: <detail>``), 2 usage.  ``--json`` output is
+strict JSON: a number that is not finite prints as null.  The material
+database path defaults to the bundled file and can be overridden with the
 ARMWING_MATERIALS environment variable or --db.
 """
 
@@ -59,6 +60,17 @@ def _load_mech(path: str):
     return validate_mechanism(parse_mechanism_file(path))
 
 
+def _print_json(doc) -> None:
+    """Print ``doc`` as strict JSON (RFC 8259 has no NaN or Infinity)."""
+    print(json.dumps(doc, indent=2, allow_nan=False))
+
+
+def _json_number(value) -> float | None:
+    """``value`` as a JSON number, or None (null) when it is not finite."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -82,7 +94,7 @@ def _cmd_validate(args) -> int:
                 ("valid", True),
             )
         )
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"mechanism: {counts['name']}")
         print(f"  links {counts['links']}, joints {counts['joints']}, "
@@ -121,7 +133,7 @@ def _cmd_solve(args) -> int:
                 ),
             )
         )
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"phi = {np.degrees(config.phase):.6g} deg")
         print(f"residual = {config.residual_norm:.3e} mm")
@@ -239,10 +251,10 @@ def _cmd_sensitivity(args) -> int:
         ranking = sensitivity_rank(mech, delta=args.delta, samples=args.samples)
         if args.json:
             doc = [
-                OrderedDict((("parameter", name), ("score_mm_per_pct", float(score))))
+                OrderedDict((("parameter", name), ("score_mm_per_pct", _json_number(score))))
                 for name, score in ranking
             ]
-            print(json.dumps(doc, indent=2))
+            _print_json(doc)
         else:
             width = max((len(name) for name, _ in ranking), default=0)
             print(f"{'parameter':<{width}}  score [mm per 1% change]")
@@ -280,27 +292,27 @@ def _cmd_sensitivity(args) -> int:
             (
                 ("parameter", result.parameter),
                 ("nominal", float(result.nominal)),
-                ("score_mm_per_pct", float(result.score_mm_per_pct)),
+                ("score_mm_per_pct", _json_number(result.score_mm_per_pct)),
                 ("scales", [float(s) for s in result.scales]),
                 (
                     "max_tip_deviation_mm",
                     OrderedDict(
-                        ("%g" % s, float(result.deviations[s]))
+                        ("%g" % s, _json_number(result.deviations[s]))
                         for s in result.scales
-                        if s in result.deviations
+                        if s not in result.failures
                     ),
                 ),
                 (
                     "failures",
                     OrderedDict(
-                        ("%g" % s, float(result.failures[s]))
+                        ("%g" % s, _json_number(result.failures[s]))
                         for s in result.scales
                         if s in result.failures
                     ),
                 ),
             )
         )
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"parameter {result.parameter} (nominal {result.nominal:.6g})")
         print(f"score: {result.score_mm_per_pct:.6g} mm per 1% change")

@@ -345,20 +345,14 @@ def _constraint_core(
     return values, np.array(rows).reshape(len(values), len(dgeom))
 
 
-def evaluate_constraints(
-    mech: MechanismGraph,
-    q: DesignVector | None = None,
-    samples: int = 360,
-) -> np.ndarray:
+def evaluate_constraints(mech: MechanismGraph, samples: int = 360) -> np.ndarray:
     """The constraint vector f_c; the design is feasible iff all <= 0.
 
-    Symmetry equalities h = 0 appear as consecutive pairs (h, -h).  Pass
-    ``q`` to evaluate a candidate design without mutating ``mech``.
+    Symmetry equalities h = 0 appear as consecutive pairs (h, -h).  A
+    candidate design q is evaluated as ``evaluate_constraints(q.apply(mech))``.
     Entries are always finite; see constraint_names for labels.
     """
     _one_design(mech, "evaluate_constraints")
-    if q is not None:
-        mech = q.apply(mech)
     return _published(mech, _constraint_core(mech, sweep_series(mech, samples, strict=False)))
 
 

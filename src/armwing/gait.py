@@ -7,11 +7,13 @@ folding angle over one wingbeat of phase phi in [0, 2*pi):
 * elbow: a skewed sinusoid built from the phase of the complex point
   1 + skew * exp(i*(phi + phase_lead)); the arctangent form below gives a
   waveform that falls (wing expanding) faster than it rises (retraction),
-  with gain_deg_per_rad degrees per radian of that inner angle.
+  with ELBOW_GAIN_DEG_PER_RAD degrees per radian of that inner angle.
 
 Both functions return degrees; phases are radians.  The inner arctangent
 works in radians; its gain is therefore a per-radian constant, kept as a
-named field so a different convention is a one-line change.
+named constant so a different convention is a one-line change.  The
+waveform constants are the one gait the package is built around; a
+different target gait enters as a target CSV (io.targets_from_trajectory).
 
 The elbow convention is anatomical flexion: smaller values mean a more
 extended (expanded) wing.  Over the default cycle the elbow is most
@@ -21,12 +23,11 @@ extended early in the downstroke and most folded during the upstroke.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "GaitShape",
     "TargetGait",
     "target_shoulder",
     "target_elbow",
@@ -50,20 +51,13 @@ DOWNSTROKE_END = 3.0 * math.pi / 2.0
 # errors, their sums and their gradients stay finite.
 TARGET_ANGLE_MAX_DEG = 1e6
 
-
-@dataclass(frozen=True)
-class GaitShape:
-    """Constants of the target gait waveforms (degrees and radians)."""
-
-    shoulder_amplitude_deg: float = 35.0
-    shoulder_offset_deg: float = -10.0
-    elbow_skew: float = 0.5
-    elbow_phase_lead_rad: float = 2.0 * math.pi / 3.0
-    elbow_gain_deg_per_rad: float = 45.0
-    elbow_offset_deg: float = 120.0
-
-
-DEFAULT_SHAPE = GaitShape()
+# The target waveforms' constants (degrees and radians).
+SHOULDER_AMPLITUDE_DEG = 35.0
+SHOULDER_OFFSET_DEG = -10.0
+ELBOW_SKEW = 0.5
+ELBOW_PHASE_LEAD_RAD = 2.0 * math.pi / 3.0
+ELBOW_GAIN_DEG_PER_RAD = 45.0
+ELBOW_OFFSET_DEG = 120.0
 
 
 def wrap_phase(phi):
@@ -72,19 +66,19 @@ def wrap_phase(phi):
     return np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
 
 
-def target_shoulder(phi, shape: GaitShape = DEFAULT_SHAPE):
+def target_shoulder(phi):
     """Target shoulder angle, degrees, at wingbeat phase ``phi`` (radians)."""
     u = wrap_phase(phi)
-    out = shape.shoulder_amplitude_deg * np.sin(u) + shape.shoulder_offset_deg
+    out = SHOULDER_AMPLITUDE_DEG * np.sin(u) + SHOULDER_OFFSET_DEG
     return float(out) if np.ndim(phi) == 0 else out
 
 
-def target_elbow(phi, shape: GaitShape = DEFAULT_SHAPE):
+def target_elbow(phi):
     """Target elbow angle, degrees, at wingbeat phase ``phi`` (radians)."""
-    k = shape.elbow_skew
-    u = wrap_phase(phi) + shape.elbow_phase_lead_rad
+    k = ELBOW_SKEW
+    u = wrap_phase(phi) + ELBOW_PHASE_LEAD_RAD
     inner = np.arctan(-k * np.sin(u) / (1.0 + k * np.cos(u)))
-    out = -k * inner * shape.elbow_gain_deg_per_rad + shape.elbow_offset_deg
+    out = -k * inner * ELBOW_GAIN_DEG_PER_RAD + ELBOW_OFFSET_DEG
     return float(out) if np.ndim(phi) == 0 else out
 
 
@@ -104,14 +98,12 @@ class TargetGait:
     """Sampled target gait on a uniform phase grid.
 
     ``phi`` is radians; the angle series are degrees.  Instances may come
-    from the analytic waveforms (sample_targets) or from a trajectory file,
-    in which case ``shape`` is None.
+    from the analytic waveforms (sample_targets) or from a trajectory file.
     """
 
     phi: np.ndarray
     shoulder_deg: np.ndarray
     elbow_deg: np.ndarray
-    shape: GaitShape | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (len(self.phi) == len(self.shoulder_deg) == len(self.elbow_deg)):
@@ -126,12 +118,7 @@ class TargetGait:
         return len(self.phi)
 
 
-def sample_targets(samples: int, shape: GaitShape = DEFAULT_SHAPE) -> TargetGait:
+def sample_targets(samples: int) -> TargetGait:
     """Sample both target waveforms on the shared uniform grid."""
     phi = phase_grid(samples)
-    return TargetGait(
-        phi=phi,
-        shoulder_deg=target_shoulder(phi, shape),
-        elbow_deg=target_elbow(phi, shape),
-        shape=shape,
-    )
+    return TargetGait(phi=phi, shoulder_deg=target_shoulder(phi), elbow_deg=target_elbow(phi))

@@ -367,9 +367,6 @@ class MechanismGraph:
         """The named parameter's value in a one-design graph."""
         return float(self.geom[..., self._target(name)])
 
-    def set_parameter(self, name: str, value) -> None:
-        self.geom[..., self._target(name)] = value
-
     def with_parameters(self, values: dict) -> "MechanismGraph":
         """A copy with the named parameters set, in one indexed write.
 
@@ -1001,7 +998,6 @@ def fourbar_spec(
     coupler: float,
     rocker: float,
     branch: str = "open",
-    name: str = "fourbar",
 ) -> LinkageSpec:
     """Build a plain four-bar LinkageSpec in canonical placement.
 
@@ -1014,7 +1010,7 @@ def fourbar_spec(
         return max(0.05 * value, value - 0.5 * abs(value)), value + 0.5 * abs(value)
 
     spec = LinkageSpec(
-        name=name,
+        name="fourbar",
         links=[
             Link("crank", {"root": np.array([0.0, 0.0]), "tip": np.array([crank, 0.0])}),
             Link(

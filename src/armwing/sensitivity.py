@@ -10,7 +10,8 @@ benign ones.
 All operations work on private mechanism copies; the input mechanism's
 parameter map is never touched.  Per-scale solver failures are recorded
 in the result rather than raised, so a scan can cross the assemblability
-boundary and report exactly where a perturbed design stops closing.
+boundary and report exactly where a perturbed design stops closing; so is
+a scale that collapses a dyad leg to zero length (NonPositiveLength).
 
 Scaled designs are swept as batches on the geometry array's design axis,
 at most PASS_SAMPLES phase samples per pass (_sweep_designs, which also
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linkage import MechanismGraph
-from .errors import SolveError
+from .errors import NonPositiveLength, SolveError
 from .solver import GaitTrajectory, sweep_gait, sweep_series
 
 __all__ = [
@@ -50,10 +51,12 @@ class SensitivityResult:
 
     ``trajectories`` maps scale -> GaitTrajectory for scales that swept
     cleanly; ``failures`` maps scale -> first failing phase (radians) for
-    those that did not.  ``deviations`` maps scale -> max wingtip
+    those that did not, NaN when the failure has no phase (a zero-length
+    dyad leg fails every phase).  ``deviations`` maps scale -> max wingtip
     displacement from the nominal sweep (mm, NaN when incomparable).
     ``score_mm_per_pct`` is the central-difference score at the two scales
-    nearest 1.0.
+    nearest 1.0, infinite when either of those designs has a zero-length
+    dyad leg.
     """
 
     parameter: str
@@ -141,6 +144,8 @@ def sensitivity_sweep(
             trajectories[scale] = sweep_gait(perturbed, samples)
         except SolveError as exc:
             failures[scale] = float("nan") if exc.phi is None else exc.phi
+        except NonPositiveLength:
+            failures[scale] = float("nan")
 
     deviations: dict[float, float] = {}
     base = trajectories.get(1.0)
@@ -157,7 +162,10 @@ def sensitivity_sweep(
     score = 0.0
     if lo != hi:
         designs = [{param: nominal * lo}, {param: nominal * hi}]
-        score = _pair_score(*_sweep_designs(mech, designs, samples, _tips), lo, hi)
+        try:
+            score = _pair_score(*_sweep_designs(mech, designs, samples, _tips), lo, hi)
+        except NonPositiveLength:  # scored as a pair that shares no assembled phase
+            score = float("inf")
 
     return SensitivityResult(
         parameter=param,
@@ -175,17 +183,18 @@ def sensitivity_rank(
     mech: MechanismGraph,
     delta: float = 0.025,
     samples: int = 360,
-    parameters=None,
 ) -> list[tuple[str, float]]:
     """Rank parameters by central-difference score at scales 1 +- delta.
 
     Descending by score with a deterministic name tie-break, so parameters
     no output depends on (score exactly 0) sort last.  ``delta`` must lie
-    in (0, 0.1].  Its 2n scaled designs are swept in batched passes.
+    in (0, 0.1].  Its 2n scaled designs are swept in batched passes.  Every
+    parameter is ranked; a subset's ranking is the full one filtered to it,
+    bit for bit, since each score reads only its own two designs' sweeps.
     """
     if not 0.0 < delta <= RANK_DELTA_MAX:
         raise ValueError(f"delta must be in (0, {RANK_DELTA_MAX}], got {delta!r}")
-    names = list(parameters) if parameters is not None else mech.parameter_names()
+    names = mech.parameter_names()
     lo, hi = 1.0 - delta, 1.0 + delta
     designs = [{name: mech.get_parameter(name) * s} for name in names for s in (lo, hi)]
     rows = _sweep_designs(mech, designs, samples, _tips)

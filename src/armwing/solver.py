@@ -15,7 +15,7 @@ and the tangent pass reuse:
 * the Newton route sets the free joint angles from its iterate q and runs
   ``newton_steps`` (tree and gear steps only).  The stacked loop-closure
   gaps of that pose are its residual.  Newton runs when no plan exists,
-  when a caller forces it, or to polish a guess.
+  when a caller forces it, or to polish an analytic pose.
 
 One forward-mode tangent pass, ``_tangents``, mirrors ``_run_steps`` step
 for step over a solved one-design pose.  It carries a leading axis of n
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping, MutableMapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +77,6 @@ from .errors import (
     NoConvergence,
     NonPositiveLength,
     NotAssemblable,
-    SchemaError,
     SingularConfiguration,
     SingularJacobian,
 )
@@ -707,13 +706,9 @@ def _one_design(state, what: str) -> None:
         raise ValueError(f"{what} takes a graph of one design, not a batch")
 
 
-def _guess_vector(graph, guess, phi: float) -> np.ndarray:
-    if guess is not None:
-        angles = guess.joint_angles if isinstance(guess, Configuration) else guess
-        missing = [jid for jid in graph.free_joints if jid not in angles]
-        if missing:
-            raise SchemaError(f"guess[{missing[0]}]", "a guess must name every free joint")
-        return np.array([angles[jid] for jid in graph.free_joints])
+def _guess_vector(graph, phi: float) -> np.ndarray:
+    """Newton's starting free angles at ``phi``: the analytic solution where
+    it assembles, else the file's home pose (0 for a joint it omits)."""
     if graph.plan is not None:
         try:
             sol = _solve_analytic(graph, phi)
@@ -760,17 +755,14 @@ def _analytic_route(mech: MechanismGraph, method: str) -> bool:
 def solve_configuration(
     mech: MechanismGraph,
     phi: float,
-    guess: "Configuration | dict[str, float] | None" = None,
     method: str = "auto",
 ) -> Configuration:
     """Solve the mechanism at crank phase ``phi`` (radians).
 
     ``method``: 'auto' uses the analytic dyad plan when the topology has
     one, falling back to Newton; 'analytic' requires the plan; 'newton'
-    forces the iterative route (seeded by ``guess``, else the analytic
-    solution, else the stored home pose).  ``guess`` may be a previous
-    Configuration or a mapping of every free joint's angle in radians
-    (SchemaError when one is missing), such as ``mech.home_pose``.
+    forces the iterative route (seeded by the analytic solution, else the
+    file's ``home_pose_deg``).
     """
     analytic = _analytic_route(mech, method)
     _one_design(mech, "solve_configuration")
@@ -781,15 +773,16 @@ def solve_configuration(
         if float(sol.residual) > NEWTON_TOL_MM:  # defensive; not expected
             sol = _solve_newton(mech, phi, _free_vector(mech, sol))
         return _configuration(sol)
-    q0 = _guess_vector(mech, guess, phi)
+    q0 = _guess_vector(mech, phi)
     sol = _solve_newton(mech, phi, q0)
     return _configuration(sol)
 
 
-class _Series(MutableMapping):
-    """A sweep_series result: a mapping whose derived entries are computed
-    when first read, and kept.  An entry of ``entries`` is its value, or a
-    function of no arguments that makes it (no value is callable)."""
+class _Series(Mapping):
+    """A sweep_series result: a read-only mapping whose derived entries are
+    computed when first read, and kept.  An entry of ``entries`` is its
+    value, or a function of no arguments that makes it (no value is
+    callable)."""
 
     def __init__(self, entries: dict):
         self._entries = entries
@@ -800,14 +793,6 @@ class _Series(MutableMapping):
             self._entries[key] = self._entries[key]()
             self._pending.discard(key)
         return self._entries[key]
-
-    def __setitem__(self, key, value) -> None:
-        self._entries[key] = value
-        self._pending.discard(key)
-
-    def __delitem__(self, key) -> None:
-        del self._entries[key]
-        self._pending.discard(key)
 
     def __iter__(self):
         return iter(self._entries)
@@ -823,7 +808,7 @@ def sweep_series(
     method: str = "auto",
     *,
     _frozen: _Solution | None = None,
-) -> MutableMapping:
+) -> Mapping:
     """Sweep one wingbeat and return dense arrays (no Configuration objects).
 
     Returns a mapping with phi, ok, residual, margin, transmission, free
@@ -875,7 +860,7 @@ def sweep_series(
         # pass over them then fills the grid solution.
         angles = np.full((samples, len(mech.free_joints)), np.nan)
         ok = np.ones(samples, dtype=bool)
-        q = _guess_vector(mech, None, float(phi[0]))
+        q = _guess_vector(mech, float(phi[0]))
         for k in range(samples):
             try:
                 q = angles[k] = _free_vector(mech, _solve_newton(mech, float(phi[k]), q))

@@ -19,6 +19,8 @@ from .errors import GridMismatch
 
 __all__ = ["Series", "PlotSpec", "render_svg", "write_svg"]
 
+_WIDTH = 720  # pixels; every plot has this size and data-derived axes
+_HEIGHT = 480
 _MARGIN_L = 64.0
 _MARGIN_R = 18.0
 _MARGIN_T = 34.0
@@ -51,10 +53,6 @@ class PlotSpec:
     x_label: str
     y_label: str
     series: list[Series] = field(default_factory=list)
-    width: int = 720
-    height: int = 480
-    x_range: tuple[float, float] | None = None
-    y_range: tuple[float, float] | None = None
 
 
 def _series_color(scale: float) -> str:
@@ -78,20 +76,18 @@ def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _data_range(values: list[np.ndarray], explicit=None) -> tuple[float, float]:
-    """The padded (lo, hi) of an axis over the finite ``values``, or over
-    ``explicit``.  ValueError when its span hi - lo is not finite or is
-    zero: the data are too far apart, or too large for the padding to move
-    them, and every pixel would be NaN."""
-    if explicit is not None:
-        lo, hi = float(explicit[0]), float(explicit[1])
+def _data_range(values: list[np.ndarray]) -> tuple[float, float]:
+    """The padded (lo, hi) of an axis over the finite ``values``.
+    ValueError when its span hi - lo is not finite or is zero: the data are
+    too far apart, or too large for the padding to move them, and every
+    pixel would be NaN.  A finite span maps every finite sample, which lies
+    inside it, to a finite pixel."""
+    stacked = np.concatenate(values)
+    finite = stacked[np.isfinite(stacked)]
+    if len(finite) == 0:
+        lo, hi = 0.0, 1.0
     else:
-        stacked = np.concatenate(values)
-        finite = stacked[np.isfinite(stacked)]
-        if len(finite) == 0:
-            lo, hi = 0.0, 1.0
-        else:
-            lo, hi = float(finite.min()), float(finite.max())
+        lo, hi = float(finite.min()), float(finite.max())
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
@@ -120,9 +116,9 @@ def render_svg(plot: PlotSpec) -> str:
             + ", ".join(str(c) for c in sorted(counts))
         )
 
-    x_lo, x_hi = _data_range([s.x for s in plot.series], plot.x_range)
-    y_lo, y_hi = _data_range([s.y for s in plot.series], plot.y_range)
-    w, h = float(plot.width), float(plot.height)
+    x_lo, x_hi = _data_range([s.x for s in plot.series])
+    y_lo, y_hi = _data_range([s.y for s in plot.series])
+    w, h = float(_WIDTH), float(_HEIGHT)
     px_lo, px_hi = _MARGIN_L, w - _MARGIN_R
     py_lo, py_hi = h - _MARGIN_B, _MARGIN_T
 
@@ -134,10 +130,10 @@ def render_svg(plot: PlotSpec) -> str:
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{plot.width}" '
-        f'height="{plot.height}" viewBox="0 0 {plot.width} {plot.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect width="{plot.width}" height="{plot.height}" fill="#ffffff"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     out.append(
         f'<text x="{w / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{plot.title}</text>'
@@ -185,10 +181,9 @@ def render_svg(plot: PlotSpec) -> str:
         width_px = 2.0 if s.scale == 1.0 else 1.3
         # sx and sy map whole arrays with the float operations they apply to
         # one sample, so each coordinate is the double a per-sample call gives.
-        # A sample far outside an explicit range maps to an infinite pixel,
-        # as a non-finite sample does: the line splits at either.
-        with np.errstate(over="ignore"):
-            px, py = sx(s.x), sy(s.y)
+        # Only a non-finite sample maps to a non-finite pixel: the line
+        # splits there.
+        px, py = sx(s.x), sy(s.y)
         finite = (np.isfinite(px) & np.isfinite(py)).tolist()
         pts = []
         for keep, u, v in zip(finite, px.tolist(), py.tolist()):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -22,7 +23,7 @@ from armwing import (
 )
 from armwing.io import target_csv_text
 
-from conftest import DEMO_PATH, REFERENCE_PATH
+from conftest import DEMO_PATH, GOLDEN_DIR, REFERENCE_PATH
 from test_fitting import _with_a_held_parameter
 from test_solver import _geared_fivebar, _triad_sixbar
 
@@ -31,6 +32,14 @@ def run(capsys, *argv):
     code = cli.main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_no_arguments_exits_with_usage():
@@ -50,7 +59,7 @@ def test_validate_reference(capsys):
 def test_validate_json_summary(capsys):
     code, out, _ = run(capsys, "validate", REFERENCE_PATH, "--json")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["links"] == 7
     assert doc["free_joints"] == 4
     assert doc["parameters"]["humerus"] == 14
@@ -81,7 +90,7 @@ def test_solve_prints_angles_and_points(capsys):
 def test_solve_json(capsys):
     code, out, _ = run(capsys, "solve", REFERENCE_PATH, "--phi", "45", "--json")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert set(doc["joint_angles_deg"]) >= {"j2_shoulder", "j5_elbow"}
     assert "wingtip" in doc["points_mm"]
     assert "elbow" in doc["points_mm"]
@@ -134,6 +143,19 @@ def test_target_emits_the_gait(tmp_path: Path, capsys):
     assert float(data["theta_s_deg"].min()) == -45.0
     assert float(data["theta_s_deg"].max()) == 25.0
     assert np.all(data["tip_x_mm"] == 0.0)
+
+
+def test_target_and_its_plot_match_the_golden_files(tmp_path: Path, capsys):
+    """The gait's waveform constants, pinned as bytes: the 36-sample target
+    CSV and its theta_s plot."""
+    code, out, _ = run(capsys, "target", "--samples", "36")
+    assert code == 0
+    assert out == (GOLDEN_DIR / "target_36.csv").read_text()
+    svg = tmp_path / "target.svg"
+    code, _, _ = run(capsys, "plot", "--csv", GOLDEN_DIR / "target_36.csv",
+                     "--series", "theta_s", "--out", svg)
+    assert code == 0
+    assert svg.read_bytes() == (GOLDEN_DIR / "target_36_theta_s.svg").read_bytes()
 
 
 def test_optimize_writes_report_and_fitted_mechanism(tmp_path: Path, capsys):
@@ -196,7 +218,7 @@ def test_sensitivity_rank_json(capsys):
         "--samples", "60", "--json",
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert len(doc) == 33
     assert doc[0]["parameter"] == "shoulder_x"
     assert doc[0]["score_mm_per_pct"] > doc[-1]["score_mm_per_pct"]
@@ -215,6 +237,35 @@ def test_sensitivity_family_with_plot(tmp_path: Path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_a_family_with_a_failing_scale_prints_strict_json(capsys):
+    code, out, _ = run(
+        capsys, "sensitivity", "--mech", REFERENCE_PATH, "--param", "shoulder_x",
+        "--range", "0.5:1.5:0.25", "--samples", "36", "--json",
+    )
+    assert code == 0
+    doc = strict_json(out)
+    assert list(doc["failures"]) == ["1.5"]
+    assert list(doc["max_tip_deviation_mm"]) == ["0.5", "0.75", "1", "1.25"]
+    assert all(math.isfinite(v) for v in doc["max_tip_deviation_mm"].values())
+
+
+@pytest.mark.parametrize("scales", ["0:1:0.5", "0:1:1"])
+def test_a_zero_length_dyad_leg_fails_its_scale_only(scales, capsys):
+    argv = ("sensitivity", "--mech", REFERENCE_PATH, "--param", "h_coupler_len",
+            "--range", scales, "--samples", "36")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert "x0      fails to assemble (phi = nan rad)" in out
+    assert "x1      max tip deviation 0 mm" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["failures"]["0"] is None
+    assert doc["max_tip_deviation_mm"]["1"] == 0.0
+    # Scale 0 is the lower scale of the score only on 0:1:1.
+    assert (doc["score_mm_per_pct"] is None) == (scales == "0:1:1")
+
+
 def test_sensitivity_needs_rank_or_param(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["sensitivity", "--mech", str(REFERENCE_PATH)])
@@ -230,7 +281,7 @@ def test_a_rank_of_no_parameters_prints_the_header_alone(tmp_path: Path, capsys)
     code, out, _ = run(capsys, "sensitivity", "--mech", triad, "--rank", "--samples", "24",
                        "--json")
     assert code == 0
-    assert json.loads(out) == []
+    assert strict_json(out) == []
 
 
 @pytest.mark.parametrize("build", [_triad_sixbar, _geared_fivebar], ids=["triad", "geared-fivebar"])
@@ -374,6 +425,17 @@ def test_validate_rejects_a_misspelt_key_in_one_line(tmp_path: Path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: SchemaError: gear_couplings[0].offset_dge: unknown key\n"
+
+
+@pytest.mark.parametrize("command", [("validate",), ("sweep", "--mech")],
+                         ids=["validate", "sweep"])
+def test_a_json_syntax_error_names_its_line_and_column(command, tmp_path: Path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format_version": 1,\n "name": }')
+    code, out, err = run(capsys, *command, bad)
+    assert code == 1
+    assert out == ""
+    assert err == "error: MechanismSyntaxError: line 2, column 10: Expecting value\n"
 
 
 def test_optimize_stage_without_parameters_is_a_fitting_error(tmp_path: Path, capsys,

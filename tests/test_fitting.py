@@ -233,7 +233,7 @@ def test_constraints_accept_a_candidate_design(reference):
     before = reference.parameter_values()
     moved = q.with_values(np.where(np.array(q.names) == "crank_len",
                                    q.values + 1.0, q.values))
-    values = evaluate_constraints(reference, moved)
+    values = evaluate_constraints(moved.apply(reference))
     assert reference.parameter_values() == before
     assert values.shape == evaluate_constraints(reference).shape
 

@@ -9,7 +9,6 @@ import pytest
 from armwing import (
     DOWNSTROKE_END,
     DOWNSTROKE_START,
-    GaitShape,
     TargetGait,
     phase_grid,
     sample_targets,
@@ -17,8 +16,6 @@ from armwing import (
     target_shoulder,
     wrap_phase,
 )
-
-SHAPE = GaitShape()
 
 # The elbow waveform is the argument of 1 + k*exp(i*u); its extreme value
 # is arcsin(k) = pi/6 exactly for k = 1/2, reached at u = 2*pi/3 modulo the
@@ -143,7 +140,6 @@ def test_sample_targets_shares_one_grid():
     assert np.array_equal(gait.phi, phase_grid(96))
     assert np.array_equal(gait.shoulder_deg, target_shoulder(gait.phi))
     assert np.array_equal(gait.elbow_deg, target_elbow(gait.phi))
-    assert gait.shape == SHAPE
 
 
 def test_target_gait_validation():
@@ -161,11 +157,3 @@ def test_target_gait_validation():
             shoulder_deg=ok.shoulder_deg,
             elbow_deg=ok.elbow_deg,
         )
-
-
-def test_custom_shape_passes_through():
-    shape = GaitShape(shoulder_amplitude_deg=20.0, shoulder_offset_deg=5.0)
-    grid = phase_grid(360)
-    values = target_shoulder(grid, shape)
-    assert float(values.max()) == 25.0
-    assert float(values.min()) == -15.0

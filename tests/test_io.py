@@ -146,7 +146,6 @@ def test_targets_from_trajectory_reconstructs_the_exact_grid(
     assert np.array_equal(targets.phi, sample_targets(360).phi)
     assert np.allclose(targets.shoulder_deg, traj.theta_s_deg, atol=1e-9)
     assert np.allclose(targets.elbow_deg, traj.theta_e_deg, atol=1e-9)
-    assert targets.shape is None
 
 
 def test_targets_from_trajectory_rejects_off_grid_phases():

@@ -136,13 +136,6 @@ def test_delta_bounds(reference):
         sensitivity_rank(reference, delta=0.2)
 
 
-def test_rank_accepts_a_parameter_subset(reference):
-    subset = ["crank_len", "mem_anchor_x", "shoulder_x"]
-    ranking = sensitivity_rank(reference, delta=0.025, parameters=subset)
-    assert [n for n, _ in ranking] == ["shoulder_x", "crank_len", "mem_anchor_x"]
-    assert ranking[-1][1] == 0.0
-
-
 def test_one_sided_families_still_score(reference):
     below = sensitivity_sweep(reference, "crank_len", (0.98, 1.0), samples=90)
     above = sensitivity_sweep(reference, "crank_len", (1.0, 1.02), samples=90)

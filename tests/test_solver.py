@@ -18,7 +18,6 @@ from armwing import (
     LinkageSpec,
     NotAssemblable,
     ParameterBinding,
-    SchemaError,
     evaluate_constraints,
     fourbar_spec,
     mirror_mechanism,
@@ -33,7 +32,7 @@ from armwing import (
 from armwing.gait import phase_grid
 from armwing.solver import _solve_steps, wrap_pi
 
-from conftest import DEMO_PATH, REFERENCE_PATH
+from conftest import REFERENCE_PATH
 
 
 def test_general_solver_reduces_to_fourbar(demo_fourbar):
@@ -69,15 +68,6 @@ def test_every_route_rejects_an_unknown_method(demo_fourbar, method):
                   lambda: sweep_gait(demo_fourbar, 36, method=method)):
         with pytest.raises(ValueError, match="unknown method"):
             solve()
-
-
-def test_solve_configuration_accepts_home_pose_guess(reference):
-    config = solve_configuration(reference, 0.0, method="newton",
-                                 guess=reference.home_pose)
-    assert config.residual_norm <= 1e-9
-    direct = solve_configuration(reference, 0.0)
-    for jid, angle in direct.joint_angles.items():
-        assert abs(wrap_pi(config.joint_angles[jid] - angle)) <= 1e-9
 
 
 def test_sweep_invariants_on_the_reference(reference):
@@ -390,18 +380,6 @@ def test_newton_only_topology_sweeps_and_constrains():
         solve_configuration(mech, 0.0, method="analytic")
     entries = evaluate_constraints(mech, samples=36)
     assert entries.shape == (4,) and np.all(np.isfinite(entries))
-
-
-@pytest.mark.parametrize("spec", [
-    lambda: parse_mechanism_file(DEMO_PATH),
-    _triad_sixbar,
-], ids=["demo-fourbar", "triad"])
-def test_a_guess_must_name_every_free_joint(spec):
-    mech = validate_mechanism(spec())
-    missing = next(jid for jid in mech.free_joints if jid not in mech.home_pose)
-    with pytest.raises(SchemaError) as err:
-        solve_configuration(mech, 1.0, guess=mech.home_pose, method="newton")
-    assert err.value.field == f"guess[{missing}]"
 
 
 def _crank() -> LinkageSpec:

@@ -111,28 +111,12 @@ def test_scaled_series_get_distinct_colors():
     assert len(colors) == 3
 
 
-def test_explicit_ranges_are_honored(reference):
-    plot = family_plot(reference)
-    pinned = PlotSpec(
-        title=plot.title,
-        x_label=plot.x_label,
-        y_label=plot.y_label,
-        series=plot.series,
-        x_range=(0.0, 360.0),
-        y_range=(90.0, 130.0),
-    )
-    text = render_svg(pinned)
-    assert "360" in text
-    assert text != render_svg(plot)
-
-
-@pytest.mark.parametrize("x, x_range", [
-    ([-1.7976931348623157e308, 0.0, 1.0], None),  # the span overflows
-    ([1e300, 1e300, 1e300], None),  # padding cannot move values this large
-    ([0.0, 1.0, 2.0], (0.0, float("inf"))),
+@pytest.mark.parametrize("x", [
+    [-1.7976931348623157e308, 0.0, 1.0],  # the span overflows
+    [1e300, 1e300, 1e300],  # padding cannot move values this large
 ])
-def test_an_axis_with_no_finite_span_is_a_value_error(x, x_range):
+def test_an_axis_with_no_finite_span_is_a_value_error(x):
     plot = PlotSpec(title="t", x_label="x", y_label="y",
-                    series=[Series("s", np.array(x), np.arange(3.0))], x_range=x_range)
+                    series=[Series("s", np.array(x), np.arange(3.0))])
     with pytest.raises(ValueError, match="axis span"):
         render_svg(plot)
